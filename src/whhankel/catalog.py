@@ -132,8 +132,13 @@ def run_entry(entry: CatalogEntry, grid=None, cfg=oracle.DEFAULT_CONFIG,
     return result
 
 
-def run_catalog(entries, grid=None, cfg=oracle.DEFAULT_CONFIG, workers=2) -> list[dict]:
-    """Run entries in a bounded worker pool; output ordered by entry name."""
+def run_catalog(entries, grid=None, cfg=oracle.DEFAULT_CONFIG, workers=1) -> list[dict]:
+    """Run entries in a bounded worker pool; output ordered by entry name.
+
+    One worker is the default: nearly all of an entry's time is in SVDs that
+    the BLAS library already spreads over every core, so a second pool thread
+    only competes with it.  The output does not depend on ``workers``.
+    """
     grid = grid or oracle.Grid()
     tester = kernels.make_kappa_tester(grid, cfg)
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:

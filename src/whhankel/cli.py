@@ -259,7 +259,9 @@ def build_parser():
         "select the bundled ones)",
     )
     sl.add_argument("path")
-    sl.add_argument("--workers", type=int, default=2)
+    sl.add_argument("--workers", type=int, default=1,
+                    help="catalog entries run at once (default 1: BLAS already "
+                    "uses every core)")
     sl.add_argument("--json", action="store_true")
     sl.add_argument("--out")
     _grid_args(sl)

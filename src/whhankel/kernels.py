@@ -94,12 +94,6 @@ class Workspace:
             )
         )
 
-    def residual(self, mat, v):
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            return 0.0
-        return float(np.linalg.norm(mat @ v) / (self.norm_est(mat) * nv))
-
     def gf(self, values, support="half"):
         return GridFunction(self.grid, np.asarray(values, dtype=complex), support)
 
@@ -180,20 +174,13 @@ def projection_image_dims(g, basis, ws, tol=1e-6):
         plus_vecs.append(0.5 * (f.values + pf))
         minus_vecs.append(0.5 * (f.values - pf))
 
-    def rank(vecs):
-        m = np.vstack(vecs)
-        s = np.linalg.svd(m, compute_uv=False)
-        if s.size == 0 or s[0] == 0:
-            return 0
-        return int(np.sum(s > tol * s[0] * 10)) if s[0] > tol else 0
-
     scale = max(np.linalg.norm(np.vstack(plus_vecs + minus_vecs)), 1e-30)
 
-    def rank2(vecs):
+    def rank(vecs):
         s = np.linalg.svd(np.vstack(vecs), compute_uv=False)
         return int(np.sum(s > tol * scale))
 
-    return rank2(plus_vecs), rank2(minus_vecs)
+    return rank(plus_vecs), rank(minus_vecs)
 
 
 # --- transport between the block kernel and the +- kernels -------------------
@@ -274,12 +261,10 @@ class KappaResult:
         raise TypeError("inspect .in_image explicitly")
 
 
-def _q0(ws):
-    return ws.wh(symbols.chi(1)) @ ws.wh(symbols.chi(-1))
-
-
 def _membership_residual(x, ws):
-    q0x = _q0(ws) @ x
+    """Relative distance of x from its projection W(chi) W(chi^(-1)) x onto
+    the range of W(chi), applied as two mat-vecs."""
+    q0x = ws.wh(symbols.chi(1)) @ (ws.wh(symbols.chi(-1)) @ x)
     nx = np.linalg.norm(x)
     if nx == 0:
         return 0.0

@@ -33,7 +33,10 @@ therefore augments the matrix with penalty rows on the outer 20% of nodes
 before the SVD: genuine kernel vectors decay and keep sigma ~ e^(-T), while
 boundary artifacts are lifted to O(|penalty|).  verify and the stability
 re-run use only dimensions, so they compute singular values only; the full
-SVD runs only where a kernel basis is asked for.
+SVD runs only where a kernel basis is asked for.  A values-only decision on a
+matrix whose imaginary part is rounding noise (every symbol whose zeros and
+poles lie on the imaginary axis has a real kernel) runs the real SVD, under a
+Weyl bound that keeps the decision (see _real_if_negligible).
 """
 
 from __future__ import annotations
@@ -406,13 +409,16 @@ def block_factorization_residual(pair, grid=None, cfg=DEFAULT_CONFIG, seed=0,
     at, btld = tilde(a), tilde(b)
     at_inv = inverse(at)
     n2 = 2 * grid.n
-    eye = np.eye(n2, dtype=complex)
-    pm = np.diag((grid.full_nodes() > 0).astype(complex))
-    qm = eye - pm
-    jm = eye[::-1]
+    pos = grid.full_nodes() > 0     # P keeps these nodes, Q = I - P the others
 
-    def blk(m11, m12, m21, m22):
-        return np.block([[m11, m12], [m21, m22]])
+    def p(v):
+        return np.where(pos, v, 0.0)
+
+    def q(v):
+        return np.where(pos, 0.0, v)
+
+    def j(v):
+        return v[::-1]
 
     w0 = {s: w0_matrix(s, grid, cfg).matrix
           for s in (a, b, btld, at, sub.c, sub.d, at_inv)}
@@ -422,21 +428,6 @@ def block_factorization_residual(pair, grid=None, cfg=DEFAULT_CONFIG, seed=0,
         if corner.is_zero()
         else w0_matrix(corner, grid, cfg).matrix
     )
-    zero = np.zeros((n2, n2), dtype=complex)
-    a_op = blk(eye, zero, w0[btld], w0[at]) @ blk(eye, eye, jm, -jm)
-    b1 = 0.5 * blk(eye, jm, eye, -jm)
-    b2 = np.eye(2 * n2) - blk(
-        pm @ w0[a] @ qm, pm @ w0[b] @ pm, qm @ w0[btld] @ qm, qm @ w0[at] @ pm
-    )
-    b3 = np.eye(2 * n2) + blk(
-        pm @ w0corner @ qm, pm @ w0[sub.d] @ qm,
-        -(pm @ w0[sub.c] @ qm), pm @ w0[at_inv] @ qm,
-    )
-    wv = blk(zero, pm @ w0[sub.d] @ pm, -(pm @ w0[sub.c] @ pm), pm @ w0[at_inv] @ pm)
-    qq = blk(qm, zero, zero, qm)
-    plus = pm @ w0[a] @ pm + pm @ w0[b] @ qm @ jm + qm
-    minus = pm @ w0[a] @ pm - pm @ w0[b] @ qm @ jm + qm
-    lhs = blk(plus, zero, zero, minus)
     rng = np.random.default_rng(seed)
     mask = np.abs(grid.full_nodes()) <= grid.T / 2
     worst = 0.0
@@ -444,8 +435,26 @@ def block_factorization_residual(pair, grid=None, cfg=DEFAULT_CONFIG, seed=0,
         x = rng.normal(size=2 * n2) + 1j * rng.normal(size=2 * n2)
         x[:n2][~mask] = 0.0
         x[n2:][~mask] = 0.0
-        rhs = b1 @ (b2 @ (b3 @ ((wv + qq) @ (a_op @ x))))
-        worst = max(worst, float(np.linalg.norm(lhs @ x - rhs) / np.linalg.norm(x)))
+        x1, x2 = x[:n2], x[n2:]
+        lhs = np.concatenate([
+            p(w0[a] @ p(x1)) + p(w0[b] @ q(j(x1))) + q(x1),
+            p(w0[a] @ p(x2)) - p(w0[b] @ q(j(x2))) + q(x2),
+        ])
+        # A
+        y1 = x1 + x2
+        y2 = w0[btld] @ y1 + w0[at] @ j(x1 - x2)
+        # W(V(a,b)) + diag(Q, Q)
+        z1 = p(w0[sub.d] @ p(y2)) + q(y1)
+        z2 = -p(w0[sub.c] @ p(y1)) + p(w0[at_inv] @ p(y2)) + q(y2)
+        # B3
+        r1 = z1 + p(w0corner @ q(z1)) + p(w0[sub.d] @ q(z2))
+        r2 = z2 - p(w0[sub.c] @ q(z1)) + p(w0[at_inv] @ q(z2))
+        # B2
+        s1 = r1 - p(w0[a] @ q(r1)) - p(w0[b] @ p(r2))
+        s2 = r2 - q(w0[btld] @ q(r1)) - q(w0[at] @ p(r2))
+        # B1
+        rhs = 0.5 * np.concatenate([s1 + j(s2), s1 - j(s2)])
+        worst = max(worst, float(np.linalg.norm(lhs - rhs) / np.linalg.norm(x)))
     return worst
 
 
@@ -484,19 +493,35 @@ def _boundary_penalty_rows(op: DiscretizedOp, cfg: OracleConfig):
     return rows
 
 
-def _augmented_svd(op: DiscretizedOp, cfg: OracleConfig, with_basis=True):
+def _real_if_negligible(m, tol):
+    """Re m when dropping Im m cannot move a rank decision at tol, else m.
+
+    By Weyl's bound dropping Im m moves each singular value by at most
+    ||Im m||_2 <= ||Im m||_F, and sigma_max >= ||m||_F / sqrt(ncols), so
+    ||Im m||_F <= 1e-3 tol ||m||_F / sqrt(ncols) keeps every shift below
+    1e-3 tol sigma_max.
+    """
+    if np.iscomplexobj(m) and np.linalg.norm(m.imag) <= (
+        1e-3 * tol * np.linalg.norm(m) / math.sqrt(m.shape[1])
+    ):
+        return m.real
+    return m
+
+
+def _augmented_svd(op: DiscretizedOp, cfg: OracleConfig, tol, with_basis=True):
     """Singular values of the boundary-penalized matrix, plus its right
-    singular vectors when with_basis (else vh is None)."""
+    singular vectors when with_basis (else vh is None).  Without a basis a
+    matrix whose imaginary part is rounding noise goes to the real SVD."""
     penalty = _boundary_penalty_rows(op, cfg) * max(op.norm_est, 1e-300)
     aug = np.vstack([op.matrix, penalty])
     if not with_basis:
-        return np.linalg.svd(aug, compute_uv=False), None
+        return np.linalg.svd(_real_if_negligible(aug, tol), compute_uv=False), None
     _, s, vh = np.linalg.svd(aug, full_matrices=False)
     return s, vh
 
 
 def _estimate_once(op: DiscretizedOp, cfg: OracleConfig, tol, with_basis=True):
-    s, vh = _augmented_svd(op, cfg, with_basis)
+    s, vh = _augmented_svd(op, cfg, tol, with_basis)
     smax = s[0] if len(s) else 0.0
     cut = tol * smax
     null_idx = [k for k in range(len(s)) if s[k] < cut]

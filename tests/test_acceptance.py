@@ -254,6 +254,15 @@ def test_criterion_06_case_catalog_end_to_end(catalog_results):
     )
 
 
+def test_catalog_output_independent_of_worker_count():
+    entries = parse_catalog(shipped_catalog_path().read_text(encoding="utf-8"))
+    grid = Grid(T=10.0, h=0.1)
+    cfg = OracleConfig(stability=True)
+    assert run_catalog(entries, grid, cfg, workers=1) == run_catalog(
+        entries, grid, cfg, workers=2
+    )
+
+
 def test_criterion_07_index_identity(catalog_results):
     rows = []
     for r in catalog_results["results"]:

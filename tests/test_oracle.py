@@ -337,15 +337,19 @@ def test_multiple_pole_generators_across_h(h):
         assert resid < 1e-8, text
 
 
-def test_values_only_estimate_matches_full_svd(a_n0, a_nm1):
+def test_values_only_estimate_matches_full_svd(a_n0, a_nm1, monkeypatch):
     cfg = OracleConfig(stability=True)
+    # zero and pole off the imaginary axis: the convolution kernel is complex
+    complex_op = wh_matrix(parse_symbol("(t-1-2i)/(t-1+2i)"), GRID, cfg)
+    catalog_op = wh_plus_hankel(a_nm1, a_nm1 * chi(), +1, GRID, cfg)
     ops = [
         wh_matrix(chi(-1), GRID, cfg),
         wh_matrix(chi(), GRID, cfg),
         wh_plus_hankel(a_n0, a_n0 * chi(), +1, GRID, cfg),
         wh_plus_hankel(a_n0, a_n0 * chi(), -1, GRID, cfg),
-        wh_plus_hankel(a_nm1, a_nm1 * chi(), +1, GRID, cfg),
+        catalog_op,
         block_v_matrix(MatchingPair(a_nm1, a_nm1 * chi()), GRID, cfg),
+        complex_op,
     ]
     for op in ops:
         for estimate in (kernel_estimate, coker_estimate):
@@ -354,3 +358,22 @@ def test_values_only_estimate_matches_full_svd(a_n0, a_nm1):
             assert (dims.dim, dims.stable) == (full.dim, full.stable), op.description
             assert len(full.basis) == full.dim
             assert dims.basis == () and dims.residuals == ()
+
+    # values-only SVDs run in real arithmetic exactly when the matrix is real
+    # up to rounding; the basis path always stays complex
+    kinds = []
+    svd = np.linalg.svd
+
+    def recording_svd(m, *args, **kwargs):
+        kinds.append((m.dtype.kind, kwargs.get("compute_uv", True)))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    for op, kind in ((complex_op, "c"), (catalog_op, "f")):
+        kinds.clear()
+        kernel_estimate(op, cfg, with_basis=False)
+        coker_estimate(op, cfg, with_basis=False)
+        assert kinds == [(kind, False)] * 4, op.description
+    kinds.clear()
+    kernel_estimate(catalog_op, cfg)
+    assert kinds == [("c", True), ("f", False)]
