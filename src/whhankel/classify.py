@@ -110,22 +110,6 @@ class SignReport:
 
 
 @dataclass(frozen=True)
-class ScalarReport:
-    ker: Dim
-    coker: Dim
-    status: str
-    certificate: str
-
-    def to_dict(self):
-        return {
-            "ker": self.ker.describe(),
-            "coker": self.coker.describe(),
-            "status": self.status,
-            "certificate": self.certificate,
-        }
-
-
-@dataclass(frozen=True)
 class ClassificationReport:
     plus: SignReport
     minus: SignReport
@@ -154,6 +138,11 @@ class MatchingPair:
     b: GSymbol
 
     def __post_init__(self):
+        exact = symbols._same_mirror_product(self.a, self.b)
+        if exact is not None:
+            if not exact:
+                raise NotMatching("a(t)a(-t) != b(t)b(-t)")
+            return
         lhs = self.a * tilde(self.a)
         rhs = self.b * tilde(self.b)
         if lhs.isclose(rhs, 1e-10):
@@ -251,16 +240,16 @@ def adjoint_pair(pair: MatchingPair) -> MatchingPair:
 
 # --- scalar classification -------------------------------------------------------
 
-def scalar_wh_classify(a: GSymbol) -> ScalarReport:
+def scalar_wh_classify(a: GSymbol) -> SignReport:
     """Kernel/cokernel of the scalar half-line operator W(a) from (nu, n)."""
     try:
         invertible = symbols.is_invertible(a)
     except Inconclusive:
-        return ScalarReport(
+        return SignReport(
             Dim.unknown(), Dim.unknown(), "unknown", "invertibility-inconclusive"
         )
     if not invertible:
-        return ScalarReport(
+        return SignReport(
             Dim.unknown(),
             Dim.unknown(),
             "not-semi-fredholm",
@@ -268,14 +257,14 @@ def scalar_wh_classify(a: GSymbol) -> ScalarReport:
         )
     nu_a = symbols.nu(a)
     if nu_a > NU_TOL:
-        return ScalarReport(
+        return SignReport(
             Dim.exact(0),
             Dim.infinite(),
             "left-invertible",
             f"scalar-index-rule(nu={nu_a:g})",
         )
     if nu_a < -NU_TOL:
-        return ScalarReport(
+        return SignReport(
             Dim.infinite(),
             Dim.exact(0),
             "right-invertible",
@@ -284,10 +273,10 @@ def scalar_wh_classify(a: GSymbol) -> ScalarReport:
     n = symbols.winding_n(a)
     cert = f"scalar-index-rule(nu=0, n={n})"
     if n == 0:
-        return ScalarReport(Dim.exact(0), Dim.exact(0), "invertible", cert)
+        return SignReport(Dim.exact(0), Dim.exact(0), "invertible", cert)
     if n > 0:
-        return ScalarReport(Dim.exact(0), Dim.exact(n), "left-invertible", cert)
-    return ScalarReport(Dim.exact(-n), Dim.exact(0), "right-invertible", cert)
+        return SignReport(Dim.exact(0), Dim.exact(n), "left-invertible", cert)
+    return SignReport(Dim.exact(-n), Dim.exact(0), "right-invertible", cert)
 
 
 # --- the decision tree -----------------------------------------------------------

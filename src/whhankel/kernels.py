@@ -66,7 +66,6 @@ class Workspace:
         self.cfg = cfg
         self._wh = {}
         self._hank = {}
-        self._w0 = {}
 
     def wh(self, sym) -> np.ndarray:
         if sym not in self._wh:
@@ -77,11 +76,6 @@ class Workspace:
         if sym not in self._hank:
             self._hank[sym] = oracle.hankel_matrix(sym, self.grid, self.cfg).matrix
         return self._hank[sym]
-
-    def w0(self, sym) -> np.ndarray:
-        if sym not in self._w0:
-            self._w0[sym] = oracle.w0_matrix(sym, self.grid, self.cfg).matrix
-        return self._w0[sym]
 
     def flip_apply(self, g, v):
         """J Q W0(g) P on a half-line vector, computed as H(tilde(g))."""

@@ -46,8 +46,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import hankel as _hankel_mat
-from scipy.linalg import toeplitz as _toeplitz_mat
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import poly, symbols
 from .errors import GridMismatch, OutOfScope, ShiftNotCommensurate
@@ -262,6 +261,12 @@ def _symbol_gen(sym, grid, cfg, m_index):
     return gen
 
 
+def _toeplitz(col, row):
+    """Toeplitz matrix with first column ``col`` and first row ``row``."""
+    vals = np.concatenate((row[:0:-1], col))
+    return sliding_window_view(vals, len(row))[:, ::-1].copy()
+
+
 def wh_matrix(a: GSymbol, grid=None, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
     """Half-line convolution operator W(a) on the midpoint grid."""
     grid = grid or Grid()
@@ -269,7 +274,7 @@ def wh_matrix(a: GSymbol, grid=None, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
     gen = _symbol_gen(a, grid, cfg, np.arange(-(n - 1), n))
     col = gen[n - 1 :]          # m = 0 .. n-1
     row = gen[: n][::-1]        # m = 0 .. -(n-1)
-    mat = _toeplitz_mat(col, row)
+    mat = _toeplitz(col, row)
     return DiscretizedOp(
         matrix=mat,
         grid=grid,
@@ -283,7 +288,7 @@ def hankel_matrix(b: GSymbol, grid=None, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
     grid = grid or Grid()
     n = grid.n
     gen = _symbol_gen(b, grid, cfg, np.arange(1, 2 * n))
-    mat = _hankel_mat(gen[:n], gen[n - 1 :])
+    mat = sliding_window_view(gen, n).copy()
     return DiscretizedOp(
         matrix=mat,
         grid=grid,
@@ -300,7 +305,7 @@ def w0_matrix(a: GSymbol, grid=None, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
     col = gen[n2 - 1 :]
     row = gen[: n2][::-1]
     return DiscretizedOp(
-        matrix=_toeplitz_mat(col, row),
+        matrix=_toeplitz(col, row),
         grid=grid,
         description=f"W0[{_short(a)}]",
         rebuild=lambda g: w0_matrix(a, g, cfg),

@@ -132,8 +132,19 @@ class GSymbol:
         return out if out.shape else complex(out)
 
     def isclose(self, other, tol=1e-10):
-        """Comparison of canonical forms, tolerant to rounding in coefficients."""
+        """Comparison of canonical forms, tolerant to rounding in coefficients.
+
+        Two single-exponential symbols e^(i delta t) N/D are equal when their
+        shifts agree and N_a D_b = N_b D_a coefficientwise (relative ``tol``);
+        other symbols compare their difference, sampled around every pole.
+        """
         other = _coerce(other)
+        fa, fb = _exp_rational_form(self), _exp_rational_form(other)
+        if fa is not None and fb is not None:
+            (da, na, ma), (db, nb, mb) = fa, fb
+            if abs(da - db) > FREQ_TOL:
+                return False
+            return _poly_identity(poly.pmul(na, mb), poly.pmul(nb, ma), tol)
         diff = self - other
         if diff.is_zero():
             return True
@@ -339,15 +350,20 @@ def chi(n=1):
 
 # --- involutions ------------------------------------------------------------
 
+def _reflect(p):
+    """Coefficients of p(-t)."""
+    q = poly.as_poly(p).copy()
+    q[1::2] *= -1
+    return q
+
+
 def tilde(a: GSymbol) -> GSymbol:
     """Reflection a(t) -> a(-t)."""
     ap = [(-u.freq, u.coeff) for u in a.ap]
     l0 = []
     for w in a.l0:
-        num = np.asarray(w.rational.num, dtype=complex).copy()
-        den = np.asarray(w.rational.den, dtype=complex).copy()
-        num[1::2] *= -1
-        den[1::2] *= -1
+        num = _reflect(w.rational.num)
+        den = _reflect(w.rational.den)
         sign = (-1.0) ** (len(den) - 1)
         l0.append((-w.shift, num * sign, den * sign))
     return make_symbol(ap, l0)
@@ -492,11 +508,18 @@ def _ap_deriv_bound(a):
 
 
 def is_invertible(a: GSymbol, window=200.0, step=0.01):
-    """Sampled lower bound of |a| on [-window, window] plus an asymptotic
-    almost-periodic bound.  Conservative: raises Inconclusive inside the
-    uncertainty band instead of guessing."""
+    """inf |a| > 0 on the real line.
+
+    Exact for a single exponential e^(i delta t) N/D: invertible iff N has no
+    real root (D has none by construction), the rule of `inverse`.  Other
+    symbols get a sampled lower bound of |a| on [-window, window] plus an
+    asymptotic almost-periodic bound, which is conservative: it raises
+    Inconclusive inside the uncertainty band instead of guessing."""
     if a.is_zero():
         return False
+    form = _exp_rational_form(a)
+    if form is not None:
+        return not poly.real_roots(form[1], REAL_AXIS_TOL)
     t = np.arange(-window, window + step, step)
     vals = np.abs(a.eval(t))
     m = float(np.min(vals))
@@ -550,6 +573,43 @@ def _single_exponential_form(a):
     if a.l0:
         return delta, amp, np.asarray(a.l0[0].rational.num), np.asarray(a.l0[0].rational.den)
     return delta, amp, np.zeros(1, dtype=complex), np.ones(1, dtype=complex)
+
+
+def _exp_rational_form(a):
+    """(delta, N, D) with a = e^(i delta t) N/D and N = amp*den + num, for a
+    single-exponential symbol of nonzero amplitude; None otherwise.  D is
+    monic with no real root, and deg N = deg D."""
+    form = _single_exponential_form(a)
+    if form is None or abs(form[1]) <= COEFF_PRUNE:
+        return None
+    delta, amp, num, den = form
+    return delta, poly.padd(poly.pscale(den, amp), num), den
+
+
+def _poly_identity(p, q, tol):
+    """p = q coefficientwise, within ``tol`` of the largest coefficient."""
+    n = max(len(p), len(q))
+    p = np.pad(p, (0, n - len(p)))
+    q = np.pad(q, (0, n - len(q)))
+    scale = max(np.max(np.abs(p)), np.max(np.abs(q)))
+    return bool(np.max(np.abs(p - q)) <= tol * scale)
+
+
+def _same_mirror_product(a, b, tol=1e-10):
+    """a(t)a(-t) = b(t)b(-t) for two single exponentials, decided by the
+    identity N_a(t)N_a(-t) D_b(t)D_b(-t) = N_b(t)N_b(-t) D_a(t)D_a(-t) (the
+    exponentials cancel); None when either symbol leaves that class."""
+    fa, fb = _exp_rational_form(a), _exp_rational_form(b)
+    if fa is None or fb is None:
+        return None
+
+    def mirror(p):
+        return poly.pmul(p, _reflect(p))
+
+    (_, na, da), (_, nb, db) = fa, fb
+    return _poly_identity(
+        poly.pmul(mirror(na), mirror(db)), poly.pmul(mirror(nb), mirror(da)), tol
+    )
 
 
 def inverse(a: GSymbol) -> GSymbol:
@@ -675,7 +735,11 @@ def winding_n(a: GSymbol):
 
 
 def is_matching(g: GSymbol) -> bool:
-    """g(t) g(-t) = 1, checked symbolically with a numerical fallback."""
+    """g(t) g(-t) = 1: a polynomial identity for single exponentials, else
+    checked symbolically with a sampled fallback."""
+    exact = _same_mirror_product(g, one())
+    if exact is not None:
+        return exact
     prod = g * tilde(g)
     if prod == one() or prod.isclose(one(), 1e-12):
         return True

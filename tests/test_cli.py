@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import whhankel
 from whhankel.cli import main
 
 FAST = ["--T", "25", "--h", "0.1", "--no-stability"]
@@ -104,3 +109,14 @@ def test_duplicate_catalog_names_rejected(tmp_path, capsys):
 
 def test_missing_catalog_file(capsys):
     assert main(["catalog", "/nonexistent/cat.txt", *FAST]) == 2
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test-only dependency; the package must import without it
+    src = str(Path(whhankel.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, whhankel; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

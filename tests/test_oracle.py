@@ -54,6 +54,23 @@ def test_constant_hankel_is_zero():
     assert np.abs(hankel_matrix(one(), GRID, CFG).matrix).max() == 0.0
 
 
+def test_strided_assembly_matches_scipy(a_n0):
+    # scipy.linalg is the reference the strided Toeplitz/Hankel copies replace
+    import scipy.linalg as sl
+
+    n = GRID.n
+    for sym in (a_n0, chi(-1), exp_symbol(0.5) * chi()):
+        gen = _symbol_gen(sym, GRID, CFG, np.arange(-(n - 1), n))
+        ref = sl.toeplitz(gen[n - 1:], gen[:n][::-1])
+        assert np.array_equal(wh_matrix(sym, GRID, CFG).matrix, ref)
+        gen = _symbol_gen(sym, GRID, CFG, np.arange(1, 2 * n))
+        ref = sl.hankel(gen[:n], gen[n - 1:])
+        assert np.array_equal(hankel_matrix(sym, GRID, CFG).matrix, ref)
+        gen = _symbol_gen(sym, GRID, CFG, np.arange(-(2 * n - 1), 2 * n))
+        ref = sl.toeplitz(gen[2 * n - 1:], gen[: 2 * n][::-1])
+        assert np.array_equal(w0_matrix(sym, GRID, CFG).matrix, ref)
+
+
 def test_shift_matrices_are_translations():
     m = wh_matrix(exp_symbol(0.5), GRID, CFG).matrix  # shift by 5 cells
     v = _bump(GRID)

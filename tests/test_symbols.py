@@ -18,6 +18,7 @@ from whhankel import (
     make_symbol,
     nu,
     one,
+    parse_symbol,
     rational_symbol,
     tilde,
     time_kernel,
@@ -25,7 +26,8 @@ from whhankel import (
     xi,
     zero,
 )
-from whhankel.errors import NotInvertible, NotRepresentable
+from whhankel.classify import MatchingPair
+from whhankel.errors import NotInvertible, NotMatching, NotRepresentable
 from whhankel.symbols import L0Term
 
 
@@ -199,6 +201,30 @@ def test_is_matching():
     assert is_matching(chi())
     assert is_matching(exp_symbol(0.8))
     assert not is_matching(constant(2.0) * chi())
+
+
+def test_is_matching_exact_on_high_multiplicity():
+    # a a~^(-1) matches by construction; sampling its canonical product
+    # drifted past 1e-10, the polynomial identity does not
+    a = parse_symbol("((t+0.69-1.87i)/(t-1.37+0.51i))^3")
+    assert is_matching(a * inverse(tilde(a)))
+
+
+def test_is_invertible_exact_on_single_exponential():
+    # -a a~^(-1) has no real zero; the sampled bound could not certify it
+    a = parse_symbol("((t+1.45+0.54i)/(t-0.77-1.12i))^2")
+    assert is_invertible(-(a * inverse(tilde(a))))
+    assert not is_invertible(parse_symbol("(t-1)/(t+1i)"))
+    assert not is_invertible(parse_symbol("((t-1)/(t+1i))^2"))
+
+
+def test_exact_equality_and_matching_reject_non_matching_pair():
+    assert chi().isclose(parse_symbol("chi"))
+    assert not chi().isclose(constant(2.0) * chi())
+    assert not exp_symbol(1.0).isclose(exp_symbol(1.5))
+    MatchingPair(chi(), constant(-1.0) * chi())
+    with pytest.raises(NotMatching):
+        MatchingPair(chi(), constant(2.0) * chi())
 
 
 def test_matching_windings_cancel(a_n0):
