@@ -35,6 +35,7 @@ from .errors import (
 FREQ_TOL = 1e-12          # almost-periodic frequencies closer than this merge
 COEFF_PRUNE = 1e-14       # canonicalization drops smaller coefficients
 REAL_AXIS_TOL = 1e-9      # |Im root| below this counts as a real root
+NEAR_AXIS_TOL = 1e-2      # relative |Im root| below this may be a scattered multiple real root
 
 
 @dataclass(frozen=True)
@@ -141,10 +142,11 @@ class GSymbol:
         other = _coerce(other)
         fa, fb = _exp_rational_form(self), _exp_rational_form(other)
         if fa is not None and fb is not None:
-            (da, na, ma), (db, nb, mb) = fa, fb
-            if abs(da - db) > FREQ_TOL:
+            if abs(fa.delta - fb.delta) > FREQ_TOL:
                 return False
-            return _poly_identity(poly.pmul(na, mb), poly.pmul(nb, ma), tol)
+            return _poly_identity(
+                poly.pmul(fa.N, fb.den), poly.pmul(fb.N, fa.den), tol
+            )
         diff = self - other
         if diff.is_zero():
             return True
@@ -510,16 +512,21 @@ def _ap_deriv_bound(a):
 def is_invertible(a: GSymbol, window=200.0, step=0.01):
     """inf |a| > 0 on the real line.
 
-    Exact for a single exponential e^(i delta t) N/D: invertible iff N has no
-    real root (D has none by construction), the rule of `inverse`.  Other
-    symbols get a sampled lower bound of |a| on [-window, window] plus an
-    asymptotic almost-periodic bound, which is conservative: it raises
-    Inconclusive inside the uncertainty band instead of guessing."""
+    A single exponential e^(i delta t) N/D is invertible iff N has no real
+    root (D has none by construction), decided from the roots of N by
+    `_real_zero`.  Other symbols get `_sampled_invertible`."""
     if a.is_zero():
         return False
     form = _exp_rational_form(a)
     if form is not None:
-        return not poly.real_roots(form[1], REAL_AXIS_TOL)
+        return not _real_zero(a, poly.proots(form.N))
+    return _sampled_invertible(a, window, step)
+
+
+def _sampled_invertible(a, window=200.0, step=0.01):
+    """Sampled lower bound of |a| on [-window, window] plus an asymptotic
+    almost-periodic bound.  Conservative: raises Inconclusive inside the
+    uncertainty band instead of guessing."""
     t = np.arange(-window, window + step, step)
     vals = np.abs(a.eval(t))
     m = float(np.min(vals))
@@ -559,10 +566,21 @@ def is_invertible(a: GSymbol, window=200.0, step=0.01):
     )
 
 
-def _single_exponential_form(a):
-    """a = e^(i delta t) (A + num/den) with one AP term and matching shifts,
-    or None if the symbol leaves that shape."""
-    if len(a.ap) != 1:
+@dataclass(frozen=True)
+class _ExpRational:
+    """a = e^(i delta t) (amp + num/den) = e^(i delta t) N/den."""
+
+    delta: float
+    amp: complex
+    num: np.ndarray
+    den: np.ndarray
+    N: np.ndarray  # amp*den + num; deg N = deg den, den monic with no real root
+
+
+def _exp_rational_form(a):
+    """The single-exponential form of ``a``: one AP term of nonzero amplitude
+    and at most one rational part sharing its shift; None otherwise."""
+    if len(a.ap) != 1 or abs(a.ap[0].coeff) <= COEFF_PRUNE:
         return None
     delta = a.ap[0].freq
     amp = a.ap[0].coeff
@@ -571,19 +589,39 @@ def _single_exponential_form(a):
     if len(a.l0) > 1:
         return None  # canonical form merges equal shifts, so this is defensive
     if a.l0:
-        return delta, amp, np.asarray(a.l0[0].rational.num), np.asarray(a.l0[0].rational.den)
-    return delta, amp, np.zeros(1, dtype=complex), np.ones(1, dtype=complex)
+        num = np.asarray(a.l0[0].rational.num)
+        den = np.asarray(a.l0[0].rational.den)
+    else:
+        num, den = np.zeros(1, dtype=complex), np.ones(1, dtype=complex)
+    return _ExpRational(delta, amp, num, den, poly.padd(poly.pscale(den, amp), num))
 
 
-def _exp_rational_form(a):
-    """(delta, N, D) with a = e^(i delta t) N/D and N = amp*den + num, for a
-    single-exponential symbol of nonzero amplitude; None otherwise.  D is
-    monic with no real root, and deg N = deg D."""
-    form = _single_exponential_form(a)
-    if form is None or abs(form[1]) <= COEFF_PRUNE:
-        return None
-    delta, amp, num, den = form
-    return delta, poly.padd(poly.pscale(den, amp), num), den
+def _real_zero(a, roots):
+    """Whether the single exponential ``a`` vanishes on the real line, given
+    the roots of its N.
+
+    A simple real root lies within REAL_AXIS_TOL of the axis, and no root
+    near the axis means no zero.  The computed roots of an m-fold real root
+    scatter off the axis like eps^(1/m), past any fixed tolerance once m >= 2,
+    so roots in between are settled by `_sampled_invertible`, which may raise
+    Inconclusive."""
+    near = [z for z in roots if abs(z.imag) <= NEAR_AXIS_TOL * max(1.0, abs(z))]
+    if not near:
+        return False
+    if any(abs(z.imag) <= REAL_AXIS_TOL for z in near):
+        return True
+    return not _sampled_invertible(a)
+
+
+def _require_no_real_zero(a, roots):
+    """NotInvertible when `_real_zero` finds a zero; an Inconclusive sampled
+    bound lets the caller go on, as `inverse` does for other symbols."""
+    try:
+        zero = _real_zero(a, roots)
+    except Inconclusive:
+        return
+    if zero:
+        raise NotInvertible("symbol has a zero on the real axis")
 
 
 def _poly_identity(p, q, tol):
@@ -606,9 +644,10 @@ def _same_mirror_product(a, b, tol=1e-10):
     def mirror(p):
         return poly.pmul(p, _reflect(p))
 
-    (_, na, da), (_, nb, db) = fa, fb
     return _poly_identity(
-        poly.pmul(mirror(na), mirror(db)), poly.pmul(mirror(nb), mirror(da)), tol
+        poly.pmul(mirror(fa.N), mirror(fb.den)),
+        poly.pmul(mirror(fb.N), mirror(fa.den)),
+        tol,
     )
 
 
@@ -622,7 +661,7 @@ def inverse(a: GSymbol) -> GSymbol:
         raise NotInvertible("zero symbol")
     if not a.ap:
         raise NotInvertible("symbol vanishes at infinity (no almost-periodic part)")
-    form = _single_exponential_form(a)
+    form = _exp_rational_form(a)
     if form is None:
         try:
             ok = is_invertible(a)
@@ -633,19 +672,15 @@ def inverse(a: GSymbol) -> GSymbol:
         raise NotRepresentable(
             "inverse leaves the finite representation (nonconstant almost-periodic part)"
         )
-    delta, amp, num, den = form
-    if abs(amp) <= COEFF_PRUNE:
-        raise NotInvertible("symbol vanishes at infinity")
-    s_poly = poly.padd(poly.pscale(den, amp), num)
-    if poly.real_roots(s_poly, REAL_AXIS_TOL):
-        raise NotInvertible("symbol has a zero on the real axis")
+    _require_no_real_zero(a, poly.proots(form.N))
     # d/(A d + n) = 1/A - (n/A) / (A d + n), with A d + n monicized
+    delta, amp, num = form.delta, form.amp, form.num
     inv_terms_ap = [(-delta, 1.0 / amp)]
     inv_terms_l0 = []
     if not poly.is_zero(poly.trim(num)):
-        lead = s_poly[-1]
+        lead = form.N[-1]
         inv_terms_l0.append(
-            (-delta, poly.pscale(num, -1.0 / (amp * lead)), s_poly / lead)
+            (-delta, poly.pscale(num, -1.0 / (amp * lead)), form.N / lead)
         )
     return make_symbol(inv_terms_ap, inv_terms_l0)
 
@@ -690,17 +725,13 @@ def winding_n(a: GSymbol):
     """
     if not a.ap:
         raise NotInvertible("winding undefined: almost-periodic part vanishes")
-    form = _single_exponential_form(a)
+    form = _exp_rational_form(a)
     if form is not None:
-        _, amp, num, den = form
-        if poly.is_zero(poly.trim(num)):
+        if poly.is_zero(poly.trim(form.num)):
             return 0
-        full = poly.padd(poly.pscale(den, amp), num)
-        if poly.real_roots(full, REAL_AXIS_TOL):
-            raise NotInvertible("symbol has a zero on the real axis")
-        return poly.count_upper(poly.proots(full)) - poly.count_upper(
-            poly.proots(den)
-        )
+        roots = poly.proots(form.N)
+        _require_no_real_zero(a, roots)
+        return poly.count_upper(roots) - poly.count_upper(poly.proots(form.den))
     # numerical route: w(t) = a(t)/b(t) - 1 = b^(-1) k
     ap_only = make_symbol([(u.freq, u.coeff) for u in a.ap], [])
 

@@ -18,7 +18,7 @@ from whhankel import (
     v_symbol,
 )
 from whhankel.classify import Dim
-from whhankel.errors import NotMatching, OutOfScope
+from whhankel.errors import NotInvertible, NotMatching, OutOfScope
 
 
 def _dims(report):
@@ -31,6 +31,14 @@ def _dims(report):
 
 
 # --- pairs and subordination ---------------------------------------------------
+
+def test_double_real_zero_is_not_semi_fredholm():
+    # a has a double zero at t = 0.3; the gate must refuse it rather than
+    # split the scattered root pair into a winding number
+    a = constant(np.exp(1j * np.pi / 5)) * parse_symbol("((t-0.3)/(t+0.7i))^2")
+    with pytest.raises(NotInvertible):
+        classify(MatchingPair(a, a))
+
 
 def test_matching_pair_validation():
     MatchingPair(chi(), chi(-1))  # |chi| = 1 on the line: both sides give 1

@@ -218,6 +218,18 @@ def test_is_invertible_exact_on_single_exponential():
     assert not is_invertible(parse_symbol("((t-1)/(t+1i))^2"))
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_multiple_real_zero_under_complex_scale(m):
+    # the inexact coefficients of N scatter the computed roots of an m-fold
+    # real zero off the axis by about eps^(1/m), past REAL_AXIS_TOL
+    a = constant(np.exp(1j * np.pi / 5)) * parse_symbol(f"((t-0.3)/(t+0.7i))^{m}")
+    assert not is_invertible(a)
+    with pytest.raises(NotInvertible):
+        inverse(a)
+    with pytest.raises(NotInvertible):
+        winding_n(a)
+
+
 def test_exact_equality_and_matching_reject_non_matching_pair():
     assert chi().isclose(parse_symbol("chi"))
     assert not chi().isclose(constant(2.0) * chi())
