@@ -18,8 +18,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import poly, symbols
 from .errors import (
     ImproperRational,
@@ -244,59 +242,64 @@ def parse(text):
 
 @dataclass(frozen=True)
 class _RatF:
-    """Rational function of t (not yet a symbol; may be improper mid-expression)."""
+    """num / prod (t - p)^m, a rational function of t that is not yet a
+    symbol (it may be improper mid-expression)."""
 
     num: tuple
-    den: tuple
+    poles: tuple = ()
 
 
-def _rat(num, den=(1.0,)):
-    n, d = poly.reduce_rational(poly.trim(num), poly.trim(den))
-    return _RatF(tuple(n), tuple(d))
+def _rat(num, poles):
+    return _RatF(tuple(num), poles)
 
 
 def _promote(val):
     if isinstance(val, symbols.GSymbol):
         return val
-    return symbols.rational_symbol(val.num, val.den)
+    return symbols.pole_symbol(val.num, val.poles)
 
 
 def _rat_mul(x, y):
-    return _rat(poly.pmul(x.num, y.num), poly.pmul(x.den, y.den))
+    return _rat(*poly.cancel(
+        [poly.pmul(x.num, y.num)], poly.merge_poles(x.poles, y.poles)
+    ))
 
 
 def _rat_add(x, y, sign=1.0):
-    return _rat(
-        poly.padd(poly.pmul(x.num, y.den), poly.pscale(poly.pmul(y.num, x.den), sign)),
-        poly.pmul(x.den, y.den),
-    )
+    return _rat(*poly.rational_sum(
+        [(x.num, x.poles), (poly.pscale(y.num, sign), y.poles)]
+    ))
 
 
 def _rat_inverse(x):
-    if poly.is_zero(poly.trim(x.num)):
+    """1/x: division by a polynomial, the one place where the DSL seeks roots."""
+    num = poly.trim(x.num)
+    if poly.is_zero(num):
         raise NotInvertible("division by the zero symbol")
-    return _rat(x.den, x.num)
+    return _rat(*poly.cancel(
+        [poly.from_poles(x.poles) / num[-1]], poly.root_clusters(num)
+    ))
 
 
 def _lower(node):
     if isinstance(node, Lit):
-        return _rat((node.value,))
+        return _RatF((node.value,))
     if isinstance(node, Var):
-        return _rat((0.0, 1.0))
+        return _RatF((0.0, 1.0))
     if isinstance(node, Chi):
-        return _rat((-1j, 1.0), (1j, 1.0))
+        return _RatF((-1j, 1.0), ((-1j, 1),))
     if isinstance(node, EFunc):
         return symbols.exp_symbol(node.delta)
     if isinstance(node, Neg):
         val = _lower(node.operand)
         if isinstance(val, _RatF):
-            return _rat(poly.pscale(val.num, -1.0), val.den)
+            return _RatF(tuple(poly.pscale(val.num, -1.0)), val.poles)
         return -val
     if isinstance(node, Pow):
         base = _lower(node.base)
         k = node.exponent
         if k == 0:
-            return _rat((1.0,))
+            return _RatF((1.0,))
         if k < 0:
             base = (
                 _rat_inverse(base)

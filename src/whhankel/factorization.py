@@ -28,8 +28,6 @@ from .errors import (
 )
 from .symbols import GSymbol
 
-REAL_AXIS_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class WHFactorization:
@@ -85,69 +83,49 @@ class OperatorRecipe:
         return {"factors": [f.to_dict() for f in self.factors]}
 
 
-def _rational_data(g):
-    """(delta, amp, num, den) for g = e^(i delta t)(amp + num/den), else error."""
-    if g.is_zero():
-        raise NotInvertible("zero symbol")
-    if not g.ap:
-        raise NotInvertible("symbol vanishes at infinity")
-    if len(g.ap) != 1:
-        raise NotFactorizable(
-            "almost-periodic part is not a single exponential; no algorithm "
-            "for genuinely almost-periodic symbols"
-        )
-    delta = g.ap[0].freq
-    amp = g.ap[0].coeff
-    for w in g.l0:
-        if abs(w.shift - delta) > symbols.FREQ_TOL:
-            raise NotFactorizable(
-                "rational part carries a shift different from the exponential part"
-            )
-    if g.l0:
-        num = np.asarray(g.l0[0].rational.num, dtype=complex)
-        den = np.asarray(g.l0[0].rational.den, dtype=complex)
-    else:
-        num = np.zeros(1, dtype=complex)
-        den = np.ones(1, dtype=complex)
-    return delta, amp, num, den
-
-
 def factorize(g: GSymbol) -> WHFactorization:
     """Split zeros and poles by half-plane; degree-balance with (t -+ i) factors.
 
     nu is the exponential frequency; n counts upper-half-plane zeros minus
-    upper-half-plane poles.  Roots within 1e-9 of the real axis abort: the
+    upper-half-plane poles.  The poles are the symbol's own, the zeros are
+    the roots of N = amp*den + num, and a zero on the real axis (decided by
+    `symbols._real_zero`, which may raise Inconclusive) aborts: the
     half-plane assignment is the entire correctness burden here.
     """
-    delta, amp, num, den = _rational_data(g)
-    if abs(amp) < 1e-14:
+    if g.is_zero():
+        raise NotInvertible("zero symbol")
+    if not g.ap:
         raise NotInvertible("symbol vanishes at infinity")
-    full_num = poly.padd(poly.pscale(den, amp), num)  # amp*den + num
-    zeros = poly.sort_roots(poly.proots(full_num))
-    poles = poly.sort_roots(poly.proots(den))
-    for z in zeros:
-        if abs(z.imag) <= REAL_AXIS_TOL:
-            raise NotInvertible(f"symbol vanishes near t = {z.real}")
+    form = symbols._exp_rational_form(g)
+    if form is None:
+        raise NotFactorizable(
+            "not a single exponential sharing its shift with the rational "
+            "part; no algorithm for genuinely almost-periodic symbols"
+        )
+    zeros = list(poly.proots(form.N))
+    if symbols._real_zero(g, zeros):
+        raise NotInvertible("symbol vanishes on the real axis")
     z_up = [z for z in zeros if z.imag > 0]
     z_dn = [z for z in zeros if z.imag < 0]
-    p_up = [p for p in poles if p.imag > 0]
-    p_dn = [p for p in poles if p.imag < 0]
-    n = len(z_up) - len(p_up)
+    p_up = [(p, m) for p, m in form.poles if p.imag > 0]
+    p_dn = [(p, m) for p, m in form.poles if p.imag < 0]
+    n = len(z_up) - sum(m for _, m in p_up)
 
     # g_-: upper zeros/poles, balanced by (t-i); g_+: lower ones, by (t+i)
-    gm_num = poly.pfromroots(z_up + [1j] * max(0, -n))
-    gm_den = poly.pfromroots(p_up + [1j] * max(0, n))
-    gp_num = poly.pfromroots(z_dn + [-1j] * max(0, n), lead=amp)
-    gp_den = poly.pfromroots(p_dn + [-1j] * max(0, -n))
-    g_minus = symbols.rational_symbol(gm_num, gm_den)
-    g_plus = symbols.rational_symbol(gp_num, gp_den)
+    g_minus = symbols.pole_symbol(
+        poly.pfromroots(z_up + [1j] * max(0, -n)), p_up + [(1j, max(0, n))]
+    )
+    g_plus = symbols.pole_symbol(
+        poly.pfromroots(z_dn + [-1j] * max(0, n), lead=form.amp),
+        p_dn + [(-1j, max(0, -n))],
+    )
 
     w = complex(g_minus.eval(0.0))
     if abs(w) < 1e-14:
         raise StructureViolation("minus factor vanishes at 0")
     g_minus = g_minus * (1.0 / w)
     g_plus = g_plus * w
-    return WHFactorization(symbol=g, g_minus=g_minus, nu=delta, n=n, g_plus=g_plus)
+    return WHFactorization(symbol=g, g_minus=g_minus, nu=form.delta, n=n, g_plus=g_plus)
 
 
 def matching_factorization(g: GSymbol):

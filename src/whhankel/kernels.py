@@ -81,13 +81,6 @@ class Workspace:
         """J Q W0(g) P on a half-line vector, computed as H(tilde(g))."""
         return self.hank(tilde(g)) @ v
 
-    def norm_est(self, mat):
-        return float(
-            np.sqrt(
-                np.max(np.sum(np.abs(mat), axis=0)) * np.max(np.sum(np.abs(mat), axis=1))
-            )
-        )
-
     def gf(self, values, support="half"):
         return GridFunction(self.grid, np.asarray(values, dtype=complex), support)
 
@@ -134,7 +127,7 @@ def _require_in_kernel(ws, mat, v, what, scale=None):
     nv = np.linalg.norm(v)
     if nv == 0.0 or (scale is not None and nv <= 1e-6 * scale):
         return 0.0
-    res = float(np.linalg.norm(mat @ v) / (ws.norm_est(mat) * nv))
+    res = float(np.linalg.norm(mat @ v) / (oracle.norm_est(mat) * nv))
     if res > ws.cfg.residual_tol:
         raise NotInKernel(f"{what}: relative residual {res:.2e}")
     return res
@@ -363,10 +356,14 @@ def kappa_for_pair(pair: MatchingPair, ws: Workspace = None, cfg=None) -> KappaR
 
 
 def make_kappa_tester(grid=None, cfg=DEFAULT_CONFIG):
-    """classify()-compatible tester resolving the conditional branch on a grid."""
-    ws = Workspace(grid or Grid(), cfg)
+    """classify()-compatible tester resolving the conditional branch on a grid.
+
+    Each call gets its own Workspace: pairs share few matrices, so a cache
+    kept across calls saves no time, holds every matrix it ever built, and
+    would be shared by the catalog's worker threads."""
+    grid = grid or Grid()
 
     def tester(pair: MatchingPair):
-        return kappa_for_pair(pair, ws, cfg)
+        return kappa_for_pair(pair, Workspace(grid, cfg), cfg)
 
     return tester

@@ -1,8 +1,8 @@
 """Brute-force numerical ground truth for half-line convolution operators.
 
-Dense discretizations of W(a), H(b), the whole-line W0(a), the flip J, the
-half-line restrictions P/Q, and the 2x2 block operator of a matching pair;
-SVD-based kernel/cokernel estimation; recipe application; verdict tables.
+Dense discretizations of W(a), H(b), the whole-line W0(a) and the 2x2 block
+operator of a matching pair; SVD-based kernel/cokernel estimation; recipe
+application; verdict tables.
 
 Discretization: midpoint nodes t_i = (i + 1/2) h on [0, T].  The Toeplitz
 generator comes from the symbol itself through the conformal frequency map
@@ -20,11 +20,12 @@ order.  Pointwise the discrete operator still agrees with the continuum one
 to O(h^2) on smooth decaying functions, so kernel vectors such as e^(-t) are
 reproduced on the grid with exponent error h^2/12.
 
-Generators are built from partial fractions taken in the t-plane, where the
-poles are well scaled, and each term c/(t-p)^j is mapped in closed form to a
-constant plus poles at z_p = (lam+p)/(lam-p) of orders 1..j (lam = -2i/h).
-No roots are sought in the z-plane, where a multiple pole crowds towards
-z = 1 as h shrinks and its companion-matrix roots scatter apart.
+Generators are built from partial fractions over the symbol's own poles,
+which it keeps with their multiplicities, and each term c/(t-p)^j is mapped
+in closed form to a constant plus poles at z_p = (lam+p)/(lam-p) of orders
+1..j (lam = -2i/h).  No roots are sought, neither in the t-plane nor in the
+z-plane, where a multiple pole crowds towards z = 1 as h shrinks and
+companion-matrix roots would scatter apart.
 
 Rank decisions: a square truncation of an index -1 operator and its index +1
 transpose share singular spectra, so raw sigma-counting cannot tell a genuine
@@ -105,12 +106,7 @@ class DiscretizedOp:
 
     @property
     def norm_est(self):
-        m = self.matrix
-        return float(
-            np.sqrt(
-                np.max(np.sum(np.abs(m), axis=0)) * np.max(np.sum(np.abs(m), axis=1))
-            )
-        )
+        return norm_est(self.matrix)
 
     def adjoint(self):
         parent_rebuild = self.rebuild
@@ -134,6 +130,12 @@ class DiscretizedOp:
                 components=self.components,
             )
         return self.matrix @ other
+
+
+def norm_est(matrix):
+    """sqrt(||M||_1 ||M||_inf), an upper bound of the spectral norm."""
+    m = np.abs(matrix)
+    return float(np.sqrt(np.max(np.sum(m, axis=0)) * np.max(np.sum(m, axis=1))))
 
 
 @dataclass(frozen=True)
@@ -179,8 +181,8 @@ def _ap_offsets(sym, grid, cfg):
 def _mapped_partial_fractions(rational, lam):
     """Constant and z-plane poles of R(t) under t = lam (z-1)/(z+1).
 
-    Partial fractions are taken in the t-plane, where the roots are well
-    scaled, and each term is mapped in closed form:
+    Partial fractions are taken in the t-plane over the known poles, and
+    each term is mapped in closed form:
 
         c/(t-p)^j = c (z+1)^j / ((lam-p)^j (z-z_p)^j),   z_p = (lam+p)/(lam-p),
 
@@ -190,7 +192,7 @@ def _mapped_partial_fractions(rational, lam):
     """
     const = 0j
     poles = []
-    for p, coeffs in poly.partial_fractions(rational.num, rational.den):
+    for p, coeffs in poly.partial_fractions(rational.num, rational.poles):
         zp = (lam + p) / (lam - p)
         zc = [0j] * len(coeffs)
         for j, c in enumerate(coeffs, start=1):
@@ -317,45 +319,6 @@ def _short(a):
 
     s = format_symbol(a)
     return s if len(s) <= 40 else s[:37] + "..."
-
-
-class FullLineOps:
-    """Matrix-free J, P, Q on the mirrored grid, plus cached W0 applications."""
-
-    def __init__(self, grid, cfg=DEFAULT_CONFIG):
-        self.grid = grid
-        self.cfg = cfg
-        self._w0 = {}
-
-    def w0(self, a):
-        if a not in self._w0:
-            self._w0[a] = w0_matrix(a, self.grid, self.cfg)
-        return self._w0[a]
-
-    def apply_w0(self, a, v):
-        return self.w0(a).matrix @ v
-
-    @staticmethod
-    def apply_j(v):
-        return v[::-1]
-
-    def apply_p(self, v):
-        out = v.copy()
-        out[: self.grid.n] = 0.0
-        return out
-
-    def apply_q(self, v):
-        out = v.copy()
-        out[self.grid.n :] = 0.0
-        return out
-
-    def embed_half(self, v):
-        out = np.zeros(2 * self.grid.n, dtype=complex)
-        out[self.grid.n :] = v
-        return out
-
-    def restrict_pos(self, v):
-        return v[self.grid.n :].copy()
 
 
 def wh_plus_hankel(a, b, sign=1, grid=None, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
@@ -573,17 +536,12 @@ def coker_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG, tol=None,
 
 # --- recipes --------------------------------------------------------------------
 
-def recipe_matrices(recipe, grid=None, cfg=DEFAULT_CONFIG):
-    grid = grid or Grid()
-    return [wh_matrix(f, grid, cfg) for f in recipe.factors]
-
-
 def apply_recipe(recipe, v, grid=None, cfg=DEFAULT_CONFIG):
     """Apply W(f1) W(f2) ... W(fk) to a half-line vector (rightmost first)."""
     grid = grid or Grid()
     out = np.asarray(v, dtype=complex)
-    for op in reversed(recipe_matrices(recipe, grid, cfg)):
-        out = op.matrix @ out
+    for f in reversed(recipe.factors):
+        out = wh_matrix(f, grid, cfg).matrix @ out
     return out
 
 

@@ -1,9 +1,14 @@
-"""Polynomial helpers over the complex numbers.
+"""Polynomial and rational-function helpers over the complex numbers.
 
 Coefficient arrays are ascending-degree tuples/arrays, the convention of
-``numpy.polynomial.polynomial``.  Root finding goes through the companion
-matrix (``polyroots``); root pairing tolerances are generous enough to
-survive the accuracy loss of multiple roots.
+``numpy.polynomial.polynomial``.  A rational function is a numerator over
+canonically ordered (pole, multiplicity) pairs, the denominator being
+prod (t - p)^m.  Products concatenate pole lists (`merge_poles`), sums fold
+over their union (`rational_sum`), and `cancel` is the one rule that removes
+a pole the numerator shares, so the ring arithmetic finds no roots.  Roots
+are sought (``proots``, through the companion matrix) only for polynomials
+whose roots are unknown; `root_clusters` fuses the scatter of multiple roots
+and polishes simple ones.
 """
 
 from __future__ import annotations
@@ -14,11 +19,11 @@ from numpy.polynomial import polynomial as npp
 #: coefficients with modulus below this (relative to the largest one) are noise
 COEFF_PRUNE = 1e-14
 
-#: pairing tolerance for root cancellation (absolute, scaled by root size)
-ROOT_PAIR_TOL = 1e-6
+#: a pole cancels when the numerator there is this small relative to its terms
+CANCEL_TOL = 1e-10
 
 #: clustering tolerance: companion-matrix roots of an m-fold root scatter like
-#: eps^(1/m), so clusters up to multiplicity ~4 must be re-fused before pairing
+#: eps^(1/m), so clusters up to multiplicity ~3 must be re-fused
 CLUSTER_TOL = 2e-4
 
 
@@ -72,15 +77,12 @@ def pval(c, t):
     return npp.polyval(np.asarray(t), as_poly(c))
 
 
-def pder(c):
-    return trim(npp.polyder(as_poly(c)))
-
-
 def proots(c) -> np.ndarray:
+    """Companion-matrix roots; real coefficients give exact conjugate pairs."""
     a = trim(c)
     if len(a) <= 1:
         return np.zeros(0, dtype=complex)
-    return np.asarray(npp.polyroots(a), dtype=complex)
+    return np.asarray(npp.polyroots(a if np.any(a.imag) else a.real), dtype=complex)
 
 
 def pfromroots(roots, lead=1.0) -> np.ndarray:
@@ -88,11 +90,6 @@ def pfromroots(roots, lead=1.0) -> np.ndarray:
     if not len(roots):
         return np.array([complex(lead)])
     return trim(npp.polyfromroots(roots) * complex(lead))
-
-
-def monic(c):
-    a = trim(c)
-    return a / a[-1]
 
 
 def sort_roots(roots) -> list[complex]:
@@ -118,88 +115,160 @@ def cluster_roots(roots, tol=CLUSTER_TOL):
     return [(cl[0] / cl[1], cl[1]) for cl in clusters]
 
 
-def reduce_rational(num, den):
-    """Cancel shared roots of num/den; leaves coefficients untouched when
-    nothing cancels, so exactly-entered rationals stay bit-exact."""
-    num = trim(num)
-    den = trim(den)
-    if is_zero(num) or degree(num) < 1 or degree(den) < 1:
-        return num, den
-    zn = cluster_roots(proots(num))
-    zd = cluster_roots(proots(den))
-    cancelled = 0
-    new_n = []
-    new_d = []
-    used = [False] * len(zn)
-    for p, md in zd:
-        hit = None
-        for k, (z, mn) in enumerate(zn):
-            if not used[k] and abs(z - p) < ROOT_PAIR_TOL * max(1.0, abs(p)):
-                hit = k
+# --- poles with multiplicities ------------------------------------------------
+
+def _pole_key(pole):
+    return (pole[0].real, pole[0].imag)
+
+
+def _near(p, q):
+    """p and q are one pole: they agree within CLUSTER_TOL, as roots do."""
+    return abs(p - q) < CLUSTER_TOL * max(1.0, abs(q))
+
+
+def _union(pole_lists, combine):
+    """Canonical (pole, multiplicity) pairs over pole_lists: near poles take
+    the first one's value, their multiplicities joined by combine."""
+    reps = []
+    for poles in pole_lists:
+        for p, m in poles:
+            rep = next((r for r in reps if _near(p, r[0])), None)
+            if rep is None:
+                reps.append([complex(p), int(m)])
+            else:
+                rep[1] = combine(rep[1], int(m))
+    return tuple(sorted(((p, m) for p, m in reps if m), key=_pole_key))
+
+
+def merge_poles(*pole_lists):
+    """Poles of a product: multiplicities add; ordered by real, then
+    imaginary part."""
+    return _union(pole_lists, lambda m1, m2: m1 + m2)
+
+
+def from_poles(poles) -> np.ndarray:
+    """Monic coefficients of prod (t - p)^m."""
+    return pfromroots([p for p, m in poles for _ in range(m)])
+
+
+def root_clusters(c, roots=None):
+    """Roots of c as canonical (root, multiplicity) pairs.
+
+    The computed roots (``roots``, else ``proots(c)``) are fused by
+    `cluster_roots`, and each simple one is polished by Newton steps on c,
+    which recovers exactly representable roots such as -2i of t^2 + i t + 2.
+    """
+    a = trim(c)
+    d = npp.polyder(a)
+    return merge_poles(
+        (_polish(a, d, z) if m == 1 else z, m)
+        for z, m in cluster_roots(proots(a) if roots is None else roots)
+    )
+
+
+def _polish(a, d, z, steps=3):
+    """Newton steps on a from z, kept while they shrink |a(z)|."""
+    f = npp.polyval(z, a)
+    for _ in range(steps):
+        if f == 0:
+            break
+        z1 = z - f / npp.polyval(z, d)
+        f1 = npp.polyval(z1, a)
+        if not abs(f1) < abs(f):
+            break
+        z, f = z1, f1
+    return complex(z)
+
+
+def _deflate(c, p):
+    """Synthetic division by (t - p) along the last axis: c = (t - p) q + r."""
+    q = np.empty(c.shape[:-1] + (c.shape[-1] - 1,), dtype=complex)
+    acc = np.zeros(c.shape[:-1], dtype=complex)
+    for k in range(c.shape[-1] - 1, 0, -1):
+        acc = acc * p + c[..., k]
+        q[..., k - 1] = acc
+    return q, acc * p + c[..., 0]
+
+
+def cancel(terms, poles, tol=CANCEL_TOL):
+    """(num, poles) of sum(terms) / prod (t - p)^m with common factors removed.
+
+    The one cancellation rule: a pole p cancels while the numerator there is
+    within ``tol`` of the terms that formed it, sum_k sum_j |T_kj| |p|^j, and
+    every term is then deflated by (t - p).  Measuring against the terms, not
+    their sum, is what cancels exact identities such as a a^(-1) completely
+    although their summed numerator is rounding noise.  A sum below
+    COEFF_PRUNE of the terms is zero, returned as ([0], ()).
+    """
+    width = max(len(t) for t in terms)
+    T = np.zeros((len(terms), width), dtype=complex)
+    for k, t in enumerate(terms):
+        T[k, : len(t)] = t
+    zero = (np.zeros(1, dtype=complex), ())
+    if np.max(np.abs(T.sum(axis=0))) <= COEFF_PRUNE * np.max(np.abs(T)):
+        return zero
+    kept = []
+    for p, m in poles:
+        while m and T.shape[1]:
+            scale = np.abs(T).sum(axis=0) @ (abs(p) ** np.arange(T.shape[1]))
+            if abs(npp.polyval(p, T.sum(axis=0))) > tol * scale:
                 break
-        if hit is None:
-            new_d.append((p, md))
-        else:
-            used[hit] = True
-            z, mn = zn[hit]
-            m = min(mn, md)
-            cancelled += m
-            if mn > m:
-                new_n.append((z, mn - m))
-            if md > m:
-                new_d.append((p, md - m))
-    if not cancelled:
-        return num, den
-    for k, (z, mn) in enumerate(zn):
-        if not used[k]:
-            new_n.append((z, mn))
-    lead_ratio = num[-1] / den[-1]
-    den_roots = [p for p, m in new_d for _ in range(m)]
-    num_roots = [z for z, m in new_n for _ in range(m)]
-    return trim(pfromroots(num_roots, lead_ratio)), trim(pfromroots(den_roots, 1.0))
+            T = _deflate(T, p)[0]
+            m -= 1
+        if m:
+            kept.append((p, m))
+    num = trim(T.sum(axis=0))
+    if is_zero(num):
+        return zero
+    return num, tuple(kept)
 
 
-def real_roots(c, imag_tol=1e-9) -> list[complex]:
-    """Roots sitting within ``imag_tol`` of the real axis."""
-    return [z for z in proots(c) if abs(z.imag) <= imag_tol]
+def rational_sum(parts):
+    """`cancel` of sum num_k / prod (t - p)^m over poles_k, for parts
+    (num_k, poles_k), taken over the union of the poles (the largest
+    multiplicity of each)."""
+    union = _union([poles for _, poles in parts], max)
+    terms = []
+    for num, poles in parts:
+        missing = [
+            u for u, mu in union
+            for _ in range(mu - sum(m for p, m in poles if _near(p, u)))
+        ]
+        num = as_poly(num)
+        terms.append(npp.polymul(num, npp.polyfromroots(missing)) if missing else num)
+    return cancel(terms, union)
 
 
-def count_upper(roots, imag_tol=1e-9) -> int:
-    return int(sum(1 for z in roots if z.imag > imag_tol))
+def partial_fractions(num, poles):
+    """Decompose num / prod (t - p)^m (deg num < sum m) into c/(t - p)^j terms.
 
-
-def partial_fractions(num, den):
-    """Decompose a strictly proper num/den into sum of c/(t-p)^j terms.
-
-    Returns a list of (pole, [c_1, ..., c_m]) where the j-th coefficient
-    belongs to 1/(t-p)^j.  Handles multiple poles through derivatives of the
-    deflated rational function.
+    Returns a list of (pole, [c_1, ..., c_m]) where c_j belongs to
+    1/(t - p)^j.  With h = num / prod_(q != p) (t - q)^(m_q), c_j is the
+    Taylor coefficient of order m - j of h at p, obtained by power-series
+    division of the Taylor coefficients of num by those of the other factors.
     """
     num = trim(num)
-    den = trim(den)
     if is_zero(num):
         return []
-    if degree(num) >= degree(den):
+    if degree(num) >= sum(m for _, m in poles):
         raise ValueError("partial_fractions expects a strictly proper rational")
-    num = num / den[-1]
-    den = den / den[-1]
-    clusters = cluster_roots(proots(den))
     out = []
-    for ci, (p, m) in enumerate(clusters):
-        rest = pfromroots(
-            [q for cj, (q, mm) in enumerate(clusters) if cj != ci for _ in range(mm)],
-            1.0,
-        )
-        # h = num/rest; coefficient of 1/(t-p)^(m-k) is h^(k)(p)/k!
-        coeffs = [0j] * m
-        hn, hd = num, rest
-        fact = 1.0
+    for i, (p, m) in enumerate(poles):
+        top = []
+        c = np.concatenate((num, np.zeros(m, dtype=complex)))
+        for _ in range(m):
+            c, r = _deflate(c, p)
+            top.append(r)
+        rest = np.zeros(m, dtype=complex)
+        rest[0] = 1.0
+        for j, (q, mq) in enumerate(poles):
+            if j != i:
+                for _ in range(mq):  # times (s + p - q), s = t - p
+                    rest = (p - q) * rest + np.concatenate(([0j], rest[:-1]))
+        h = []
         for k in range(m):
-            if k:
-                fact *= k
-                hn, hd = padd(pmul(pder(hn), hd), pscale(pmul(hn, pder(hd)), -1)), pmul(hd, hd)
-            coeffs[m - 1 - k] = complex(pval(hn, p) / pval(hd, p) / fact)
-        out.append((complex(p), coeffs))
+            h.append((top[k] - sum(rest[j] * h[k - j] for j in range(1, k + 1))) / rest[0])
+        out.append((complex(p), [complex(h[m - j]) for j in range(1, m + 1)]))
     return out
 
 

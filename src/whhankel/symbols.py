@@ -5,7 +5,9 @@ parts,
 
     a(t) = sum_j  a_j e^(i d_j t)  +  sum_m  e^(i s_m t) R_m(t),
 
-where each R_m = num/den has deg num < deg den and no real poles.  This is the
+where each R_m = num / prod (t - p)^k keeps its poles p with their
+multiplicities k from construction, has deg num < sum k and no real pole;
+ring operations combine pole lists and find no roots.  This is the
 smallest class closed under products, reflection t -> -t, conjugation and
 (where representable) inversion that still supports exact Wiener-Hopf
 factorization.  Pointwise it is the Fourier transform of a summable
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from . import poly
@@ -48,10 +51,16 @@ class APTerm:
 
 @dataclass(frozen=True)
 class RationalPart:
-    """Strictly proper num/den with monic den and no real poles (ascending coeffs)."""
+    """Strictly proper num / prod (t - p)^m: ascending numerator coefficients
+    and canonically ordered (pole, multiplicity) pairs, no pole on the real
+    line.  The monic denominator is derived from the poles."""
 
     num: tuple
-    den: tuple
+    poles: tuple
+
+    @cached_property
+    def den(self):
+        return tuple(poly.from_poles(self.poles))
 
     def eval(self, t):
         return poly.pval(self.num, t) / poly.pval(self.den, t)
@@ -76,7 +85,7 @@ class GSymbol:
         other = _coerce(other)
         return make_symbol(
             [(u.freq, u.coeff) for u in self.ap + other.ap],
-            [(v.shift, v.rational.num, v.rational.den) for v in self.l0 + other.l0],
+            [(v.shift, v.rational.num, v.rational.poles) for v in self.l0 + other.l0],
         )
 
     __radd__ = __add__
@@ -97,12 +106,12 @@ class GSymbol:
         for u in self.ap:
             for w in other.l0:
                 l0_terms.append(
-                    (u.freq + w.shift, poly.pscale(w.rational.num, u.coeff), w.rational.den)
+                    (u.freq + w.shift, poly.pscale(w.rational.num, u.coeff), w.rational.poles)
                 )
         for w in self.l0:
             for u in other.ap:
                 l0_terms.append(
-                    (w.shift + u.freq, poly.pscale(w.rational.num, u.coeff), w.rational.den)
+                    (w.shift + u.freq, poly.pscale(w.rational.num, u.coeff), w.rational.poles)
                 )
         for w1 in self.l0:
             for w2 in other.l0:
@@ -110,7 +119,7 @@ class GSymbol:
                     (
                         w1.shift + w2.shift,
                         poly.pmul(w1.rational.num, w2.rational.num),
-                        poly.pmul(w1.rational.den, w2.rational.den),
+                        poly.merge_poles(w1.rational.poles, w2.rational.poles),
                     )
                 )
         return make_symbol(ap_terms, l0_terms)
@@ -158,8 +167,8 @@ class GSymbol:
         # rational residue: sample around every pole region
         reach = 50.0
         for w in diff.l0:
-            for z in poly.proots(w.rational.den):
-                reach = max(reach, abs(z.real) + 10.0)
+            for p, _ in w.rational.poles:
+                reach = max(reach, abs(p.real) + 10.0)
         t = np.linspace(-reach, reach, 4001)
         resid = np.zeros(t.shape, dtype=complex)
         for w in diff.l0:
@@ -196,17 +205,12 @@ class GSymbol:
 
     @staticmethod
     def from_dict(d):
-        return make_symbol(
-            [(u["freq"], complex(u["re"], u["im"])) for u in d["ap"]],
-            [
-                (
-                    w["shift"],
-                    [complex(re, im) for re, im in w["num"]],
-                    [complex(re, im) for re, im in w["den"]],
-                )
-                for w in d["l0"]
-            ],
-        )
+        l0 = []
+        for w in d["l0"]:
+            num = np.array([complex(re, im) for re, im in w["num"]])
+            den = np.array([complex(re, im) for re, im in w["den"]])
+            l0.append((w["shift"], num / den[-1], poly.root_clusters(den)))
+        return make_symbol([(u["freq"], complex(u["re"], u["im"])) for u in d["ap"]], l0)
 
     @staticmethod
     def from_json(s):
@@ -230,27 +234,25 @@ def _sup_scale(a):
     return s
 
 
-def _canon_rational(num, den):
-    num = poly.trim(num)
-    den = poly.trim(den)
-    if poly.is_zero(den):
-        raise ZeroDivisionError("zero denominator in rational part")
-    num, den = poly.reduce_rational(num, den)
-    den_lead = den[-1]
-    num = poly.trim(num / den_lead)
-    den = poly.trim(den / den_lead)
+def _canon_rational(parts):
+    """RationalPart of the sum of (num, poles) parts, or None when it vanishes."""
+    num, poles = poly.rational_sum(parts)
     if poly.is_zero(num):
         return None
-    if poly.degree(num) >= poly.degree(den):
-        raise ImproperRational(poly.degree(num), poly.degree(den))
-    bad = poly.real_roots(den, REAL_AXIS_TOL)
-    if bad:
-        raise RealPoleError(bad[0])
-    return RationalPart(tuple(num), tuple(den))
+    deg_den = sum(m for _, m in poles)
+    if poly.degree(num) >= deg_den:
+        raise ImproperRational(poly.degree(num), deg_den)
+    for p, _ in poles:
+        if abs(p.imag) <= REAL_AXIS_TOL:
+            raise RealPoleError(p)
+    return RationalPart(tuple(num), poles)
 
 
 def make_symbol(ap_terms, l0_terms):
-    """Canonicalizing factory: merge like frequencies/shifts, prune noise."""
+    """Canonicalizing factory: merge like frequencies/shifts, prune noise.
+
+    ``l0_terms`` are (shift, num, poles) with poles given as (pole,
+    multiplicity) pairs; terms of equal shift are summed over their poles."""
     # almost-periodic part
     ap_sorted = sorted(ap_terms, key=lambda fc: fc[0])
     merged_ap = []
@@ -266,33 +268,14 @@ def make_symbol(ap_terms, l0_terms):
         if abs(c) > COEFF_PRUNE * scale
     )
 
-    # rational part: fold terms with equal shift over a common denominator
+    # rational part: group terms of equal shift
     groups = {}
-    order = []
-    for shift, num, den in sorted(l0_terms, key=lambda t: t[0]):
-        key = None
-        for k in order:
-            if abs(k - shift) < FREQ_TOL:
-                key = k
-                break
-        if key is None:
-            key = float(shift)
-            order.append(key)
-            groups[key] = (poly.trim(num), poly.trim(den))
-        else:
-            n0, d0 = groups[key]
-            n1, d1 = poly.trim(num), poly.trim(den)
-            if len(d0) == len(d1) and np.allclose(d0, d1, rtol=0, atol=0):
-                groups[key] = (poly.padd(n0, n1), d0)
-            else:
-                groups[key] = (
-                    poly.padd(poly.pmul(n0, d1), poly.pmul(n1, d0)),
-                    poly.pmul(d0, d1),
-                )
+    for shift, num, poles in sorted(l0_terms, key=lambda t: t[0]):
+        key = next((k for k in groups if abs(k - shift) < FREQ_TOL), float(shift))
+        groups.setdefault(key, []).append((poly.trim(num), poly.merge_poles(poles)))
     l0 = []
-    for k in order:
-        n, d = groups[k]
-        rat = _canon_rational(n, d)
+    for k, parts in groups.items():
+        rat = _canon_rational(parts)
         if rat is not None:
             l0.append(L0Term(k if abs(k) > FREQ_TOL else 0.0, rat))
     return GSymbol(ap=ap, l0=tuple(l0))
@@ -319,24 +302,32 @@ def exp_symbol(delta, coeff=1.0):
     return make_symbol([(float(delta), complex(coeff))], [])
 
 
-def rational_symbol(num, den, shift=0.0):
-    """e^(i shift t) * num/den with deg num <= deg den; splits off the value at
-    infinity as an almost-periodic term so the remainder is strictly proper."""
+def pole_symbol(num, poles, shift=0.0):
+    """e^(i shift t) * num / prod (t - p)^m with deg num <= sum m; splits off
+    the value at infinity as an almost-periodic term so the remainder is
+    strictly proper."""
     num = poly.trim(num)
-    den = poly.trim(den)
-    if poly.degree(num) > poly.degree(den):
-        raise ImproperRational(poly.degree(num), poly.degree(den))
-    bad = poly.real_roots(den, REAL_AXIS_TOL)
-    if bad:
-        raise RealPoleError(bad[0])
-    q, r = poly.pdivmod(num, den)
+    poles = poly.merge_poles(poles)
+    deg_den = sum(m for _, m in poles)
+    if poly.degree(num) > deg_den:
+        raise ImproperRational(poly.degree(num), deg_den)
+    q, r = poly.pdivmod(num, poly.from_poles(poles))
     ap_terms = []
     l0_terms = []
     if not poly.is_zero(q):
         ap_terms.append((shift, complex(q[0])))
     if not poly.is_zero(r):
-        l0_terms.append((shift, r, den))
+        l0_terms.append((shift, r, poles))
     return make_symbol(ap_terms, l0_terms)
+
+
+def rational_symbol(num, den, shift=0.0):
+    """e^(i shift t) * num/den with deg num <= deg den, the poles found as
+    the roots of den."""
+    den = poly.trim(den)
+    if poly.is_zero(den):
+        raise ZeroDivisionError("zero denominator in rational part")
+    return pole_symbol(poly.as_poly(num) / den[-1], poly.root_clusters(den), shift)
 
 
 def chi(n=1):
@@ -345,9 +336,8 @@ def chi(n=1):
     if n == 0:
         return one()
     k = abs(n)
-    num = poly.pfromroots([1j] * k if n > 0 else [-1j] * k)
-    den = poly.pfromroots([-1j] * k if n > 0 else [1j] * k)
-    return rational_symbol(num, den)
+    zero_at = 1j if n > 0 else -1j
+    return pole_symbol(poly.pfromroots([zero_at] * k), [(-zero_at, k)])
 
 
 # --- involutions ------------------------------------------------------------
@@ -360,25 +350,25 @@ def _reflect(p):
 
 
 def tilde(a: GSymbol) -> GSymbol:
-    """Reflection a(t) -> a(-t)."""
+    """Reflection a(t) -> a(-t): each pole p maps to -p."""
     ap = [(-u.freq, u.coeff) for u in a.ap]
     l0 = []
     for w in a.l0:
-        num = _reflect(w.rational.num)
-        den = _reflect(w.rational.den)
-        sign = (-1.0) ** (len(den) - 1)
-        l0.append((-w.shift, num * sign, den * sign))
+        poles = w.rational.poles
+        sign = (-1.0) ** sum(m for _, m in poles)
+        l0.append((-w.shift, _reflect(w.rational.num) * sign, [(-p, m) for p, m in poles]))
     return make_symbol(ap, l0)
 
 
 def conj(a: GSymbol) -> GSymbol:
-    """Complex conjugate on the real line: conj(a)(t) = conj(a(t))."""
+    """Complex conjugate on the real line: conj(a)(t) = conj(a(t)); each
+    pole p maps to conj(p)."""
     ap = [(-u.freq, u.coeff.conjugate()) for u in a.ap]
     l0 = [
         (
             -w.shift,
             np.conj(np.asarray(w.rational.num, dtype=complex)),
-            np.conj(np.asarray(w.rational.den, dtype=complex)),
+            [(p.conjugate(), m) for p, m in w.rational.poles],
         )
         for w in a.l0
     ]
@@ -474,7 +464,7 @@ def time_kernel(a: GSymbol) -> TimeKernel:
     """
     pieces = []
     for w in a.l0:
-        for pole, coeffs in poly.partial_fractions(w.rational.num, w.rational.den):
+        for pole, coeffs in poly.partial_fractions(w.rational.num, w.rational.poles):
             lam = -1j * pole
             lower = pole.imag < 0
             side = 1 if lower else -1
@@ -573,6 +563,7 @@ class _ExpRational:
     delta: float
     amp: complex
     num: np.ndarray
+    poles: tuple   # (pole, multiplicity) pairs of den
     den: np.ndarray
     N: np.ndarray  # amp*den + num; deg N = deg den, den monic with no real root
 
@@ -589,11 +580,13 @@ def _exp_rational_form(a):
     if len(a.l0) > 1:
         return None  # canonical form merges equal shifts, so this is defensive
     if a.l0:
-        num = np.asarray(a.l0[0].rational.num)
-        den = np.asarray(a.l0[0].rational.den)
+        rat = a.l0[0].rational
+        num, poles, den = np.asarray(rat.num), rat.poles, np.asarray(rat.den)
     else:
-        num, den = np.zeros(1, dtype=complex), np.ones(1, dtype=complex)
-    return _ExpRational(delta, amp, num, den, poly.padd(poly.pscale(den, amp), num))
+        num, poles, den = np.zeros(1, dtype=complex), (), np.ones(1, dtype=complex)
+    return _ExpRational(
+        delta, amp, num, poles, den, poly.padd(poly.pscale(den, amp), num)
+    )
 
 
 def _real_zero(a, roots):
@@ -634,21 +627,29 @@ def _poly_identity(p, q, tol):
 
 
 def _same_mirror_product(a, b, tol=1e-10):
-    """a(t)a(-t) = b(t)b(-t) for two single exponentials, decided by the
-    identity N_a(t)N_a(-t) D_b(t)D_b(-t) = N_b(t)N_b(-t) D_a(t)D_a(-t) (the
-    exponentials cancel); None when either symbol leaves that class."""
+    """a(t)a(-t) = b(t)b(-t), the one matching decision.
+
+    For two single exponentials it is the polynomial identity
+    N_a(t)N_a(-t) D_b(t)D_b(-t) = N_b(t)N_b(-t) D_a(t)D_a(-t) (the
+    exponentials cancel).  Other symbols compare the two products, by
+    `GSymbol.isclose` and then on 2001 samples of [-50, 50]."""
     fa, fb = _exp_rational_form(a), _exp_rational_form(b)
-    if fa is None or fb is None:
-        return None
+    if fa is not None and fb is not None:
 
-    def mirror(p):
-        return poly.pmul(p, _reflect(p))
+        def mirror(p):
+            return poly.pmul(p, _reflect(p))
 
-    return _poly_identity(
-        poly.pmul(mirror(fa.N), mirror(fb.den)),
-        poly.pmul(mirror(fb.N), mirror(fa.den)),
-        tol,
-    )
+        return _poly_identity(
+            poly.pmul(mirror(fa.N), mirror(fb.den)),
+            poly.pmul(mirror(fb.N), mirror(fa.den)),
+            tol,
+        )
+    lhs = a * tilde(a)
+    rhs = b * tilde(b)
+    if lhs.isclose(rhs, tol):
+        return True
+    t = np.linspace(-50.0, 50.0, 2001)
+    return bool(np.max(np.abs(lhs.eval(t) - rhs.eval(t))) <= tol)
 
 
 def inverse(a: GSymbol) -> GSymbol:
@@ -672,15 +673,19 @@ def inverse(a: GSymbol) -> GSymbol:
         raise NotRepresentable(
             "inverse leaves the finite representation (nonconstant almost-periodic part)"
         )
-    _require_no_real_zero(a, poly.proots(form.N))
-    # d/(A d + n) = 1/A - (n/A) / (A d + n), with A d + n monicized
+    roots = poly.proots(form.N)
+    _require_no_real_zero(a, roots)
+    # d/(A d + n) = 1/A - (n/A) / (A d + n): the zeros of N become the poles
     delta, amp, num = form.delta, form.amp, form.num
     inv_terms_ap = [(-delta, 1.0 / amp)]
     inv_terms_l0 = []
     if not poly.is_zero(poly.trim(num)):
-        lead = form.N[-1]
         inv_terms_l0.append(
-            (-delta, poly.pscale(num, -1.0 / (amp * lead)), form.N / lead)
+            (
+                -delta,
+                poly.pscale(num, -1.0 / (amp * form.N[-1])),
+                poly.root_clusters(form.N, roots),
+            )
         )
     return make_symbol(inv_terms_ap, inv_terms_l0)
 
@@ -731,7 +736,8 @@ def winding_n(a: GSymbol):
             return 0
         roots = poly.proots(form.N)
         _require_no_real_zero(a, roots)
-        return poly.count_upper(roots) - poly.count_upper(poly.proots(form.den))
+        upper_zeros = int(sum(z.imag > REAL_AXIS_TOL for z in roots))
+        return upper_zeros - sum(m for p, m in form.poles if p.imag > 0)
     # numerical route: w(t) = a(t)/b(t) - 1 = b^(-1) k
     ap_only = make_symbol([(u.freq, u.coeff) for u in a.ap], [])
 
@@ -766,16 +772,8 @@ def winding_n(a: GSymbol):
 
 
 def is_matching(g: GSymbol) -> bool:
-    """g(t) g(-t) = 1: a polynomial identity for single exponentials, else
-    checked symbolically with a sampled fallback."""
-    exact = _same_mirror_product(g, one())
-    if exact is not None:
-        return exact
-    prod = g * tilde(g)
-    if prod == one() or prod.isclose(one(), 1e-12):
-        return True
-    t = np.linspace(-50.0, 50.0, 2001)
-    return bool(np.max(np.abs(prod.eval(t) - 1.0)) < 1e-10)
+    """g(t) g(-t) = 1, decided by `_same_mirror_product`."""
+    return _same_mirror_product(g, one())
 
 
 def xi(g: GSymbol) -> int:

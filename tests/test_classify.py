@@ -40,6 +40,14 @@ def test_double_real_zero_is_not_semi_fredholm():
         classify(MatchingPair(a, a))
 
 
+def test_sign_flip_pair_cancels_to_constant():
+    # c = b~ a~^(-1) = -1 exactly: every pole of the double factors cancels
+    a = parse_symbol("((t+0.58+2.65i)/(t+0.57+2.85i))^2")
+    sub = subordinated(MatchingPair(a, -a))
+    assert sub.c.l0 == ()
+    assert sub.c.isclose(constant(-1.0))
+
+
 def test_matching_pair_validation():
     MatchingPair(chi(), chi(-1))  # |chi| = 1 on the line: both sides give 1
     with pytest.raises(NotMatching):

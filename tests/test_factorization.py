@@ -79,6 +79,15 @@ def test_factorize_rejects_vanishing_symbol():
         factorize(chi() + one())  # chi(0) = -1 makes the sum vanish at 0
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_factorize_rejects_multiple_real_zero(m):
+    # the computed roots of the m-fold real zero scatter off the axis, so the
+    # zero is decided as in is_invertible, not by a raw |Im z| bound
+    a = constant(np.exp(1j * np.pi / 5)) * parse_symbol(f"((t-0.3)/(t+0.7i))^{m}")
+    with pytest.raises(NotInvertible):
+        factorize(a)
+
+
 def test_factorize_rejects_genuine_almost_periodic():
     with pytest.raises(NotFactorizable):
         factorize(constant(3.0) + exp_symbol(1.0))

@@ -67,6 +67,31 @@ def test_chi_squared_has_double_pole():
     assert s.isclose(chi(2), 1e-9)
 
 
+def test_ring_operations_find_no_roots(monkeypatch):
+    from whhankel import poly
+
+    syms = [
+        chi(),
+        chi(-2),
+        parse_symbol("((t-1+2i)/(t+0.5-1i))^3"),
+        exp_symbol(0.5, 2.0) * parse_symbol("((t+2i)/(t-1+1i))^2*chi"),
+    ]
+
+    def no_roots(c):
+        raise AssertionError("root finding on the ring path")
+
+    monkeypatch.setattr(poly, "proots", no_roots)
+    for x in syms:
+        for y in syms:
+            for z in (x * y, x + y, x - y, tilde(x) * conj(y), tilde(x * y) + conj(x)):
+                assert isinstance(z, GSymbol)
+    t = np.linspace(-5.0, 5.0, 7)
+    x, y = syms[2], syms[3]
+    assert np.allclose((x * y).eval(t), x.eval(t) * y.eval(t))
+    assert np.allclose(tilde(x).eval(t), x.eval(-t))
+    assert np.allclose(conj(y).eval(t), np.conj(y.eval(t)))
+
+
 def test_eval_examples():
     assert np.isclose(chi().eval(0.0), -1.0)
     assert np.isclose(one().eval(17.3), 1.0)
@@ -279,7 +304,7 @@ def small_symbols(draw):
     l0 = []
     if draw(st.booleans()):
         pole = draw(st.sampled_from([1j, -1j, 2j, -1.5j, 1 + 1j, -2 + 2j]))
-        l0.append((0.0, [draw(_coeffs)], npp.polyfromroots([pole])))
+        l0.append((0.0, [draw(_coeffs)], [(pole, 1)]))
     return make_symbol(terms, l0)
 
 
