@@ -122,13 +122,14 @@ def _pole_key(pole):
 
 
 def _near(p, q):
-    """p and q are one pole: they agree within CLUSTER_TOL, as roots do."""
-    return abs(p - q) < CLUSTER_TOL * max(1.0, abs(q))
+    """p and q are one pole: they agree to rounding level (CANCEL_TOL)."""
+    return abs(p - q) <= CANCEL_TOL * max(1.0, abs(q))
 
 
 def _union(pole_lists, combine):
-    """Canonical (pole, multiplicity) pairs over pole_lists: near poles take
-    the first one's value, their multiplicities joined by combine."""
+    """Canonical (pole, multiplicity) pairs over pole_lists: poles that agree
+    to rounding level take the first one's value, their multiplicities
+    joined by combine."""
     reps = []
     for poles in pole_lists:
         for p, m in poles:
@@ -166,10 +167,10 @@ def root_clusters(c, roots=None):
     )
 
 
-def _polish(a, d, z, steps=3):
-    """Newton steps on a from z, kept while they shrink |a(z)|."""
+def _polish(a, d, z):
+    """Up to three Newton steps on a from z, kept while they shrink |a(z)|."""
     f = npp.polyval(z, a)
-    for _ in range(steps):
+    for _ in range(3):
         if f == 0:
             break
         z1 = z - f / npp.polyval(z, d)
@@ -190,11 +191,11 @@ def _deflate(c, p):
     return q, acc * p + c[..., 0]
 
 
-def cancel(terms, poles, tol=CANCEL_TOL):
+def cancel(terms, poles):
     """(num, poles) of sum(terms) / prod (t - p)^m with common factors removed.
 
     The one cancellation rule: a pole p cancels while the numerator there is
-    within ``tol`` of the terms that formed it, sum_k sum_j |T_kj| |p|^j, and
+    within CANCEL_TOL of the terms that formed it, sum_k sum_j |T_kj| |p|^j, and
     every term is then deflated by (t - p).  Measuring against the terms, not
     their sum, is what cancels exact identities such as a a^(-1) completely
     although their summed numerator is rounding noise.  A sum below
@@ -211,7 +212,7 @@ def cancel(terms, poles, tol=CANCEL_TOL):
     for p, m in poles:
         while m and T.shape[1]:
             scale = np.abs(T).sum(axis=0) @ (abs(p) ** np.arange(T.shape[1]))
-            if abs(npp.polyval(p, T.sum(axis=0))) > tol * scale:
+            if abs(npp.polyval(p, T.sum(axis=0))) > CANCEL_TOL * scale:
                 break
             T = _deflate(T, p)[0]
             m -= 1

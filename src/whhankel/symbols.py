@@ -209,7 +209,7 @@ class GSymbol:
         for w in d["l0"]:
             num = np.array([complex(re, im) for re, im in w["num"]])
             den = np.array([complex(re, im) for re, im in w["den"]])
-            l0.append((w["shift"], num / den[-1], poly.root_clusters(den)))
+            l0.append((w["shift"], *_poles_of(num, den)))
         return make_symbol([(u["freq"], complex(u["re"], u["im"])) for u in d["ap"]], l0)
 
     @staticmethod
@@ -321,13 +321,18 @@ def pole_symbol(num, poles, shift=0.0):
     return make_symbol(ap_terms, l0_terms)
 
 
-def rational_symbol(num, den, shift=0.0):
-    """e^(i shift t) * num/den with deg num <= deg den, the poles found as
-    the roots of den."""
+def _poles_of(num, den):
+    """(num / lead(den), poles of den) for a denominator given as coefficients."""
     den = poly.trim(den)
     if poly.is_zero(den):
         raise ZeroDivisionError("zero denominator in rational part")
-    return pole_symbol(poly.as_poly(num) / den[-1], poly.root_clusters(den), shift)
+    return poly.as_poly(num) / den[-1], poly.root_clusters(den)
+
+
+def rational_symbol(num, den, shift=0.0):
+    """e^(i shift t) * num/den with deg num <= deg den, the poles found as
+    the roots of den."""
+    return pole_symbol(*_poles_of(num, den), shift)
 
 
 def chi(n=1):
@@ -632,7 +637,7 @@ def _same_mirror_product(a, b, tol=1e-10):
     For two single exponentials it is the polynomial identity
     N_a(t)N_a(-t) D_b(t)D_b(-t) = N_b(t)N_b(-t) D_a(t)D_a(-t) (the
     exponentials cancel).  Other symbols compare the two products, by
-    `GSymbol.isclose` and then on 2001 samples of [-50, 50]."""
+    `GSymbol.isclose` within 1e-12 and then on 2001 samples of [-50, 50]."""
     fa, fb = _exp_rational_form(a), _exp_rational_form(b)
     if fa is not None and fb is not None:
 
@@ -646,7 +651,7 @@ def _same_mirror_product(a, b, tol=1e-10):
         )
     lhs = a * tilde(a)
     rhs = b * tilde(b)
-    if lhs.isclose(rhs, tol):
+    if lhs.isclose(rhs, 1e-12):
         return True
     t = np.linspace(-50.0, 50.0, 2001)
     return bool(np.max(np.abs(lhs.eval(t) - rhs.eval(t))) <= tol)

@@ -92,6 +92,25 @@ def test_ring_operations_find_no_roots(monkeypatch):
     assert np.allclose(conj(y).eval(t), np.conj(y.eval(t)))
 
 
+def test_close_distinct_poles_stay_apart():
+    # poles 1e-4 apart are two poles, in either operand order
+    t = np.linspace(-20.0, 20.0, 401)
+    x, y = parse_symbol("1/(t-1i)"), parse_symbol("1/(t-1.0001i)")
+    prod = 1.0 / ((t - 1j) * (t - 1.0001j))
+    diff = -1e-4j * prod  # 1/(t-i) - 1/(t-1.0001i), without cancellation
+    cases = [
+        (parse_symbol("1/(t-1i) - 1/(t-1.0001i)"), diff),
+        (parse_symbol("1/(t-1i) * (1/(t-1.0001i))"), prod),
+        (x - y, diff),
+        (-(y - x), diff),
+        (x * y, prod),
+        (y * x, prod),
+    ]
+    for s, ref in cases:
+        assert [m for _, m in s.l0[0].rational.poles] == [1, 1]
+        assert np.max(np.abs(s.eval(t) - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
 def test_eval_examples():
     assert np.isclose(chi().eval(0.0), -1.0)
     assert np.isclose(one().eval(17.3), 1.0)
@@ -264,6 +283,15 @@ def test_exact_equality_and_matching_reject_non_matching_pair():
         MatchingPair(chi(), constant(2.0) * chi())
 
 
+def test_matching_outside_single_exponentials():
+    # two exponential terms: the products are compared, not N and D
+    a = constant(2.0) + exp_symbol(1.0)
+    MatchingPair(a, tilde(a))
+    with pytest.raises(NotMatching):
+        MatchingPair(a, constant(2.0) * a)
+    assert not is_matching(a)
+
+
 def test_matching_windings_cancel(a_n0):
     for g in (chi(), chi(-2), a_n0, constant(-1.0) * chi()):
         assert winding_n(g) + winding_n(tilde(g)) == 0
@@ -274,6 +302,13 @@ def test_matching_windings_cancel(a_n0):
 def test_json_round_trip(a_n0):
     for s in (zero(), one(), chi(), a_n0, exp_symbol(1.5, 2j)):
         assert GSymbol.from_json(s.to_json()) == s
+
+
+def test_json_rejects_zero_denominator():
+    d = chi().to_dict()
+    d["l0"][0]["den"] = [[0.0, 0.0], [0.0, 0.0]]
+    with pytest.raises(ZeroDivisionError):
+        GSymbol.from_dict(d)
 
 
 def test_json_field_order_is_deterministic():
