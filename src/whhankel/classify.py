@@ -306,15 +306,19 @@ def _pim_dims(n_g, xi_g, ker_dim: Dim):
     return Dim.unknown(), Dim.unknown()
 
 
-def _family_tag(pair):
-    a, b = pair.a, pair.b
-    for tag, probe in (
-        ("b=a*chi", a * symbols.chi(1)),
-        ("b=a*chi^-1", a * symbols.chi(-1)),
-        ("b=a", a),
-        ("b=-a", -a),
-    ):
-        if b.isclose(probe, 1e-10):
+# c = b~ a~^(-1) of each family: chi~ = chi^(-1), so b = a chi gives c = chi^(-1)
+_FAMILY_C = (
+    ("b=a*chi", symbols.chi(-1)),
+    ("b=a*chi^-1", symbols.chi(1)),
+    ("b=a", 1),
+    ("b=-a", -1),
+)
+
+
+def _family_tag(c):
+    """The family of b relative to a, read off c = b~ a~^(-1)."""
+    for tag, family_c in _FAMILY_C:
+        if c.isclose(family_c, 1e-10):
             return tag
     return None
 
@@ -335,7 +339,6 @@ def classify(pair: MatchingPair, kappa_tester=None, _kernels_only=False,
         pass  # treat as invertible; downstream indices will object if not
     sub = subordinated(pair)
     notes = []
-    tag = _family_tag(pair)
 
     # reduce xi(c) = -1 by flipping the sign of b, which swaps +- reports
     if sub.xi_c == -1:
@@ -469,6 +472,7 @@ def classify(pair: MatchingPair, kappa_tester=None, _kernels_only=False,
         except (OutOfScope, NotInvertible, NotRepresentable, Inconclusive) as e:
             notes.append(f"adjoint route unavailable: {e}")
 
+    tag = _family_tag(sub.c)
     if tag:
         cert_plus.insert(0, f"family:{tag}")
         cert_minus.insert(0, f"family:{tag}")

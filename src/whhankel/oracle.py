@@ -30,14 +30,19 @@ companion-matrix roots would scatter apart.
 Rank decisions: a square truncation of an index -1 operator and its index +1
 transpose share singular spectra, so raw sigma-counting cannot tell a genuine
 (decaying) kernel vector from a truncation-boundary artifact.  The estimator
-therefore augments the matrix with penalty rows on the outer 20% of nodes
-before the SVD: genuine kernel vectors decay and keep sigma ~ e^(-T), while
-boundary artifacts are lifted to O(|penalty|).  verify and the stability
-re-run use only dimensions, so they compute singular values only; the full
-SVD runs only where a kernel basis is asked for.  A values-only decision on a
-matrix whose imaginary part is rounding noise (every symbol whose zeros and
-poles lie on the imaginary axis has a real kernel) runs the real SVD, under a
-Weyl bound that keeps the decision (see _real_if_negligible).
+therefore takes the SVD of the interior columns only, dropping the outer 20%
+of nodes of each component: genuine kernel vectors decay and keep sigma ~
+e^(-T), while boundary artifacts need the dropped columns and leave the null
+space.  Singular values are cut at rank_tol * norm_est(M), an upper bound of
+||M||_2, the same scale the kernel residuals are measured against.  The
+cokernel is the kernel of M^H, so there the slice drops the outer rows of M.
+verify and the stability re-run use only dimensions, so they compute singular
+values only; the full SVD runs only where a kernel basis is asked for, and
+its basis vectors are exactly zero on the outer window.  A values-only
+decision on a matrix whose imaginary part is rounding noise (every symbol
+whose zeros and poles lie on the imaginary axis has a real kernel) runs the
+real SVD, under a Weyl bound that keeps the decision (see
+_real_if_negligible).
 """
 
 from __future__ import annotations
@@ -85,11 +90,11 @@ class Grid:
 
 @dataclass(frozen=True)
 class OracleConfig:
-    rank_tol: float = 1e-8          # sigma < rank_tol * sigma_max counts as null
+    rank_tol: float = 1e-8          # sigma < rank_tol * norm_est(M) counts as null
     residual_tol: float = 1e-5      # "numerically in kernel" threshold (relative)
     membership_tol: float = 1e-4    # image-membership threshold (relative)
     stability: bool = True          # re-run rank decisions on (1.25 T, h/2)
-    boundary_frac: float = 0.2      # penalty window at the truncation boundary
+    boundary_frac: float = 0.2      # outer window of nodes left out of rank decisions
     snap_tol: float = 0.1           # |delta/h - round| below this snaps, else error
 
 
@@ -103,10 +108,6 @@ class DiscretizedOp:
     description: str
     components: int = 1             # 1 for scalar ops, 2 for the block operator
     rebuild: object = None          # callable Grid -> DiscretizedOp, or None
-
-    @property
-    def norm_est(self):
-        return norm_est(self.matrix)
 
     def adjoint(self):
         parent_rebuild = self.rebuild
@@ -142,7 +143,7 @@ def norm_est(matrix):
 class KernelEstimate:
     dim: int
     basis: tuple                    # orthonormal null-ish vectors (ndarray rows)
-    singular_values: tuple          # descending, of the penalty-augmented matrix
+    singular_values: tuple          # descending, of the interior columns
     tol: float
     stable: bool
     residuals: tuple = ()
@@ -447,27 +448,13 @@ def block_v_product_form(pair, grid=None, cfg=DEFAULT_CONFIG) -> np.ndarray:
 
 # --- kernel estimation --------------------------------------------------------
 
-def _boundary_penalty_rows(op: DiscretizedOp, cfg: OracleConfig):
-    n_total = op.matrix.shape[1]
-    n_comp = n_total // op.components
-    width = max(1, int(round(cfg.boundary_frac * n_comp)))
-    idx = []
-    for c in range(op.components):
-        start = (c + 1) * n_comp - width
-        idx.extend(range(start, (c + 1) * n_comp))
-    rows = np.zeros((len(idx), n_total), dtype=complex)
-    for r, j in enumerate(idx):
-        rows[r, j] = 1.0
-    return rows
-
-
 def _real_if_negligible(m, tol):
     """Re m when dropping Im m cannot move a rank decision at tol, else m.
 
     By Weyl's bound dropping Im m moves each singular value by at most
     ||Im m||_2 <= ||Im m||_F, and sigma_max >= ||m||_F / sqrt(ncols), so
     ||Im m||_F <= 1e-3 tol ||m||_F / sqrt(ncols) keeps every shift below
-    1e-3 tol sigma_max.
+    1e-3 tol sigma_max <= 1e-3 tol norm_est(m), a thousandth of the rank cut.
     """
     if np.iscomplexobj(m) and np.linalg.norm(m.imag) <= (
         1e-3 * tol * np.linalg.norm(m) / math.sqrt(m.shape[1])
@@ -476,36 +463,42 @@ def _real_if_negligible(m, tol):
     return m
 
 
-def _augmented_svd(op: DiscretizedOp, cfg: OracleConfig, tol, with_basis=True):
-    """Singular values of the boundary-penalized matrix, plus its right
-    singular vectors when with_basis (else vh is None).  Without a basis a
-    matrix whose imaginary part is rounding noise goes to the real SVD."""
-    penalty = _boundary_penalty_rows(op, cfg) * max(op.norm_est, 1e-300)
-    aug = np.vstack([op.matrix, penalty])
-    if not with_basis:
-        return np.linalg.svd(_real_if_negligible(aug, tol), compute_uv=False), None
-    _, s, vh = np.linalg.svd(aug, full_matrices=False)
-    return s, vh
+def _interior_columns(op: DiscretizedOp, cfg: OracleConfig):
+    """Indices of the columns of each component outside its outer
+    boundary_frac window."""
+    n_comp = op.matrix.shape[1] // op.components
+    keep = n_comp - max(1, int(round(cfg.boundary_frac * n_comp)))
+    return np.concatenate(
+        [np.arange(c * n_comp, c * n_comp + keep) for c in range(op.components)]
+    )
 
 
 def _estimate_once(op: DiscretizedOp, cfg: OracleConfig, tol, with_basis=True):
-    s, vh = _augmented_svd(op, cfg, tol, with_basis)
-    smax = s[0] if len(s) else 0.0
-    cut = tol * smax
-    null_idx = [k for k in range(len(s)) if s[k] < cut]
-    basis = [] if vh is None else [vh[k].conj() for k in null_idx]
-    residuals = [
-        float(np.linalg.norm(op.matrix @ v) / max(op.norm_est, 1e-300)) for v in basis
-    ]
-    return len(null_idx), basis, s, residuals
+    """Null count of the interior columns of op at tol * norm_est(op), plus
+    the null vectors (zero on the outer window) and their residuals when
+    with_basis.  Without a basis a matrix whose imaginary part is rounding
+    noise goes to the real SVD."""
+    cols = _interior_columns(op, cfg)
+    interior = op.matrix[:, cols]
+    scale = max(norm_est(op.matrix), 1e-300)
+    cut = tol * scale
+    if not with_basis:
+        s = np.linalg.svd(_real_if_negligible(interior, tol), compute_uv=False)
+        return int(np.count_nonzero(s < cut)), [], s, []
+    _, s, vh = np.linalg.svd(interior, full_matrices=False)
+    null = s < cut
+    basis = np.zeros((np.count_nonzero(null), op.matrix.shape[1]), dtype=complex)
+    basis[:, cols] = vh[null].conj()
+    residuals = [float(np.linalg.norm(op.matrix @ v) / scale) for v in basis]
+    return len(basis), basis, s, residuals
 
 
 def kernel_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG, tol=None,
                     with_basis=True) -> KernelEstimate:
     """Numerical kernel dimension and orthonormal basis of a discretized operator.
 
-    dim counts singular values of the boundary-penalized matrix below
-    tol * sigma_max.  With stability enabled the dimension is recomputed on
+    dim counts singular values of the interior columns below
+    tol * norm_est(M).  With stability enabled the dimension is recomputed on
     the (1.25 T, h/2) grid and must agree, else the estimate is flagged.
     The re-run needs only the dimension, so it computes singular values
     only; so does the whole estimate when with_basis is False, which leaves

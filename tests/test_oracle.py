@@ -351,13 +351,14 @@ def test_values_only_estimate_matches_full_svd(a_n0, a_nm1, monkeypatch):
     # zero and pole off the imaginary axis: the convolution kernel is complex
     complex_op = wh_matrix(parse_symbol("(t-1-2i)/(t-1+2i)"), GRID, cfg)
     catalog_op = wh_plus_hankel(a_nm1, a_nm1 * chi(), +1, GRID, cfg)
+    block_op = block_v_matrix(MatchingPair(a_nm1, a_nm1 * chi()), GRID, cfg)
     ops = [
         wh_matrix(chi(-1), GRID, cfg),
         wh_matrix(chi(), GRID, cfg),
         wh_plus_hankel(a_n0, a_n0 * chi(), +1, GRID, cfg),
         wh_plus_hankel(a_n0, a_n0 * chi(), -1, GRID, cfg),
         catalog_op,
-        block_v_matrix(MatchingPair(a_nm1, a_nm1 * chi()), GRID, cfg),
+        block_op,
         complex_op,
     ]
     for op in ops:
@@ -369,20 +370,79 @@ def test_values_only_estimate_matches_full_svd(a_n0, a_nm1, monkeypatch):
             assert dims.basis == () and dims.residuals == ()
 
     # values-only SVDs run in real arithmetic exactly when the matrix is real
-    # up to rounding; the basis path always stays complex
-    kinds = []
+    # up to rounding; the basis path always stays complex.  Every SVD sees the
+    # interior columns: n rows and n - w columns per component, on the grid
+    # and on its refinement
+    kinds, shapes = [], []
     svd = np.linalg.svd
 
     def recording_svd(m, *args, **kwargs):
         kinds.append((m.dtype.kind, kwargs.get("compute_uv", True)))
+        shapes.append(m.shape)
         return svd(m, *args, **kwargs)
 
+    def interior_shapes(op):
+        out = []
+        for grid in (op.grid, op.grid.refined()):
+            n, w = grid.n, round(cfg.boundary_frac * grid.n)
+            out.append((op.components * n, op.components * (n - w)))
+        return out
+
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    for op, kind in ((complex_op, "c"), (catalog_op, "f")):
+    for op, kind in ((complex_op, "c"), (catalog_op, "f"), (block_op, "f")):
         kinds.clear()
+        shapes.clear()
         kernel_estimate(op, cfg, with_basis=False)
         coker_estimate(op, cfg, with_basis=False)
         assert kinds == [(kind, False)] * 4, op.description
+        assert shapes == interior_shapes(op) * 2, op.description
     kinds.clear()
+    shapes.clear()
     kernel_estimate(catalog_op, cfg)
     assert kinds == [("c", True), ("f", False)]
+    assert shapes == interior_shapes(catalog_op)
+
+
+def _outer_window(op, cfg):
+    n = op.matrix.shape[1] // op.components
+    w = round(cfg.boundary_frac * n)
+    return np.concatenate(
+        [np.arange((c + 1) * n - w, (c + 1) * n) for c in range(op.components)]
+    )
+
+
+def test_basis_vectors_vanish_on_outer_window(a_nm1):
+    block = block_v_matrix(MatchingPair(a_nm1, a_nm1 * chi()), GRID, CFG)
+    cases = [
+        (wh_matrix(chi(-1), GRID, CFG), kernel_estimate, 1),
+        # the cokernel is the kernel of the adjoint, so rows of W(chi) drop
+        (wh_matrix(chi(), GRID, CFG), coker_estimate, 1),
+        (block, kernel_estimate, 2),
+    ]
+    for op, estimate, dim in cases:
+        est = estimate(op, CFG)
+        assert est.dim == dim, op.description
+        outer = _outer_window(op, CFG)
+        for v, resid in zip(est.basis, est.residuals):
+            assert np.all(v[outer] == 0), op.description
+            assert abs(np.linalg.norm(v) - 1) < 1e-12
+            assert resid < CFG.residual_tol
+    # the block kernel vectors live in both components
+    n = GRID.n
+    for v in est.basis:
+        assert min(np.linalg.norm(v[:n]), np.linalg.norm(v[n:])) > 0.1
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05])
+def test_rank_cut_is_relative_to_norm_estimate(h):
+    # the smallest singular value of the interior columns lies below
+    # rank_tol * norm_est but above rank_tol * sigma_max: a cut relative to
+    # sigma_max of the sliced matrix would lose this kernel vector
+    grid = Grid(T=25.0, h=h)
+    g = chi(-1) * parse_symbol("(t+1i)*(t-2i)/((t-1i)*(t+2i))")
+    op = wh_matrix(g, grid, CFG)
+    est = kernel_estimate(op, CFG, with_basis=False)
+    s = est.singular_values
+    assert est.dim == 1
+    assert s[-1] < CFG.rank_tol * norm_est(op.matrix)
+    assert s[-1] > CFG.rank_tol * s[0]
