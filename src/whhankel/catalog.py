@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import dsl, kernels, oracle
 from .classify import MatchingPair, classify as run_classify, scalar_wh_classify

@@ -24,7 +24,7 @@ by an injected tester (see kernel_structure), never symbolically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import symbols
 from .errors import (
@@ -84,9 +84,6 @@ class Dim:
         lo = self.value if self.kind in ("exact", "at_least") else 0
         lo += other.value if other.kind in ("exact", "at_least") else 0
         return Dim.at_least(lo)
-
-    def to_jsonable(self):
-        return self.describe()
 
 
 # --- report types --------------------------------------------------------------
@@ -162,16 +159,6 @@ class SubordinatedPair:
         }
 
 
-def _try_routes(*thunks):
-    err = None
-    for thunk in thunks:
-        try:
-            return thunk()
-        except (NotRepresentable, NotInvertible) as e:
-            err = e
-    raise err
-
-
 def _indices(g):
     """(nu, n, xi) of a matching function; n and xi are None off their scope."""
     nu_g = symbols.nu(g)
@@ -192,15 +179,8 @@ def _indices(g):
 
 def subordinated(pair: MatchingPair) -> SubordinatedPair:
     """c = b~ a~^(-1), d = b a~^(-1), with indices attached."""
-    a, b = pair.a, pair.b
-    c = _try_routes(
-        lambda: tilde(b) * inverse(tilde(a)),
-        lambda: a * inverse(b),
-    )
-    d = _try_routes(
-        lambda: b * inverse(tilde(a)),
-        lambda: inverse(tilde(b)) * a,
-    )
+    at_inv = inverse(tilde(pair.a))
+    c, d = tilde(pair.b) * at_inv, pair.b * at_inv
     if not (is_matching(c) and is_matching(d)):
         raise NotMatching("subordinated functions fail g(t)g(-t) = 1")
     nu_c, n_c, xi_c = _indices(c)
@@ -323,8 +303,8 @@ def _family_tag(c):
     return None
 
 
-def classify(pair: MatchingPair, kappa_tester=None, _kernels_only=False,
-             _depth=0) -> ClassificationReport:
+def classify(pair: MatchingPair, kappa_tester=None,
+             _kernels_only=False) -> ClassificationReport:
     """Predict kernel/cokernel dimensions and invertibility of W(a) +- H(b).
 
     kappa_tester (optional) resolves the conditional membership branch; it is
@@ -346,7 +326,6 @@ def classify(pair: MatchingPair, kappa_tester=None, _kernels_only=False,
             MatchingPair(a=a, b=-pair.b),
             kappa_tester=kappa_tester,
             _kernels_only=_kernels_only,
-            _depth=_depth,
         )
         notes.append("sign-flip: reduced xi(c) = -1 to +1 via b -> -b")
         return ClassificationReport(
@@ -455,7 +434,7 @@ def classify(pair: MatchingPair, kappa_tester=None, _kernels_only=False,
             if rhs is not None:
                 coker_minus = Dim.exact(ker_minus.value - rhs)
                 cert_minus.append("index-balance")
-    elif not _kernels_only and _depth < 2:
+    elif not _kernels_only:
         # trivial ker W(d): cokernels are the kernels of the adjoint pair,
         # whose subordinated pair is (conj d, conj c)
         try:
@@ -463,7 +442,6 @@ def classify(pair: MatchingPair, kappa_tester=None, _kernels_only=False,
                 adjoint_pair(pair),
                 kappa_tester=kappa_tester,
                 _kernels_only=True,
-                _depth=_depth + 1,
             )
             coker_plus = adj.plus.ker
             coker_minus = adj.minus.ker

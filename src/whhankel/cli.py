@@ -8,7 +8,7 @@ machine output.  Typed failures map to distinct exit codes:
     3  not representable / real pole / improper rational
     4  symbol not invertible
     5  matching condition violated
-    6  outside the classified scope (index guards, grid mismatch, ...)
+    6  outside the classified scope (index guards, incommensurate shifts, ...)
     7  verification failure (oracle disagrees or expectations missed)
     8  numerical indeterminacy (inconclusive, unresolved winding/mean motion)
     9  internal structure violation
@@ -19,8 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
 
 from . import catalog as cat
 from . import dsl, factorization, kernels, oracle, symbols

@@ -19,13 +19,7 @@ import re
 from dataclasses import dataclass
 
 from . import poly, symbols
-from .errors import (
-    ImproperRational,
-    NotInvertible,
-    NotRepresentable,
-    RealPoleError,
-    SymbolSyntaxError,
-)
+from .errors import NotInvertible, SymbolSyntaxError
 
 # --- tokens -----------------------------------------------------------------
 

@@ -94,10 +94,6 @@ class ShiftNotCommensurate(OutOfScope):
     pass
 
 
-class GridMismatch(OutOfScope):
-    pass
-
-
 # --- numeric indeterminacy ----------------------------------------------
 
 class Inconclusive(WhhError):

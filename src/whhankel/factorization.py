@@ -37,14 +37,6 @@ class WHFactorization:
     n: int
     g_plus: GSymbol
 
-    def reconstruct(self):
-        return (
-            self.g_minus
-            * symbols.exp_symbol(self.nu)
-            * symbols.chi(self.n)
-            * self.g_plus
-        )
-
     def residual(self, npoints=200, span=40.0):
         """Max pointwise deviation of g_- e^(i nu t) chi^n g_+ from the input."""
         t = np.linspace(-span, span, npoints)
@@ -72,12 +64,6 @@ class OperatorRecipe:
     """Ordered symbols denoting the operator composition W(f1) W(f2) ... W(fk)."""
 
     factors: tuple
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __len__(self):
-        return len(self.factors)
 
     def to_dict(self):
         return {"factors": [f.to_dict() for f in self.factors]}

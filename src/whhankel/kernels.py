@@ -150,8 +150,9 @@ def p_minus(g, f, ws):
     return ws.gf(0.5 * (f.values - pf.values))
 
 
-def projection_image_dims(g, basis, ws, tol=1e-6):
-    """(dim im P^+, dim im P^-) measured from a kernel basis by numerical rank."""
+def projection_image_dims(g, basis, ws):
+    """(dim im P^+, dim im P^-) measured from a kernel basis by numerical rank,
+    cut at 1e-6 of the stacked vectors' norm."""
     if not basis:
         return 0, 0
     plus_vecs = []
@@ -165,7 +166,7 @@ def projection_image_dims(g, basis, ws, tol=1e-6):
 
     def rank(vecs):
         s = np.linalg.svd(np.vstack(vecs), compute_uv=False)
-        return int(np.sum(s > tol * scale))
+        return int(np.sum(s > 1e-6 * scale))
 
     return rank(plus_vecs), rank(minus_vecs)
 
@@ -267,6 +268,23 @@ def _on_grid(compute, ws, which, stage):
         raise NotInKernel(f"{which} grid T={g.T:g} h={g.h:g}, {stage}: {err}") from err
 
 
+def _two_grid_membership(compute, ws, cfg, stage):
+    """KappaResult of compute(w) -> (kappa, residual, diagnostics) on ws's
+    grid; stable when the membership decision is the same on the refined
+    grid."""
+    kappa, res, diag = _on_grid(compute, ws, "coarse", stage)
+    in_img = res < cfg.membership_tol
+    fine_ws = Workspace(ws.grid.refined(), cfg)
+    _, res2, _ = _on_grid(compute, fine_ws, "refined", stage)
+    return KappaResult(
+        kappa=ws.gf(kappa),
+        in_image=in_img,
+        residual=res,
+        stable=(res2 < cfg.membership_tol) == in_img,
+        diagnostics=diag,
+    )
+
+
 def kappa_element(a: GSymbol, ws: Workspace = None, cfg=None) -> KappaResult:
     """The transported kernel candidate for the pair (a, a chi^(-1)) with
     nu(a) = n(a) = 0, and its membership in the range of W(chi).
@@ -305,21 +323,9 @@ def kappa_element(a: GSymbol, ws: Workspace = None, cfg=None) -> KappaResult:
             "middle_term_norm": float(np.linalg.norm(t2) / scale),
             "first_term_membership": _membership_residual(t1, w),
         }
-        res = _membership_residual(t3, w)
-        return kappa, res, diag
+        return kappa, _membership_residual(t3, w), diag
 
-    kappa, res, diag = _on_grid(compute, ws, "coarse", "kappa element")
-    in_img = res < cfg.membership_tol
-    fine_ws = Workspace(ws.grid.refined(), cfg)
-    _, res2, _ = _on_grid(compute, fine_ws, "refined", "kappa element")
-    stable = (res2 < cfg.membership_tol) == in_img
-    return KappaResult(
-        kappa=ws.gf(kappa),
-        in_image=in_img,
-        residual=res,
-        stable=stable,
-        diagnostics=diag,
-    )
+    return _two_grid_membership(compute, ws, cfg, "kappa element")
 
 
 def kappa_for_pair(pair: MatchingPair, ws: Workspace = None, cfg=None) -> KappaResult:
@@ -338,21 +344,10 @@ def kappa_for_pair(pair: MatchingPair, ws: Workspace = None, cfg=None) -> KappaR
         )
         sub = subordinated(reduced)
         basis = kernel_basis_scalar(sub.d, w)
-        kappa_gf = phi_pm(reduced, basis[0], "-", w)
-        return 2.0 * kappa_gf.values, _membership_residual(2.0 * kappa_gf.values, w)
+        kappa = 2.0 * phi_pm(reduced, basis[0], "-", w).values
+        return kappa, _membership_residual(kappa, w), {}
 
-    kappa, res = _on_grid(compute, ws, "coarse", "kappa tester")
-    in_img = res < cfg.membership_tol
-    fine_ws = Workspace(ws.grid.refined(), cfg)
-    _, res2 = _on_grid(compute, fine_ws, "refined", "kappa tester")
-    stable = (res2 < cfg.membership_tol) == in_img
-    return KappaResult(
-        kappa=ws.gf(kappa),
-        in_image=in_img,
-        residual=res,
-        stable=stable,
-        diagnostics={},
-    )
+    return _two_grid_membership(compute, ws, cfg, "kappa tester")
 
 
 def make_kappa_tester(grid=None, cfg=DEFAULT_CONFIG):

@@ -30,11 +30,12 @@ companion-matrix roots would scatter apart.
 Rank decisions: a square truncation of an index -1 operator and its index +1
 transpose share singular spectra, so raw sigma-counting cannot tell a genuine
 (decaying) kernel vector from a truncation-boundary artifact.  The estimator
-therefore takes the SVD of the interior columns only, dropping the outer 20%
-of nodes of each component: genuine kernel vectors decay and keep sigma ~
-e^(-T), while boundary artifacts need the dropped columns and leave the null
-space.  Singular values are cut at rank_tol * norm_est(M), an upper bound of
-||M||_2, the same scale the kernel residuals are measured against.  The
+therefore takes the SVD of the interior columns only, dropping the outer
+BOUNDARY_FRAC = 20% of nodes of each component: genuine kernel vectors decay
+and keep sigma ~ e^(-T), while boundary artifacts need the dropped columns
+and leave the null space.  Singular values are cut at rank_tol * norm_est(M),
+an upper bound of ||M||_2, the same scale the kernel residuals are measured
+against.  The
 cokernel is the kernel of M^H, so there the slice drops the outer rows of M.
 verify and the stability re-run use only dimensions, so they compute singular
 values only; the full SVD runs only where a kernel basis is asked for, and
@@ -55,7 +56,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import poly, symbols
-from .errors import GridMismatch, OutOfScope, ShiftNotCommensurate
+from .errors import OutOfScope, ShiftNotCommensurate
 from .symbols import GSymbol
 
 
@@ -81,11 +82,17 @@ class Grid:
     def full_nodes(self):
         return -self.T + (np.arange(2 * self.n) + 0.5) * self.h
 
-    def refined(self, t_factor=1.25, h_factor=0.5):
-        fine_h = self.h * h_factor
-        big_t = self.T * t_factor
-        big_t = round(big_t / fine_h) * fine_h
-        return Grid(T=big_t, h=fine_h)
+    def refined(self):
+        """The stability re-run grid (1.25 T, h/2)."""
+        fine_h = self.h * 0.5
+        return Grid(T=round(self.T * 1.25 / fine_h) * fine_h, h=fine_h)
+
+
+#: outer window of nodes of each component left out of rank decisions
+BOUNDARY_FRAC = 0.2
+
+#: |delta/h - round| below this snaps a shift to the grid, else error
+SNAP_TOL = 0.1
 
 
 @dataclass(frozen=True)
@@ -94,8 +101,8 @@ class OracleConfig:
     residual_tol: float = 1e-5      # "numerically in kernel" threshold (relative)
     membership_tol: float = 1e-4    # image-membership threshold (relative)
     stability: bool = True          # re-run rank decisions on (1.25 T, h/2)
-    boundary_frac: float = 0.2      # outer window of nodes left out of rank decisions
-    snap_tol: float = 0.1           # |delta/h - round| below this snaps, else error
+    # fixed, not settable: the outer BOUNDARY_FRAC window of rank decisions
+    # and the SNAP_TOL of shifts
 
 
 DEFAULT_CONFIG = OracleConfig()
@@ -119,18 +126,6 @@ class DiscretizedOp:
             rebuild=(lambda g: parent_rebuild(g).adjoint()) if parent_rebuild else None,
         )
         return out
-
-    def __matmul__(self, other):
-        if isinstance(other, DiscretizedOp):
-            if other.grid != self.grid:
-                raise GridMismatch("operators live on different grids")
-            return DiscretizedOp(
-                matrix=self.matrix @ other.matrix,
-                grid=self.grid,
-                description=f"{self.description} o {other.description}",
-                components=self.components,
-            )
-        return self.matrix @ other
 
 
 def norm_est(matrix):
@@ -160,23 +155,18 @@ class KernelEstimate:
 
 # --- assembly ------------------------------------------------------------------
 
-def _ap_offsets(sym, grid, cfg):
-    """(index offset, coefficient) per almost-periodic term; offsets are
-    delta/h, snapped within cfg.snap_tol or rejected."""
-    out = []
-    for term in sym.ap:
-        q = term.freq / grid.h
-        if abs(q - round(q)) > cfg.snap_tol:
-            raise ShiftNotCommensurate(
-                f"shift {term.freq} is not commensurate with h = {grid.h}"
-            )
-        if abs(q - round(q)) > 1e-9:
-            warnings.warn(
-                f"snapping shift {term.freq} to {round(q) * grid.h}",
-                stacklevel=3,
-            )
-        out.append((int(round(q)), term.coeff))
-    return out
+def _offset(shift, grid):
+    """Index offset shift/h of an almost-periodic frequency or a rational
+    part's shift: snapped to the grid with a warning within SNAP_TOL,
+    rejected beyond it."""
+    q = shift / grid.h
+    if abs(q - round(q)) > SNAP_TOL:
+        raise ShiftNotCommensurate(
+            f"shift {shift} is not commensurate with h = {grid.h}"
+        )
+    if abs(q - round(q)) > 1e-9:
+        warnings.warn(f"snapping shift {shift} to {round(q) * grid.h}", stacklevel=3)
+    return int(round(q))
 
 
 def _mapped_partial_fractions(rational, lam):
@@ -245,15 +235,10 @@ def _symbol_gen(sym, grid, cfg, m_index):
     m_index = np.asarray(m_index)
     gen = np.zeros(m_index.shape, dtype=complex)
     lam = -2j / grid.h
-    for off, coeff in _ap_offsets(sym, grid, cfg):
-        gen[m_index == off] += coeff
+    for term in sym.ap:
+        gen[m_index == _offset(term.freq, grid)] += term.coeff
     for w in sym.l0:
-        q = w.shift / grid.h
-        if abs(q - round(q)) > cfg.snap_tol:
-            raise ShiftNotCommensurate(
-                f"shift {w.shift} is not commensurate with h = {grid.h}"
-            )
-        k = int(round(q))
+        k = _offset(w.shift, grid)
         if abs(poly.pval(w.rational.den, lam)) < 1e-12:
             raise OutOfScope(
                 "denominator vanishes at the discretization's mapped infinity; "
@@ -264,22 +249,17 @@ def _symbol_gen(sym, grid, cfg, m_index):
     return gen
 
 
-def _toeplitz(col, row):
-    """Toeplitz matrix with first column ``col`` and first row ``row``."""
-    vals = np.concatenate((row[:0:-1], col))
-    return sliding_window_view(vals, len(row))[:, ::-1].copy()
+def _toeplitz(sym, grid, cfg, n):
+    """n x n Toeplitz matrix of sym: entry (i, j) is generator coefficient i - j."""
+    gen = _symbol_gen(sym, grid, cfg, np.arange(-(n - 1), n))
+    return sliding_window_view(gen, n)[:, ::-1].copy()
 
 
 def wh_matrix(a: GSymbol, grid=None, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
     """Half-line convolution operator W(a) on the midpoint grid."""
     grid = grid or Grid()
-    n = grid.n
-    gen = _symbol_gen(a, grid, cfg, np.arange(-(n - 1), n))
-    col = gen[n - 1 :]          # m = 0 .. n-1
-    row = gen[: n][::-1]        # m = 0 .. -(n-1)
-    mat = _toeplitz(col, row)
     return DiscretizedOp(
-        matrix=mat,
+        matrix=_toeplitz(a, grid, cfg, grid.n),
         grid=grid,
         description=f"W[{_short(a)}]",
         rebuild=lambda g: wh_matrix(a, g, cfg),
@@ -303,12 +283,8 @@ def hankel_matrix(b: GSymbol, grid=None, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
 def w0_matrix(a: GSymbol, grid=None, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
     """Whole-line convolution operator on the mirrored grid [-T, T]."""
     grid = grid or Grid()
-    n2 = 2 * grid.n
-    gen = _symbol_gen(a, grid, cfg, np.arange(-(n2 - 1), n2))
-    col = gen[n2 - 1 :]
-    row = gen[: n2][::-1]
     return DiscretizedOp(
-        matrix=_toeplitz(col, row),
+        matrix=_toeplitz(a, grid, cfg, 2 * grid.n),
         grid=grid,
         description=f"W0[{_short(a)}]",
         rebuild=lambda g: w0_matrix(a, g, cfg),
@@ -356,8 +332,7 @@ def block_v_matrix(pair, grid=None, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
     )
 
 
-def block_factorization_residual(pair, grid=None, cfg=DEFAULT_CONFIG, seed=0,
-                                 nvec=3) -> float:
+def block_factorization_residual(pair, grid=None, cfg=DEFAULT_CONFIG) -> float:
     """Defect of the whole-line three-factor splitting of the pair operator.
 
     Verifies, on interior-supported random vectors, that
@@ -367,7 +342,7 @@ def block_factorization_residual(pair, grid=None, cfg=DEFAULT_CONFIG, seed=0,
     where A couples the components through W0(b~), W0(a~) and the flip,
     B1 = (1/2) [[I, J], [I, -J]], B2/B3 are identity-plus-triangular
     corrections, and all blocks act on the mirrored grid.  Returns the worst
-    relative residual.
+    relative residual over three vectors drawn from a fixed seed.
     """
     from .classify import subordinated
     from .symbols import inverse, tilde
@@ -397,10 +372,10 @@ def block_factorization_residual(pair, grid=None, cfg=DEFAULT_CONFIG, seed=0,
         if corner.is_zero()
         else w0_matrix(corner, grid, cfg).matrix
     )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     mask = np.abs(grid.full_nodes()) <= grid.T / 2
     worst = 0.0
-    for _ in range(nvec):
+    for _ in range(3):
         x = rng.normal(size=2 * n2) + 1j * rng.normal(size=2 * n2)
         x[:n2][~mask] = 0.0
         x[n2:][~mask] = 0.0
@@ -463,22 +438,22 @@ def _real_if_negligible(m, tol):
     return m
 
 
-def _interior_columns(op: DiscretizedOp, cfg: OracleConfig):
+def _interior_columns(op: DiscretizedOp):
     """Indices of the columns of each component outside its outer
-    boundary_frac window."""
+    BOUNDARY_FRAC window."""
     n_comp = op.matrix.shape[1] // op.components
-    keep = n_comp - max(1, int(round(cfg.boundary_frac * n_comp)))
+    keep = n_comp - max(1, int(round(BOUNDARY_FRAC * n_comp)))
     return np.concatenate(
         [np.arange(c * n_comp, c * n_comp + keep) for c in range(op.components)]
     )
 
 
-def _estimate_once(op: DiscretizedOp, cfg: OracleConfig, tol, with_basis=True):
+def _estimate_once(op: DiscretizedOp, tol, with_basis=True):
     """Null count of the interior columns of op at tol * norm_est(op), plus
     the null vectors (zero on the outer window) and their residuals when
     with_basis.  Without a basis a matrix whose imaginary part is rounding
     noise goes to the real SVD."""
-    cols = _interior_columns(op, cfg)
+    cols = _interior_columns(op)
     interior = op.matrix[:, cols]
     scale = max(norm_est(op.matrix), 1e-300)
     cut = tol * scale
@@ -493,23 +468,24 @@ def _estimate_once(op: DiscretizedOp, cfg: OracleConfig, tol, with_basis=True):
     return len(basis), basis, s, residuals
 
 
-def kernel_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG, tol=None,
+def kernel_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG,
                     with_basis=True) -> KernelEstimate:
     """Numerical kernel dimension and orthonormal basis of a discretized operator.
 
     dim counts singular values of the interior columns below
-    tol * norm_est(M).  With stability enabled the dimension is recomputed on
-    the (1.25 T, h/2) grid and must agree, else the estimate is flagged.
+    cfg.rank_tol * norm_est(M).  With stability enabled the dimension is
+    recomputed on the (1.25 T, h/2) grid and must agree, else the estimate is
+    flagged.
     The re-run needs only the dimension, so it computes singular values
     only; so does the whole estimate when with_basis is False, which leaves
     basis and residuals empty.
     """
-    tol = cfg.rank_tol if tol is None else tol
-    dim, basis, s, residuals = _estimate_once(op, cfg, tol, with_basis)
+    tol = cfg.rank_tol
+    dim, basis, s, residuals = _estimate_once(op, tol, with_basis)
     stable = True
     if cfg.stability and op.rebuild is not None:
         fine = op.rebuild(op.grid.refined())
-        dim2, _, _, _ = _estimate_once(fine, cfg, tol, with_basis=False)
+        dim2, _, _, _ = _estimate_once(fine, tol, with_basis=False)
         stable = dim2 == dim
     return KernelEstimate(
         dim=dim,
@@ -521,10 +497,10 @@ def kernel_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG, tol=None,
     )
 
 
-def coker_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG, tol=None,
+def coker_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG,
                    with_basis=True) -> KernelEstimate:
     """Cokernel dimension, measured as the kernel of the conjugate transpose."""
-    return kernel_estimate(op.adjoint(), cfg, tol, with_basis)
+    return kernel_estimate(op.adjoint(), cfg, with_basis)
 
 
 # --- recipes --------------------------------------------------------------------
@@ -569,11 +545,6 @@ class VerdictTable:
     def add(self, *args, **kw):
         self.rows.append(VerdictRow(*args, **kw))
 
-    def to_json(self):
-        import json
-
-        return json.dumps([r.to_dict() for r in self.rows], indent=2)
-
     def format_text(self):
         w = max([len(r.cell) for r in self.rows] + [4])
         lines = [f"{'cell':<{w}}  {'predicted':>12}  {'measured':>10}  verdict"]
@@ -601,6 +572,18 @@ def _judge(dim_pred, measured, stable):
     return "no-prediction"
 
 
+def _dim_rows(table, prefix, sign_report, op, cfg):
+    """Add the ker and coker rows of op against sign_report; returns the
+    kernel and cokernel estimates."""
+    ker = kernel_estimate(op, cfg, with_basis=False)
+    cok = coker_estimate(op, cfg, with_basis=False)
+    for cell, dim_pred, est in (("ker", sign_report.ker, ker),
+                                ("coker", sign_report.coker, cok)):
+        table.add(prefix + cell, dim_pred.describe(), est.dim, est.stable,
+                  _judge(dim_pred, est.dim, est.stable))
+    return ker, cok
+
+
 def verify(report, pair, grid=None, cfg=DEFAULT_CONFIG) -> VerdictTable:
     """Compare a classification report against oracle kernel/cokernel estimates."""
     grid = grid or Grid()
@@ -608,12 +591,7 @@ def verify(report, pair, grid=None, cfg=DEFAULT_CONFIG) -> VerdictTable:
     measured_index = {}
     for sign, sr in (("plus", report.plus), ("minus", report.minus)):
         op = wh_plus_hankel(pair.a, pair.b, +1 if sign == "plus" else -1, grid, cfg)
-        ker = kernel_estimate(op, cfg, with_basis=False)
-        cok = coker_estimate(op, cfg, with_basis=False)
-        table.add(f"{sign}.ker", sr.ker.describe(), ker.dim, ker.stable,
-                  _judge(sr.ker, ker.dim, ker.stable))
-        table.add(f"{sign}.coker", sr.coker.describe(), cok.dim, cok.stable,
-                  _judge(sr.coker, cok.dim, cok.stable))
+        ker, cok = _dim_rows(table, f"{sign}.", sr, op, cfg)
         if ker.stable and cok.stable:
             measured_index[sign] = ker.dim - cok.dim
     if report.index_check is not None and len(measured_index) == 2:
@@ -631,13 +609,6 @@ def verify(report, pair, grid=None, cfg=DEFAULT_CONFIG) -> VerdictTable:
 
 def verify_scalar(report, a, grid=None, cfg=DEFAULT_CONFIG) -> VerdictTable:
     """Oracle check of a scalar half-line operator classification."""
-    grid = grid or Grid()
     table = VerdictTable()
-    op = wh_matrix(a, grid, cfg)
-    ker = kernel_estimate(op, cfg, with_basis=False)
-    cok = coker_estimate(op, cfg, with_basis=False)
-    table.add("ker", report.ker.describe(), ker.dim, ker.stable,
-              _judge(report.ker, ker.dim, ker.stable))
-    table.add("coker", report.coker.describe(), cok.dim, cok.stable,
-              _judge(report.coker, cok.dim, cok.stable))
+    _dim_rows(table, "", report, wh_matrix(a, grid or Grid(), cfg), cfg)
     return table

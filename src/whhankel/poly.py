@@ -32,13 +32,13 @@ def as_poly(c) -> np.ndarray:
     return a
 
 
-def trim(c, tol=COEFF_PRUNE) -> np.ndarray:
+def trim(c) -> np.ndarray:
     """Drop trailing coefficients that are negligible relative to the largest."""
     a = as_poly(c)
     scale = np.max(np.abs(a)) if a.size else 0.0
     if scale == 0.0:
         return np.zeros(1, dtype=complex)
-    cut = tol * max(1.0, scale)
+    cut = COEFF_PRUNE * max(1.0, scale)
     keep = np.nonzero(np.abs(a) > cut)[0]
     if keep.size == 0:
         return np.zeros(1, dtype=complex)
@@ -96,7 +96,7 @@ def sort_roots(roots) -> list[complex]:
     return sorted((complex(z) for z in roots), key=lambda z: (z.real, z.imag))
 
 
-def cluster_roots(roots, tol=CLUSTER_TOL):
+def cluster_roots(roots):
     """Greedy fusion of nearby roots into (centroid, multiplicity) clusters.
 
     The centroid of an m-fold cluster recovers the true root to near machine
@@ -106,7 +106,7 @@ def cluster_roots(roots, tol=CLUSTER_TOL):
     for z in sort_roots(roots):
         for cl in clusters:
             c = cl[0] / cl[1]
-            if abs(z - c) < tol * max(1.0, abs(c)):
+            if abs(z - c) < CLUSTER_TOL * max(1.0, abs(c)):
                 cl[0] += z
                 cl[1] += 1
                 break
@@ -271,17 +271,6 @@ def partial_fractions(num, poles):
             h.append((top[k] - sum(rest[j] * h[k - j] for j in range(1, k + 1))) / rest[0])
         out.append((complex(p), [complex(h[m - j]) for j in range(1, m + 1)]))
     return out
-
-
-def exp_poly_antiderivative(poly_coeffs, lam):
-    """q with d/ds [q(s) e^(lam s)] = p(s) e^(lam s); requires lam != 0."""
-    p = as_poly(poly_coeffs)
-    n = len(p)
-    q = np.zeros(n, dtype=complex)
-    for k in range(n - 1, -1, -1):
-        upper = (k + 1) * q[k + 1] if k + 1 < n else 0.0
-        q[k] = (p[k] - upper) / lam
-    return q
 
 
 def format_complex(z, imag_unit="i") -> str:

@@ -23,6 +23,7 @@ from functools import cached_property
 
 import numpy as np
 from . import poly
+from .poly import COEFF_PRUNE
 from .errors import (
     ImproperRational,
     Inconclusive,
@@ -36,7 +37,6 @@ from .errors import (
 )
 
 FREQ_TOL = 1e-12          # almost-periodic frequencies closer than this merge
-COEFF_PRUNE = 1e-14       # canonicalization drops smaller coefficients
 REAL_AXIS_TOL = 1e-9      # |Im root| below this counts as a real root
 NEAR_AXIS_TOL = 1e-2      # relative |Im root| below this may be a scattered multiple real root
 
@@ -406,27 +406,6 @@ class KernelPiece:
             out[active] = poly.pval(self.coeffs, ua) * np.exp(self.exponent * ua)
         return out
 
-    def integral(self, lo, hi):
-        """Exact integral of the piece over [lo, hi] (vectorized in lo/hi)."""
-        lo = np.asarray(lo, dtype=float) - self.offset
-        hi = np.asarray(hi, dtype=float) - self.offset
-        if self.side > 0:
-            lo = np.maximum(lo, 0.0)
-            hi = np.maximum(hi, 0.0)
-        else:
-            lo = np.minimum(lo, 0.0)
-            hi = np.minimum(hi, 0.0)
-        q = poly.exp_poly_antiderivative(self.coeffs, self.exponent)
-
-        def F(u):
-            # clamp the decaying exponential to dodge overflow warnings far
-            # outside the support (value is ~0 there anyway)
-            z = self.exponent * u
-            z = np.minimum(z.real, 500.0) + 1j * z.imag
-            return poly.pval(q, u) * np.exp(z)
-
-        return F(hi) - F(lo)
-
     def abs_mass(self):
         lam = abs(self.exponent.real)
         out = 0.0
@@ -444,13 +423,6 @@ class TimeKernel:
         out = np.zeros(s.shape, dtype=complex)
         for p in self.pieces:
             out += p.value(s)
-        return out
-
-    def integral(self, lo, hi):
-        lo = np.asarray(lo, dtype=float)
-        out = np.zeros(lo.shape, dtype=complex)
-        for p in self.pieces:
-            out += p.integral(lo, hi)
         return out
 
     def support_in_right_half(self, tol=1e-12):
@@ -504,7 +476,7 @@ def _ap_deriv_bound(a):
     return sum(abs(u.coeff * u.freq) for u in a.ap)
 
 
-def is_invertible(a: GSymbol, window=200.0, step=0.01):
+def is_invertible(a: GSymbol):
     """inf |a| > 0 on the real line.
 
     A single exponential e^(i delta t) N/D is invertible iff N has no real
@@ -515,13 +487,14 @@ def is_invertible(a: GSymbol, window=200.0, step=0.01):
     form = _exp_rational_form(a)
     if form is not None:
         return not _real_zero(a, poly.proots(form.N))
-    return _sampled_invertible(a, window, step)
+    return _sampled_invertible(a)
 
 
-def _sampled_invertible(a, window=200.0, step=0.01):
-    """Sampled lower bound of |a| on [-window, window] plus an asymptotic
-    almost-periodic bound.  Conservative: raises Inconclusive inside the
-    uncertainty band instead of guessing."""
+def _sampled_invertible(a):
+    """Sampled lower bound of |a| on [-200, 200] at step 0.01 plus an
+    asymptotic almost-periodic bound.  Conservative: raises Inconclusive
+    inside the uncertainty band instead of guessing."""
+    window, step = 200.0, 0.01
     t = np.arange(-window, window + step, step)
     vals = np.abs(a.eval(t))
     m = float(np.min(vals))
@@ -542,7 +515,7 @@ def _sampled_invertible(a, window=200.0, step=0.01):
     deriv = _ap_deriv_bound(a) + float(np.max(np.abs(np.diff(vals)))) / step * 1.5
     uncert = 0.5 * deriv * step
     # beyond the window the rational part has decayed; the AP part controls
-    ap_only = make_symbol([(u.freq, u.coeff) for u in a.ap], [])
+    ap_only = GSymbol(a.ap, ())
     ap_min = float(np.min(np.abs(ap_only.eval(t)))) if a.ap else 0.0
     far = np.linspace(window, 8 * window, 4001)
     l0_tail = 0.0
@@ -711,7 +684,7 @@ def nu(a: GSymbol):
     j0 = int(np.argmax(mags))
     if mags[j0] > sum(m for j, m in enumerate(mags) if j != j0):
         return a.ap[j0].freq
-    ap_only = make_symbol([(u.freq, u.coeff) for u in a.ap], [])
+    ap_only = GSymbol(a.ap, ())
     maxfreq = max(abs(u.freq) for u in a.ap)
     step = min(0.05, 0.5 / (1.0 + maxfreq))
     slopes = []
@@ -744,7 +717,7 @@ def winding_n(a: GSymbol):
         upper_zeros = int(sum(z.imag > REAL_AXIS_TOL for z in roots))
         return upper_zeros - sum(m for p, m in form.poles if p.imag > 0)
     # numerical route: w(t) = a(t)/b(t) - 1 = b^(-1) k
-    ap_only = make_symbol([(u.freq, u.coeff) for u in a.ap], [])
+    ap_only = GSymbol(a.ap, ())
 
     def wfun(t):
         return a.eval(t) / ap_only.eval(t) - 1.0

@@ -20,6 +20,7 @@ from whhankel import (
     one_sided_inverse_recipe,
     parse_symbol,
     rational_symbol,
+    scalar_wh_classify,
     Workspace,
     tilde,
     verify,
@@ -30,10 +31,12 @@ from whhankel.classify import Dim, SignReport, ClassificationReport
 from whhankel.errors import ShiftNotCommensurate
 from whhankel.kernels import kernel_basis_scalar
 from whhankel.oracle import (
+    BOUNDARY_FRAC,
     _symbol_gen,
     apply_recipe,
     block_v_product_form,
     norm_est,
+    verify_scalar,
     wh_plus_hankel,
 )
 
@@ -87,6 +90,11 @@ def test_incommensurate_shift_rejected_and_snapping_warns():
         warnings.simplefilter("always")
         wh_matrix(exp_symbol(0.5 + 0.002), GRID, CFG)
     assert any("snapping" in str(w.message) for w in caught)
+    # a rational part's shift snaps through the same rule, and says so
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        wh_matrix(parse_symbol("1 + e(0.502)*(1/(t+1i))"), GRID, CFG)
+    assert any("snapping shift 0.502 to 0.5" in str(w.message) for w in caught)
 
 
 def test_kernel_dims_of_chi_pair():
@@ -256,6 +264,20 @@ def test_verify_pass_and_corrupted_report(a_n0):
     assert row.verdict == "fail" and row.measured == 1
 
 
+def test_verify_scalar_rows():
+    a = chi(-1)
+    report = scalar_wh_classify(a)
+    table = verify_scalar(report, a, GRID, CFG)
+    assert [(r.cell, r.predicted, r.measured, r.verdict) for r in table.rows] == [
+        ("ker", "1", 1, "pass"),
+        ("coker", "0", 0, "pass"),
+    ]
+    corrupted = SignReport(Dim.exact(2), report.coker, "unknown", "corrupted")
+    bad = verify_scalar(corrupted, a, GRID, CFG)
+    assert not bad.ok
+    assert [r.verdict for r in bad.rows] == ["fail", "pass"]
+
+
 def test_verify_reports_no_prediction_for_unknowns(a_n0):
     pair = MatchingPair(a_n0, a_n0 * chi(-1))
     report = classify(pair)  # no tester: minus side unknown
@@ -384,7 +406,7 @@ def test_values_only_estimate_matches_full_svd(a_n0, a_nm1, monkeypatch):
     def interior_shapes(op):
         out = []
         for grid in (op.grid, op.grid.refined()):
-            n, w = grid.n, round(cfg.boundary_frac * grid.n)
+            n, w = grid.n, round(BOUNDARY_FRAC * grid.n)
             out.append((op.components * n, op.components * (n - w)))
         return out
 
@@ -405,7 +427,7 @@ def test_values_only_estimate_matches_full_svd(a_n0, a_nm1, monkeypatch):
 
 def _outer_window(op, cfg):
     n = op.matrix.shape[1] // op.components
-    w = round(cfg.boundary_frac * n)
+    w = round(BOUNDARY_FRAC * n)
     return np.concatenate(
         [np.arange((c + 1) * n - w, (c + 1) * n) for c in range(op.components)]
     )
