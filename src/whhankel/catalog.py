@@ -17,12 +17,22 @@ verdict fails.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import dsl, kernels, oracle
 from .classify import MatchingPair, classify as run_classify, scalar_wh_classify
 from .errors import WhhError
+
+#: usable cores: the default worker count, shared out as BLAS threads
+CORES = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
+
+#: BLAS thread variables set for the workers while they start
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -132,21 +142,55 @@ def run_entry(entry: CatalogEntry, grid=None, cfg=oracle.DEFAULT_CONFIG,
     return result
 
 
-def run_catalog(entries, grid=None, cfg=oracle.DEFAULT_CONFIG, workers=1) -> list[dict]:
-    """Run entries in a bounded worker pool; output ordered by entry name.
+def run_catalog(entries, grid=None, cfg=oracle.DEFAULT_CONFIG,
+                workers=CORES) -> list[dict]:
+    """Run entries in worker processes; output ordered by entry name.
 
-    One worker is the default: nearly all of an entry's time is in SVDs that
-    the BLAS library already spreads over every core, so a second pool thread
-    only competes with it.  The output does not depend on ``workers``.
+    The default is one worker per usable core (``CORES``), at most one per
+    entry.  Nearly all of an entry's time is in values-only SVDs, which are
+    memory-bound and gain little from a second BLAS thread, so entries run
+    side by side in processes, each with ``max(1, CORES // workers)`` BLAS
+    threads.  ``workers=1`` runs the entries in this process, one after
+    another, with its BLAS threads as they are.  The output does not depend
+    on ``workers``.
+
+    Workers are started with ``spawn`` and import the caller's main module,
+    so a script that calls this with ``workers > 1`` must guard its entry
+    point with ``if __name__ == "__main__":``.
     """
     grid = grid or oracle.Grid()
-    tester = kernels.make_kappa_tester(grid, cfg)
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = {
-            pool.submit(run_entry, e, grid, cfg, tester): e.name for e in entries
-        }
-        results = [f.result() for f in futures]
+    workers = max(1, min(workers, len(entries)))
+    if workers == 1:
+        tester = kernels.make_kappa_tester(grid, cfg)
+        results = [run_entry(e, grid, cfg, tester) for e in entries]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            # a spawn pool starts its workers in submit, one per call
+            with _blas_threads(max(1, CORES // workers)):
+                futures = [pool.submit(run_entry, e, grid, cfg) for e in entries]
+            results = [f.result() for f in futures]
     return sorted(results, key=lambda r: r["name"])
+
+
+@contextmanager
+def _blas_threads(threads):
+    """Give processes started inside the context ``threads`` BLAS threads.
+
+    The BLAS library reads its thread count only when it loads, so the
+    variables are set in ``os.environ`` while the workers start; one the
+    caller has set is kept, and ``os.environ`` is restored on exit."""
+    added = [var for var in BLAS_THREAD_VARS if var not in os.environ]
+    os.environ.update({var: str(threads) for var in added})
+    try:
+        yield
+    finally:
+        for var in added:
+            del os.environ[var]
 
 
 def summarize(results) -> str:

@@ -141,6 +141,7 @@ class MatchingPair:
 class SubordinatedPair:
     c: GSymbol
     d: GSymbol
+    at_inv: GSymbol                 # a~^(-1), the factor shared by c and d
     nu_c: float
     nu_d: float
     n_c: int | None
@@ -186,7 +187,8 @@ def subordinated(pair: MatchingPair) -> SubordinatedPair:
     nu_c, n_c, xi_c = _indices(c)
     nu_d, n_d, xi_d = _indices(d)
     return SubordinatedPair(
-        c=c, d=d, nu_c=nu_c, nu_d=nu_d, n_c=n_c, n_d=n_d, xi_c=xi_c, xi_d=xi_d
+        c=c, d=d, at_inv=at_inv,
+        nu_c=nu_c, nu_d=nu_d, n_c=n_c, n_d=n_d, xi_c=xi_c, xi_d=xi_d,
     )
 
 
@@ -194,11 +196,10 @@ def v_symbol(pair: MatchingPair, matching=True):
     """2x2 symbol [[0, d], [-c, a~^(-1)]]; with matching=False the top-left
     entry is the general a - b b~ a~^(-1)."""
     sub = subordinated(pair)
-    at_inv = inverse(tilde(pair.a))
     corner = symbols.zero()
     if not matching:
-        corner = pair.a - pair.b * tilde(pair.b) * at_inv
-    return ((corner, sub.d), (-sub.c, at_inv))
+        corner = pair.a - pair.b * tilde(pair.b) * sub.at_inv
+    return ((corner, sub.d), (-sub.c, sub.at_inv))
 
 
 def adjoint_pair(pair: MatchingPair) -> MatchingPair:

@@ -257,9 +257,11 @@ def build_parser():
         "select the bundled ones)",
     )
     sl.add_argument("path")
-    sl.add_argument("--workers", type=int, default=1,
-                    help="catalog entries run at once (default 1: BLAS already "
-                    "uses every core)")
+    sl.add_argument("--workers", type=int, default=cat.CORES,
+                    help="catalog entries run at once, each in its own process "
+                    "with an equal share of the cores as BLAS threads "
+                    "(default %(default)s: one per core); the output does "
+                    "not depend on it")
     sl.add_argument("--json", action="store_true")
     sl.add_argument("--out")
     _grid_args(sl)

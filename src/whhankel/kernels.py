@@ -176,12 +176,11 @@ def projection_image_dims(g, basis, ws):
 def e1_map(pair: MatchingPair, phi: GridFunction, psi: GridFunction, ws: Workspace):
     """Send (phi, psi) in ker W(V(a,b)) to (Phi, Psi) in ker(W+H) x ker(W-H)."""
     sub = subordinated(pair)
-    at_inv = inverse(tilde(pair.a))
     v = np.concatenate([phi.values, psi.values])
     block = oracle.block_v_matrix(pair, ws.grid, ws.cfg).matrix
     _require_in_kernel(ws, block, v, "transport input (block kernel)")
     jc = ws.flip_apply(sub.c, phi.values)
-    ja = ws.flip_apply(at_inv, psi.values)
+    ja = ws.flip_apply(sub.at_inv, psi.values)
     big_phi = 0.5 * (phi.values - jc + ja)
     big_psi = 0.5 * (phi.values + jc - ja)
     return ws.gf(big_phi), ws.gf(big_psi)
@@ -223,11 +222,10 @@ def phi_pm(pair: MatchingPair, s: GridFunction, sign: str, ws: Workspace):
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     sub = subordinated(pair)
-    at_inv = inverse(tilde(pair.a))
     _require_in_kernel(ws, ws.wh(sub.d), s.values, "phi input (ker W(d))")
-    y = right_inverse_apply(sub.c, ws.wh(at_inv) @ s.values, ws)
+    y = right_inverse_apply(sub.c, ws.wh(sub.at_inv) @ s.values, ws)
     jy = ws.flip_apply(sub.c, y)
-    js = ws.flip_apply(at_inv, s.values)
+    js = ws.flip_apply(sub.at_inv, s.values)
     if sign == "+":
         out = 0.5 * (y - jy + js)
     else:
@@ -354,8 +352,7 @@ def make_kappa_tester(grid=None, cfg=DEFAULT_CONFIG):
     """classify()-compatible tester resolving the conditional branch on a grid.
 
     Each call gets its own Workspace: pairs share few matrices, so a cache
-    kept across calls saves no time, holds every matrix it ever built, and
-    would be shared by the catalog's worker threads."""
+    kept across calls saves no time and holds every matrix it ever built."""
     grid = grid or Grid()
 
     def tester(pair: MatchingPair):

@@ -55,9 +55,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import poly, symbols
+from . import poly
 from .errors import OutOfScope, ShiftNotCommensurate
-from .symbols import GSymbol
+from .symbols import GSymbol, tilde
 
 
 @dataclass(frozen=True)
@@ -317,12 +317,11 @@ def block_v_matrix(pair, grid=None, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
 
     grid = grid or Grid()
     sub = subordinated(pair)
-    at_inv = symbols.inverse(symbols.tilde(pair.a))
     n = grid.n
     mat = np.zeros((2 * n, 2 * n), dtype=complex)
     mat[:n, n:] = wh_matrix(sub.d, grid, cfg).matrix
     mat[n:, :n] = -wh_matrix(sub.c, grid, cfg).matrix
-    mat[n:, n:] = wh_matrix(at_inv, grid, cfg).matrix
+    mat[n:, n:] = wh_matrix(sub.at_inv, grid, cfg).matrix
     return DiscretizedOp(
         matrix=mat,
         grid=grid,
@@ -345,13 +344,11 @@ def block_factorization_residual(pair, grid=None, cfg=DEFAULT_CONFIG) -> float:
     relative residual over three vectors drawn from a fixed seed.
     """
     from .classify import subordinated
-    from .symbols import inverse, tilde
 
     grid = grid or Grid()
     sub = subordinated(pair)
     a, b = pair.a, pair.b
-    at, btld = tilde(a), tilde(b)
-    at_inv = inverse(at)
+    at, btld, at_inv = tilde(a), tilde(b), sub.at_inv
     n2 = 2 * grid.n
     pos = grid.full_nodes() > 0     # P keeps these nodes, Q = I - P the others
 
@@ -408,13 +405,12 @@ def block_v_product_form(pair, grid=None, cfg=DEFAULT_CONFIG) -> np.ndarray:
 
     grid = grid or Grid()
     sub = subordinated(pair)
-    at_inv = symbols.inverse(symbols.tilde(pair.a))
     n = grid.n
     eye = np.eye(n, dtype=complex)
     zero = np.zeros((n, n), dtype=complex)
     wd = wh_matrix(sub.d, grid, cfg).matrix
     wc = wh_matrix(sub.c, grid, cfg).matrix
-    wai = wh_matrix(at_inv, grid, cfg).matrix
+    wai = wh_matrix(sub.at_inv, grid, cfg).matrix
     f1 = np.block([[-wd, zero], [zero, eye]])
     f2 = np.block([[zero, -eye], [eye, wai]])
     f3 = np.block([[-wc, zero], [zero, eye]])
@@ -469,13 +465,13 @@ def _estimate_once(op: DiscretizedOp, tol, with_basis=True):
 
 
 def kernel_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG,
-                    with_basis=True) -> KernelEstimate:
+                    with_basis=True, refined=None) -> KernelEstimate:
     """Numerical kernel dimension and orthonormal basis of a discretized operator.
 
     dim counts singular values of the interior columns below
     cfg.rank_tol * norm_est(M).  With stability enabled the dimension is
     recomputed on the (1.25 T, h/2) grid and must agree, else the estimate is
-    flagged.
+    flagged; refined is op already rebuilt there, else it is rebuilt here.
     The re-run needs only the dimension, so it computes singular values
     only; so does the whole estimate when with_basis is False, which leaves
     basis and residuals empty.
@@ -484,7 +480,7 @@ def kernel_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG,
     dim, basis, s, residuals = _estimate_once(op, tol, with_basis)
     stable = True
     if cfg.stability and op.rebuild is not None:
-        fine = op.rebuild(op.grid.refined())
+        fine = refined if refined is not None else op.rebuild(op.grid.refined())
         dim2, _, _, _ = _estimate_once(fine, tol, with_basis=False)
         stable = dim2 == dim
     return KernelEstimate(
@@ -498,9 +494,10 @@ def kernel_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG,
 
 
 def coker_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG,
-                   with_basis=True) -> KernelEstimate:
+                   with_basis=True, refined=None) -> KernelEstimate:
     """Cokernel dimension, measured as the kernel of the conjugate transpose."""
-    return kernel_estimate(op.adjoint(), cfg, with_basis)
+    fine = None if refined is None else refined.adjoint()
+    return kernel_estimate(op.adjoint(), cfg, with_basis, fine)
 
 
 # --- recipes --------------------------------------------------------------------
@@ -575,8 +572,12 @@ def _judge(dim_pred, measured, stable):
 def _dim_rows(table, prefix, sign_report, op, cfg):
     """Add the ker and coker rows of op against sign_report; returns the
     kernel and cokernel estimates."""
-    ker = kernel_estimate(op, cfg, with_basis=False)
-    cok = coker_estimate(op, cfg, with_basis=False)
+    # one refined operator serves the stability re-runs of both estimates
+    fine = None
+    if cfg.stability and op.rebuild is not None:
+        fine = op.rebuild(op.grid.refined())
+    ker = kernel_estimate(op, cfg, with_basis=False, refined=fine)
+    cok = coker_estimate(op, cfg, with_basis=False, refined=fine)
     for cell, dim_pred, est in (("ker", sign_report.ker, ker),
                                 ("coker", sign_report.coker, cok)):
         table.add(prefix + cell, dim_pred.describe(), est.dim, est.stable,

@@ -75,6 +75,7 @@ def test_subordinated_of_equal_pair(a_n0):
     sub = subordinated(MatchingPair(a_n0, a_n0))
     assert sub.c.isclose(one(), 1e-9)
     assert sub.d.isclose(inverse(tilde(a_n0)) * a_n0, 1e-9)
+    assert sub.at_inv.isclose(inverse(tilde(a_n0)), 1e-9)
 
 
 def test_v_symbol_entries(a_n0):

@@ -27,6 +27,7 @@ from whhankel import (
     w0_matrix,
     wh_matrix,
 )
+from whhankel import oracle
 from whhankel.classify import Dim, SignReport, ClassificationReport
 from whhankel.errors import ShiftNotCommensurate
 from whhankel.kernels import kernel_basis_scalar
@@ -276,6 +277,23 @@ def test_verify_scalar_rows():
     bad = verify_scalar(corrupted, a, GRID, CFG)
     assert not bad.ok
     assert [r.verdict for r in bad.rows] == ["fail", "pass"]
+
+
+def test_verify_builds_one_refined_operator(monkeypatch, a_n0):
+    # the stability re-runs of the ker and coker estimates of one sign share
+    # one operator rebuilt on the refined grid
+    built = []
+    original = oracle.wh_plus_hankel
+
+    def recording(a, b, sign=1, grid=None, cfg=oracle.DEFAULT_CONFIG):
+        built.append((sign, grid))
+        return original(a, b, sign, grid, cfg)
+
+    monkeypatch.setattr(oracle, "wh_plus_hankel", recording)
+    pair = MatchingPair(a_n0, a_n0 * chi())
+    verify(classify(pair), pair, GRID, OracleConfig(stability=True))
+    fine = GRID.refined()
+    assert built == [(1, GRID), (1, fine), (-1, GRID), (-1, fine)]
 
 
 def test_verify_reports_no_prediction_for_unknowns(a_n0):
