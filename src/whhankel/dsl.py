@@ -178,7 +178,7 @@ class _Parser:
             self.advance()
             sign = -1
         tok = self.peek()
-        if tok.kind != "number" or tok.text.endswith("i") or "." in tok.text:
+        if tok.kind != "number" or not tok.text.isdecimal():
             self.fail("expected integer exponent", expected={"integer"})
         self.advance()
         return sign * int(tok.text)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import factorization, oracle, symbols
-from .classify import MatchingPair, subordinated
+from .classify import MatchingPair, SubordinatedPair, subordinated
 from .errors import (
     NoRightInverse,
     NotInKernel,
@@ -213,15 +213,15 @@ def right_inverse_apply(c: GSymbol, v, ws: Workspace):
     return out
 
 
-def phi_pm(pair: MatchingPair, s: GridFunction, sign: str, ws: Workspace):
-    """phi_+-(s) in ker(W(a) +- H(b)) for s in ker W(d):
+def phi_pm(sub: SubordinatedPair, s: GridFunction, sign: str, ws: Workspace):
+    """phi_+-(s) in ker(W(a) +- H(b)) for s in ker W(d), where sub is the
+    subordinated pair of (a, b):
 
         2 phi_+-(s) = y -+ J Q W0(c) P y +- J Q W0(a~^(-1)) s,
         y = W_r^(-1)(c) W(a~^(-1)) s.
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    sub = subordinated(pair)
     _require_in_kernel(ws, ws.wh(sub.d), s.values, "phi input (ker W(d))")
     y = right_inverse_apply(sub.c, ws.wh(sub.at_inv) @ s.values, ws)
     jy = ws.flip_apply(sub.c, y)
@@ -336,13 +336,13 @@ def kappa_for_pair(pair: MatchingPair, ws: Workspace = None, cfg=None) -> KappaR
     ws = ws or Workspace()
     cfg = cfg or ws.cfg
 
+    sub = subordinated(
+        MatchingPair(a=pair.a * symbols.chi(-1), b=pair.b * symbols.chi(1))
+    )
+
     def compute(w):
-        reduced = MatchingPair(
-            a=pair.a * symbols.chi(-1), b=pair.b * symbols.chi(1)
-        )
-        sub = subordinated(reduced)
         basis = kernel_basis_scalar(sub.d, w)
-        kappa = 2.0 * phi_pm(reduced, basis[0], "-", w).values
+        kappa = 2.0 * phi_pm(sub, basis[0], "-", w).values
         return kappa, _membership_residual(kappa, w), {}
 
     return _two_grid_membership(compute, ws, cfg, "kappa tester")

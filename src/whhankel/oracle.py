@@ -43,7 +43,16 @@ its basis vectors are exactly zero on the outer window.  A values-only
 decision on a matrix whose imaginary part is rounding noise (every symbol
 whose zeros and poles lie on the imaginary axis has a real kernel) runs the
 real SVD, under a Weyl bound that keeps the decision (see
-_real_if_negligible).
+_real_if_negligible).  When the grid counts 0, the stability re-run first
+tries a certificate: a Cholesky factorization of A^H A - s I on the refined
+interior columns A, with s = cut^2 + CERT_C (m + n) eps ||A||_F^2 (the cut
+raised by 1 + 1e-3 when Im A was dropped).  The second term bounds the
+rounding of the Gram matrix and of the factorization (Higham, Accuracy and
+Stability, 3.5-3.6 and Thm 10.3; Rump, BIT 46, 2006), so success proves
+sigma_min(A) above the cut by more than the SVD's own rounding error: the
+SVD would count 0 as well, and it does not run.  A factorization that breaks
+down proves nothing, and the SVD decides as before (see
+_cholesky_certifies).
 """
 
 from __future__ import annotations
@@ -434,6 +443,34 @@ def _real_if_negligible(m, tol):
     return m
 
 
+#: rounding allowance of the certificate's shift, in units of
+#: (m + n) eps ||A||_F^2
+CERT_C = 4
+
+
+def _cholesky_certifies(a, cut):
+    """True when a Cholesky factorization proves sigma_min(a) >= cut.
+
+    Factors a^H a - s I, s = cut^2 + CERT_C (m + n) eps ||a||_F^2 for an
+    m x n matrix a.  The rounding of the Gram matrix (gamma_m ||a||_F^2) and
+    that of a Cholesky that runs to completion (gamma_(n+1) trace(a^H a))
+    stay below (m + n) eps ||a||_F^2 together, so success proves
+    sigma_min(a)^2 >= cut^2 + 3 (m + n) eps ||a||_F^2: sigma_min clears the
+    cut by more than the rounding error of a computed singular value.  False
+    proves nothing.
+    """
+    m, n = a.shape
+    fro2 = np.linalg.norm(a) ** 2
+    g = a.conj().T @ a
+    eps = np.finfo(a.dtype).eps
+    g[np.diag_indices(n)] -= cut ** 2 + CERT_C * (m + n) * eps * fro2
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _interior_columns(op: DiscretizedOp):
     """Indices of the columns of each component outside its outer
     BOUNDARY_FRAC window."""
@@ -444,17 +481,24 @@ def _interior_columns(op: DiscretizedOp):
     )
 
 
-def _estimate_once(op: DiscretizedOp, tol, with_basis=True):
+def _estimate_once(op: DiscretizedOp, tol, with_basis=True, certify=False):
     """Null count of the interior columns of op at tol * norm_est(op), plus
     the null vectors (zero on the outer window) and their residuals when
     with_basis.  Without a basis a matrix whose imaginary part is rounding
-    noise goes to the real SVD."""
+    noise goes to the real SVD, and with certify a Cholesky certificate of a
+    trivial kernel is tried first: when it holds the count is 0 and no SVD
+    runs (the singular values come back empty)."""
     cols = _interior_columns(op)
     interior = op.matrix[:, cols]
     scale = max(norm_est(op.matrix), 1e-300)
     cut = tol * scale
     if not with_basis:
-        s = np.linalg.svd(_real_if_negligible(interior, tol), compute_uv=False)
+        a = _real_if_negligible(interior, tol)
+        # dropping Im moves sigma_min by at most 1e-3 cut (_real_if_negligible)
+        margin = 1.0 if a is interior else 1 + 1e-3
+        if certify and _cholesky_certifies(a, margin * cut):
+            return 0, [], (), []
+        s = np.linalg.svd(a, compute_uv=False)
         return int(np.count_nonzero(s < cut)), [], s, []
     _, s, vh = np.linalg.svd(interior, full_matrices=False)
     null = s < cut
@@ -473,15 +517,17 @@ def kernel_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG,
     recomputed on the (1.25 T, h/2) grid and must agree, else the estimate is
     flagged; refined is op already rebuilt there, else it is rebuilt here.
     The re-run needs only the dimension, so it computes singular values
-    only; so does the whole estimate when with_basis is False, which leaves
-    basis and residuals empty.
+    only; after a coarse dimension 0 it first tries a Cholesky certificate
+    that no singular value lies below the cut, and skips the SVD when that
+    holds.  The whole estimate computes values only when with_basis is
+    False, which leaves basis and residuals empty.
     """
     tol = cfg.rank_tol
     dim, basis, s, residuals = _estimate_once(op, tol, with_basis)
     stable = True
     if cfg.stability and op.rebuild is not None:
         fine = refined if refined is not None else op.rebuild(op.grid.refined())
-        dim2, _, _, _ = _estimate_once(fine, tol, with_basis=False)
+        dim2, _, _, _ = _estimate_once(fine, tol, with_basis=False, certify=dim == 0)
         stable = dim2 == dim
     return KernelEstimate(
         dim=dim,

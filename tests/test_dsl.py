@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from whhankel import chi, constant, exp_symbol, one, parse, parse_symbol
@@ -151,6 +151,8 @@ def test_parse_format_lower_idempotent(a_n0):
 
 @settings(max_examples=200, deadline=None)
 @given(st.text(alphabet="0123456789.+-*/^()ite chi", max_size=30))
+@example("0^0e0")
+@example("t^2e0")
 def test_fuzzed_input_never_crashes(text):
     try:
         parse_symbol(text)

@@ -157,8 +157,8 @@ def test_phi_pm_spans_kernels_in_double_kernel_case(ws, a_nm1):
     pair = MatchingPair(a_nm1, a_nm1 * chi())
     sub = subordinated(pair)
     s = kernel_basis_scalar(sub.d, ws)[0]
-    phip = phi_pm(pair, s, "+", ws)
-    phim = phi_pm(pair, s, "-", ws)
+    phip = phi_pm(sub, s, "+", ws)
+    phim = phi_pm(sub, s, "-", ws)
     wp = ws.wh(a_nm1) + ws.hank(a_nm1 * chi())
     wm = ws.wh(a_nm1) - ws.hank(a_nm1 * chi())
     assert np.linalg.norm(wp @ phip.values) < 1e-5 * np.linalg.norm(s.values)
@@ -172,9 +172,9 @@ def test_phi_pm_spans_kernels_in_double_kernel_case(ws, a_nm1):
 
 
 def test_phi_pm_zero_input(ws, a_nm1):
-    pair = MatchingPair(a_nm1, a_nm1 * chi())
+    sub = subordinated(MatchingPair(a_nm1, a_nm1 * chi()))
     z = ws.gf(np.zeros(ws.grid.n))
-    assert np.linalg.norm(phi_pm(pair, z, "+", ws).values) == 0.0
+    assert np.linalg.norm(phi_pm(sub, z, "+", ws).values) == 0.0
 
 
 def test_kappa_guards(ws, a_nm1):

@@ -28,6 +28,7 @@ from whhankel import (
     wh_matrix,
 )
 from whhankel import oracle
+from whhankel.catalog import parse_catalog, shipped_catalog_path
 from whhankel.classify import Dim, SignReport, ClassificationReport
 from whhankel.errors import ShiftNotCommensurate
 from whhankel.kernels import kernel_basis_scalar
@@ -386,21 +387,25 @@ def test_multiple_pole_generators_across_h(h):
         assert resid < 1e-8, text
 
 
-def test_values_only_estimate_matches_full_svd(a_n0, a_nm1, monkeypatch):
-    cfg = OracleConfig(stability=True)
-    # zero and pole off the imaginary axis: the convolution kernel is complex
-    complex_op = wh_matrix(parse_symbol("(t-1-2i)/(t-1+2i)"), GRID, cfg)
-    catalog_op = wh_plus_hankel(a_nm1, a_nm1 * chi(), +1, GRID, cfg)
-    block_op = block_v_matrix(MatchingPair(a_nm1, a_nm1 * chi()), GRID, cfg)
-    ops = [
+def _values_only_ops(a_n0, a_nm1, cfg):
+    """Operators of the values-only checks; the last three are the catalog
+    pair W(a)+H(a chi), the block operator and a complex-kernel operator."""
+    return [
         wh_matrix(chi(-1), GRID, cfg),
         wh_matrix(chi(), GRID, cfg),
         wh_plus_hankel(a_n0, a_n0 * chi(), +1, GRID, cfg),
         wh_plus_hankel(a_n0, a_n0 * chi(), -1, GRID, cfg),
-        catalog_op,
-        block_op,
-        complex_op,
+        wh_plus_hankel(a_nm1, a_nm1 * chi(), +1, GRID, cfg),
+        block_v_matrix(MatchingPair(a_nm1, a_nm1 * chi()), GRID, cfg),
+        # zero and pole off the imaginary axis: the convolution kernel is complex
+        wh_matrix(parse_symbol("(t-1-2i)/(t-1+2i)"), GRID, cfg),
     ]
+
+
+def test_values_only_estimate_matches_full_svd(a_n0, a_nm1, monkeypatch):
+    cfg = OracleConfig(stability=True)
+    ops = _values_only_ops(a_n0, a_nm1, cfg)
+    catalog_op, block_op, complex_op = ops[-3:]
     for op in ops:
         for estimate in (kernel_estimate, coker_estimate):
             full = estimate(op, cfg)
@@ -412,7 +417,8 @@ def test_values_only_estimate_matches_full_svd(a_n0, a_nm1, monkeypatch):
     # values-only SVDs run in real arithmetic exactly when the matrix is real
     # up to rounding; the basis path always stays complex.  Every SVD sees the
     # interior columns: n rows and n - w columns per component, on the grid
-    # and on its refinement
+    # and on its refinement.  The refined SVD is skipped exactly when the
+    # grid counts 0, where the Cholesky certificate stands in for it
     kinds, shapes = [], []
     svd = np.linalg.svd
 
@@ -429,18 +435,93 @@ def test_values_only_estimate_matches_full_svd(a_n0, a_nm1, monkeypatch):
         return out
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    skipped = []
     for op, kind in ((complex_op, "c"), (catalog_op, "f"), (block_op, "f")):
-        kinds.clear()
-        shapes.clear()
-        kernel_estimate(op, cfg, with_basis=False)
-        coker_estimate(op, cfg, with_basis=False)
-        assert kinds == [(kind, False)] * 4, op.description
-        assert shapes == interior_shapes(op) * 2, op.description
+        for estimate in (kernel_estimate, coker_estimate):
+            kinds.clear()
+            shapes.clear()
+            est = estimate(op, cfg, with_basis=False)
+            runs = 1 if est.dim == 0 else 2
+            assert kinds == [(kind, False)] * runs, op.description
+            assert shapes == interior_shapes(op)[:runs], op.description
+            assert est.stable
+            skipped.append(est.dim == 0)
+    assert any(skipped) and not all(skipped)
     kinds.clear()
     shapes.clear()
     kernel_estimate(catalog_op, cfg)
     assert kinds == [("c", True), ("f", False)]
     assert shapes == interior_shapes(catalog_op)
+
+
+def test_cholesky_certificate_implies_refined_svd_counts_zero(a_n0, a_nm1):
+    cfg = OracleConfig(stability=True)
+    ops = _values_only_ops(a_n0, a_nm1, cfg)
+    names = ("pair_chi_inv_shift_n0", "pair_chi_inv_shift_n1", "hankel_only_n0")
+    for entry in parse_catalog(shipped_catalog_path().read_text(encoding="utf-8")):
+        if entry.name in names:
+            a, b = parse_symbol(entry.a_expr), parse_symbol(entry.b_expr)
+            ops += [wh_plus_hankel(a, b, sign, GRID, cfg) for sign in (+1, -1)]
+    assert len(ops) == 13
+    zero = certified = 0
+    for op in ops:
+        for side in (op, op.adjoint()):
+            fine = side.rebuild(side.grid.refined())
+            dim, _, s, _ = oracle._estimate_once(fine, cfg.rank_tol, with_basis=False)
+            cert = oracle._estimate_once(fine, cfg.rank_tol, with_basis=False,
+                                         certify=True)
+            zero += dim == 0
+            if len(cert[2]) == 0:   # certified: no SVD ran
+                certified += 1
+                assert dim == 0 and cert[0] == 0, side.description
+            else:
+                assert cert[0] == dim and np.array_equal(cert[2], s)
+    # these trivial kernels clear the cut by far more than the shift
+    assert certified == zero > 0
+
+
+def _synthetic_op(f, complex_, tol, seed=0):
+    """Operator whose 32 interior columns are U diag(sigma) V^H, 40 x 32,
+    with sigma_min = f * tol * norm_est(op), and whose 8 outer columns are 0;
+    rebuilding it on any grid gives it back."""
+    rng = np.random.default_rng(seed)
+
+    def gauss(*shape):
+        z = rng.normal(size=shape)
+        return z + 1j * rng.normal(size=shape) if complex_ else z
+
+    u, _ = np.linalg.qr(gauss(40, 32))
+    v, _ = np.linalg.qr(gauss(32, 32))
+    sigma = np.geomspace(1.0, 0.1, 32)
+    matrix = np.zeros((40, 40), dtype=u.dtype)
+    for _ in range(50):     # norm_est moves with sigma_min: iterate to the fixed point
+        matrix[:, :32] = (u * sigma) @ v.conj().T
+        sigma[-1] = f * tol * norm_est(matrix)
+    matrix[:, :32] = (u * sigma) @ v.conj().T
+    op = oracle.DiscretizedOp(matrix, Grid(T=4.0, h=0.1), f"synthetic f={f}")
+    op.rebuild = lambda g: op
+    return op
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_cholesky_certificate_at_the_cut(complex_, monkeypatch):
+    # a large rank_tol makes cut^2 the whole shift, so the certificate is
+    # tested right at the cut
+    cfg = OracleConfig(rank_tol=1e-3, stability=True)
+    results = {}
+    for f in (0.5, 0.999, 1.001, 1.5):
+        op = _synthetic_op(f, complex_, cfg.rank_tol)
+        a = op.matrix[:, oracle._interior_columns(op)]
+        cut = cfg.rank_tol * norm_est(op.matrix)
+        assert abs(np.linalg.svd(a, compute_uv=False)[-1] / cut - f) < 1e-9
+        assert np.iscomplexobj(oracle._real_if_negligible(a, cfg.rank_tol)) == complex_
+        assert oracle._cholesky_certifies(a, cut) == (f > 1)
+        results[f] = kernel_estimate(op, cfg, with_basis=False)
+    monkeypatch.setattr(oracle, "_cholesky_certifies", lambda a, cut: False)
+    for f, est in results.items():
+        svd_only = kernel_estimate(_synthetic_op(f, complex_, cfg.rank_tol), cfg,
+                                   with_basis=False)
+        assert (est.dim, est.stable) == (svd_only.dim, svd_only.stable) == (int(f < 1), True)
 
 
 def _outer_window(op, cfg):
