@@ -15,6 +15,7 @@ bare ``i``); scientific notation is accepted.  ``e(d)`` denotes e^(i d t),
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -301,9 +302,14 @@ def _lower(node):
                 else symbols.inverse(base)
             )
             k = -k
+        # left-to-right repeated squaring: k = 2 and 3 multiply as
+        # base * base and (base * base) * base
+        mul = _rat_mul if isinstance(base, _RatF) else operator.mul
         out = base
-        for _ in range(k - 1):
-            out = _rat_mul(out, base) if isinstance(out, _RatF) else out * base
+        for bit in bin(k)[3:]:
+            out = mul(out, out)
+            if bit == "1":
+                out = mul(out, base)
         return out
     if isinstance(node, BinOp):
         left = _lower(node.left)

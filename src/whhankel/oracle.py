@@ -43,16 +43,21 @@ its basis vectors are exactly zero on the outer window.  A values-only
 decision on a matrix whose imaginary part is rounding noise (every symbol
 whose zeros and poles lie on the imaginary axis has a real kernel) runs the
 real SVD, under a Weyl bound that keeps the decision (see
-_real_if_negligible).  When the grid counts 0, the stability re-run first
-tries a certificate: a Cholesky factorization of A^H A - s I on the refined
-interior columns A, with s = cut^2 + CERT_C (m + n) eps ||A||_F^2 (the cut
-raised by 1 + 1e-3 when Im A was dropped).  The second term bounds the
-rounding of the Gram matrix and of the factorization (Higham, Accuracy and
-Stability, 3.5-3.6 and Thm 10.3; Rump, BIT 46, 2006), so success proves
-sigma_min(A) above the cut by more than the SVD's own rounding error: the
-SVD would count 0 as well, and it does not run.  A factorization that breaks
-down proves nothing, and the SVD decides as before (see
-_cholesky_certifies).
+_real_if_negligible).  The stability re-run first tries a certificate that
+exactly the grid's count d of singular values of the refined interior
+columns A lies below the cut, each clear of it by more than the SVD's own
+rounding; when it holds the SVD would count d as well, and it does not run.
+With G = A^H A and F = ||A||_F^2, one step of inverse iteration
+W = orth(G^-1 R), R a fixed-seed n x d draw, finds the near-null space;
+||A W||_2 / sigma_min(W) bounds the d-th smallest singular value from above
+(Courant-Fischer), and a Cholesky factorization of G + F W W^H - s I,
+s = cut^2 + CERT_C (m + n) eps F (1 + d), bounds the (d+1)-th from below,
+since a rank-d PSD update raises at most d eigenvalues (interlacing; Parlett,
+The Symmetric Eigenvalue Problem, 10.3).  The eps terms bound the rounding of
+the products and of the factorization (Higham, Accuracy and Stability,
+3.5-3.6 and Thm 10.3; Rump, BIT 46, 2006); for d = 0 only the factorization
+of G - s I runs.  A failed check proves nothing, and the SVD decides as
+before (see _cholesky_certifies).
 """
 
 from __future__ import annotations
@@ -443,27 +448,59 @@ def _real_if_negligible(m, tol):
     return m
 
 
-#: rounding allowance of the certificate's shift, in units of
-#: (m + n) eps ||A||_F^2
+#: rounding allowance of the certificate, in units of (m + n) eps ||A||_F^2
+#: (shift) and (m + n) eps sqrt(d) ||A||_F (residual bound)
 CERT_C = 4
 
 
-def _cholesky_certifies(a, cut):
-    """True when a Cholesky factorization proves sigma_min(a) >= cut.
+def _cholesky_certifies(a, cut, d, slack=0.0):
+    """True when a proof shows that exactly d singular values of a lie below
+    cut, each clear of it by more than a computed singular value's rounding;
+    False proves nothing.  slack widens the margin on both sides by a
+    relative slack * cut (the Weyl shift of a dropped Im part).
 
-    Factors a^H a - s I, s = cut^2 + CERT_C (m + n) eps ||a||_F^2 for an
-    m x n matrix a.  The rounding of the Gram matrix (gamma_m ||a||_F^2) and
-    that of a Cholesky that runs to completion (gamma_(n+1) trace(a^H a))
-    stay below (m + n) eps ||a||_F^2 together, so success proves
-    sigma_min(a)^2 >= cut^2 + 3 (m + n) eps ||a||_F^2: sigma_min clears the
-    cut by more than the rounding error of a computed singular value.  False
-    proves nothing.
+    For an m x n matrix a, let G = a^H a and F = ||a||_F^2.  For d >= 1:
+
+    1. W = orth(G^-1 R), R an n x d draw of a fixed-seed generator: one step
+       of inverse iteration, which finds the d-dimensional near-null space
+       to about eps F / sigma_(d+1)^2.
+    2. At least d below: by Courant-Fischer sigma_(n-d+1)(a) <=
+       ||a W||_2 / sigma_min(W).  The product a W is off by at most
+       n eps sqrt(d) ||a||_F, so the bound plus CERT_C (m + n) eps sqrt(d)
+       ||a||_F below (1 - slack) cut leaves more than 3 (m + n) eps ||a||_F
+       of room.
+    3. At most d below: factor G + F W W^H - s I by Cholesky, with
+       s = ((1 + slack) cut)^2 + CERT_C (m + n) eps F (1 + d).  A rank-d
+       PSD update raises at most d eigenvalues (interlacing), so success
+       proves sigma_(n-d)(a)^2 >= ((1 + slack) cut)^2 + 3 (m + n) eps F:
+       the rounding of the Gram matrix (gamma_m F), of the update and that
+       of a Cholesky that runs to completion (gamma_(n+1) trace) stay below
+       (m + n) eps F (1 + d) together.
+
+    d = 0 is step 3 alone, on G - s I.  d >= n proves nothing.
     """
     m, n = a.shape
+    if d >= n:
+        return False
     fro2 = np.linalg.norm(a) ** 2
     g = a.conj().T @ a
     eps = np.finfo(a.dtype).eps
-    g[np.diag_indices(n)] -= cut ** 2 + CERT_C * (m + n) * eps * fro2
+    if d:
+        rng = np.random.default_rng(0)
+        r = rng.standard_normal((n, d))
+        if np.iscomplexobj(a):
+            r = r + 1j * rng.standard_normal((n, d))
+        try:
+            w, _ = np.linalg.qr(np.linalg.solve(g, r))
+        except np.linalg.LinAlgError:
+            return False
+        bound = np.linalg.norm(a @ w, 2) / np.linalg.norm(w, -2)
+        room = CERT_C * (m + n) * eps * math.sqrt(d * fro2)
+        if not bound + room < (1 - slack) * cut:   # also False for NaN
+            return False
+        g += (fro2 * w) @ w.conj().T
+    shift = ((1 + slack) * cut) ** 2 + CERT_C * (m + n) * eps * fro2 * (1 + d)
+    g[np.diag_indices(n)] -= shift
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
@@ -481,12 +518,12 @@ def _interior_columns(op: DiscretizedOp):
     )
 
 
-def _estimate_once(op: DiscretizedOp, tol, with_basis=True, certify=False):
+def _estimate_once(op: DiscretizedOp, tol, with_basis=True, certify=None):
     """Null count of the interior columns of op at tol * norm_est(op), plus
     the null vectors (zero on the outer window) and their residuals when
     with_basis.  Without a basis a matrix whose imaginary part is rounding
-    noise goes to the real SVD, and with certify a Cholesky certificate of a
-    trivial kernel is tried first: when it holds the count is 0 and no SVD
+    noise goes to the real SVD, and with a count certify the certificate of
+    that count is tried first: when it holds the count is certify and no SVD
     runs (the singular values come back empty)."""
     cols = _interior_columns(op)
     interior = op.matrix[:, cols]
@@ -494,10 +531,10 @@ def _estimate_once(op: DiscretizedOp, tol, with_basis=True, certify=False):
     cut = tol * scale
     if not with_basis:
         a = _real_if_negligible(interior, tol)
-        # dropping Im moves sigma_min by at most 1e-3 cut (_real_if_negligible)
-        margin = 1.0 if a is interior else 1 + 1e-3
-        if certify and _cholesky_certifies(a, margin * cut):
-            return 0, [], (), []
+        # dropping Im moves each sigma by at most 1e-3 cut (_real_if_negligible)
+        slack = 0.0 if a is interior else 1e-3
+        if certify is not None and _cholesky_certifies(a, cut, certify, slack):
+            return certify, [], (), []
         s = np.linalg.svd(a, compute_uv=False)
         return int(np.count_nonzero(s < cut)), [], s, []
     _, s, vh = np.linalg.svd(interior, full_matrices=False)
@@ -516,18 +553,18 @@ def kernel_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG,
     cfg.rank_tol * norm_est(M).  With stability enabled the dimension is
     recomputed on the (1.25 T, h/2) grid and must agree, else the estimate is
     flagged; refined is op already rebuilt there, else it is rebuilt here.
-    The re-run needs only the dimension, so it computes singular values
-    only; after a coarse dimension 0 it first tries a Cholesky certificate
-    that no singular value lies below the cut, and skips the SVD when that
-    holds.  The whole estimate computes values only when with_basis is
-    False, which leaves basis and residuals empty.
+    The re-run needs only the dimension, so it first tries a certificate
+    that exactly the coarse dimension's count of singular values lies below
+    the cut, and computes singular values only when that fails.  The whole
+    estimate computes values only when with_basis is False, which leaves
+    basis and residuals empty.
     """
     tol = cfg.rank_tol
     dim, basis, s, residuals = _estimate_once(op, tol, with_basis)
     stable = True
     if cfg.stability and op.rebuild is not None:
         fine = refined if refined is not None else op.rebuild(op.grid.refined())
-        dim2, _, _, _ = _estimate_once(fine, tol, with_basis=False, certify=dim == 0)
+        dim2, _, _, _ = _estimate_once(fine, tol, with_basis=False, certify=dim)
         stable = dim2 == dim
     return KernelEstimate(
         dim=dim,

@@ -4,7 +4,9 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 PASS/FAIL lines as they complete.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,6 +254,22 @@ def test_criterion_06_case_catalog_end_to_end(catalog_results):
         ok,
         f"{len(results)} entries, failures {bad}, unstable {unstable}, {elapsed:.0f}s",
     )
+
+
+#: status, report and verdict rows of every shipped entry at T=25, h=0.05 with
+#: stability on; any change to them is a change of the catalog's results
+GOLDEN_VERDICTS = Path(__file__).parent / "data" / "shipped_catalog_verdicts.json"
+
+
+def test_catalog_verdicts_match_golden_file(catalog_results):
+    golden = json.loads(GOLDEN_VERDICTS.read_text(encoding="utf-8"))
+    fields = ("name", "status", "report", "verdicts", "error", "message")
+    got = json.loads(json.dumps([
+        {k: r[k] for k in fields if k in r} for r in catalog_results["results"]
+    ]))
+    assert [r["name"] for r in got] == [r["name"] for r in golden]
+    for mine, want in zip(got, golden):
+        assert mine == want, mine["name"]
 
 
 def test_catalog_output_independent_of_worker_count():

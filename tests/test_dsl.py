@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -113,6 +115,24 @@ def test_lower_balanced_rational_keeps_constant():
 
 def test_scientific_notation_literal():
     assert parse_symbol("2e-3") == constant(0.002)
+
+
+def test_large_exponent_parses_fast():
+    # repeated squaring: about 2 log2(k) products instead of k - 1
+    t0 = time.perf_counter()
+    assert parse_symbol("1^99999999") == one()
+    assert parse_symbol("e(0.5)^-99999999").isclose(exp_symbol(-0.5 * 99999999))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_power_equals_repeated_product():
+    base = "((t-2i)/(t+1i))"
+    # k = 2 and 3 keep the left-to-right product order bit for bit
+    for k in (2, 3):
+        assert parse_symbol(f"{base}^{k}") == parse_symbol("*".join([base] * k))
+    for k in (4, 5, 7):
+        assert parse_symbol(f"{base}^{k}").isclose(parse_symbol("*".join([base] * k)))
+        assert parse_symbol(f"{base}^-{k}").isclose(parse_symbol(f"((t+1i)/(t-2i))^{k}"))
 
 
 # --- formatting ------------------------------------------------------------------

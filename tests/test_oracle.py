@@ -417,8 +417,8 @@ def test_values_only_estimate_matches_full_svd(a_n0, a_nm1, monkeypatch):
     # values-only SVDs run in real arithmetic exactly when the matrix is real
     # up to rounding; the basis path always stays complex.  Every SVD sees the
     # interior columns: n rows and n - w columns per component, on the grid
-    # and on its refinement.  The refined SVD is skipped exactly when the
-    # grid counts 0, where the Cholesky certificate stands in for it
+    # and on its refinement.  The refined SVD runs only where the certificate
+    # of the grid's count fails, and here it holds for every count
     kinds, shapes = [], []
     svd = np.linalg.svd
 
@@ -434,27 +434,39 @@ def test_values_only_estimate_matches_full_svd(a_n0, a_nm1, monkeypatch):
             out.append((op.components * n, op.components * (n - w)))
         return out
 
+    def recorded(estimate, op, **kwargs):
+        kinds.clear()
+        shapes.clear()
+        return estimate(op, cfg, **kwargs)
+
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    skipped = []
+    dims = {}
     for op, kind in ((complex_op, "c"), (catalog_op, "f"), (block_op, "f")):
         for estimate in (kernel_estimate, coker_estimate):
-            kinds.clear()
-            shapes.clear()
-            est = estimate(op, cfg, with_basis=False)
-            runs = 1 if est.dim == 0 else 2
-            assert kinds == [(kind, False)] * runs, op.description
-            assert shapes == interior_shapes(op)[:runs], op.description
+            est = recorded(estimate, op, with_basis=False)
+            assert kinds == [(kind, False)], op.description
+            assert shapes == interior_shapes(op)[:1], op.description
             assert est.stable
-            skipped.append(est.dim == 0)
-    assert any(skipped) and not all(skipped)
-    kinds.clear()
-    shapes.clear()
-    kernel_estimate(catalog_op, cfg)
+            dims[op.description, estimate] = est.dim
+    assert 0 in dims.values() and max(dims.values()) >= 1
+    recorded(kernel_estimate, catalog_op)
+    assert kinds == [("c", True)]
+    assert shapes == interior_shapes(catalog_op)[:1]
+
+    # with the certificate failing, the refined SVD runs after every count
+    monkeypatch.setattr(oracle, "_cholesky_certifies", lambda *args: False)
+    for op, kind in ((complex_op, "c"), (catalog_op, "f"), (block_op, "f")):
+        for estimate in (kernel_estimate, coker_estimate):
+            est = recorded(estimate, op, with_basis=False)
+            assert kinds == [(kind, False)] * 2, op.description
+            assert shapes == interior_shapes(op), op.description
+            assert (est.dim, est.stable) == (dims[op.description, estimate], True)
+    recorded(kernel_estimate, catalog_op)
     assert kinds == [("c", True), ("f", False)]
     assert shapes == interior_shapes(catalog_op)
 
 
-def test_cholesky_certificate_implies_refined_svd_counts_zero(a_n0, a_nm1):
+def test_certified_refined_count_equals_svd_count(a_n0, a_nm1):
     cfg = OracleConfig(stability=True)
     ops = _values_only_ops(a_n0, a_nm1, cfg)
     names = ("pair_chi_inv_shift_n0", "pair_chi_inv_shift_n1", "hankel_only_n0")
@@ -463,27 +475,30 @@ def test_cholesky_certificate_implies_refined_svd_counts_zero(a_n0, a_nm1):
             a, b = parse_symbol(entry.a_expr), parse_symbol(entry.b_expr)
             ops += [wh_plus_hankel(a, b, sign, GRID, cfg) for sign in (+1, -1)]
     assert len(ops) == 13
-    zero = certified = 0
+    counts = []
     for op in ops:
         for side in (op, op.adjoint()):
             fine = side.rebuild(side.grid.refined())
             dim, _, s, _ = oracle._estimate_once(fine, cfg.rank_tol, with_basis=False)
-            cert = oracle._estimate_once(fine, cfg.rank_tol, with_basis=False,
-                                         certify=True)
-            zero += dim == 0
-            if len(cert[2]) == 0:   # certified: no SVD ran
-                certified += 1
-                assert dim == 0 and cert[0] == 0, side.description
-            else:
-                assert cert[0] == dim and np.array_equal(cert[2], s)
-    # these trivial kernels clear the cut by far more than the shift
-    assert certified == zero > 0
+            counts.append(dim)
+            # the true count and a neighbour of it
+            for d in (dim, dim - 1 if dim else 1):
+                cert = oracle._estimate_once(fine, cfg.rank_tol, with_basis=False,
+                                             certify=d)
+                if len(cert[2]) == 0:   # certified: no SVD ran
+                    assert cert[0] == d == dim, (side.description, d)
+                else:
+                    assert cert[0] == dim and np.array_equal(cert[2], s)
+                    # these kernels sit far from the cut: every true count passes
+                    assert d != dim, side.description
+    assert 0 in counts and 1 in counts and 2 in counts
 
 
-def _synthetic_op(f, complex_, tol, seed=0):
+def _synthetic_op(factors, complex_, tol, seed=0, fine=None):
     """Operator whose 32 interior columns are U diag(sigma) V^H, 40 x 32,
-    with sigma_min = f * tol * norm_est(op), and whose 8 outer columns are 0;
-    rebuilding it on any grid gives it back."""
+    whose smallest singular values are factors * tol * norm_est(op), and
+    whose 8 outer columns are 0; rebuilding it on any grid gives fine, or the
+    operator itself."""
     rng = np.random.default_rng(seed)
 
     def gauss(*shape):
@@ -493,14 +508,23 @@ def _synthetic_op(f, complex_, tol, seed=0):
     u, _ = np.linalg.qr(gauss(40, 32))
     v, _ = np.linalg.qr(gauss(32, 32))
     sigma = np.geomspace(1.0, 0.1, 32)
+    small = np.sort(factors)[::-1]
     matrix = np.zeros((40, 40), dtype=u.dtype)
-    for _ in range(50):     # norm_est moves with sigma_min: iterate to the fixed point
+    for _ in range(50):     # norm_est moves with them: iterate to the fixed point
         matrix[:, :32] = (u * sigma) @ v.conj().T
-        sigma[-1] = f * tol * norm_est(matrix)
+        sigma[32 - len(small):] = small * tol * norm_est(matrix)
     matrix[:, :32] = (u * sigma) @ v.conj().T
-    op = oracle.DiscretizedOp(matrix, Grid(T=4.0, h=0.1), f"synthetic f={f}")
-    op.rebuild = lambda g: op
+    op = oracle.DiscretizedOp(matrix, Grid(T=4.0, h=0.1), f"synthetic {factors}")
+    op.rebuild = lambda g: op if fine is None else fine
     return op
+
+
+#: (d, smallest singular values as factors of the cut): the d-th smallest at
+#: 0.5 or 0.999 cut, the (d+1)-th at 0.999, 1.001 or 1.5 cut
+CUT_CASES = [(0, (f,)) for f in (0.5, 0.999, 1.001, 1.5)] + [
+    (d, (lo,) * d + (hi,))
+    for d in (1, 2) for lo in (0.5, 0.999) for hi in (0.999, 1.001, 1.5)
+]
 
 
 @pytest.mark.parametrize("complex_", [False, True])
@@ -509,19 +533,65 @@ def test_cholesky_certificate_at_the_cut(complex_, monkeypatch):
     # tested right at the cut
     cfg = OracleConfig(rank_tol=1e-3, stability=True)
     results = {}
-    for f in (0.5, 0.999, 1.001, 1.5):
-        op = _synthetic_op(f, complex_, cfg.rank_tol)
+    for d, factors in CUT_CASES:
+        op = _synthetic_op(factors, complex_, cfg.rank_tol)
         a = op.matrix[:, oracle._interior_columns(op)]
         cut = cfg.rank_tol * norm_est(op.matrix)
-        assert abs(np.linalg.svd(a, compute_uv=False)[-1] / cut - f) < 1e-9
+        s = np.linalg.svd(a, compute_uv=False)
+        smallest = s[32 - len(factors):] / cut
+        assert np.allclose(smallest, sorted(factors)[::-1], rtol=0, atol=1e-9)
         assert np.iscomplexobj(oracle._real_if_negligible(a, cfg.rank_tol)) == complex_
-        assert oracle._cholesky_certifies(a, cut) == (f > 1)
-        results[f] = kernel_estimate(op, cfg, with_basis=False)
-    monkeypatch.setattr(oracle, "_cholesky_certifies", lambda a, cut: False)
-    for f, est in results.items():
-        svd_only = kernel_estimate(_synthetic_op(f, complex_, cfg.rank_tol), cfg,
+        count = int(np.count_nonzero(s < cut))
+        assert count == d + (factors[-1] < 1)
+        passed = oracle._cholesky_certifies(a, cut, d)
+        # passing proves the count; clear of the cut by 0.5 it always passes
+        assert passed <= (count == d), (d, factors)
+        if factors[-1] == 1.5 and (d == 0 or factors[0] == 0.5):
+            assert passed, (d, factors)
+        if d == 0:
+            assert passed == (factors[0] > 1)
+        results[d, factors] = kernel_estimate(op, cfg, with_basis=False)
+    monkeypatch.setattr(oracle, "_cholesky_certifies", lambda *args: False)
+    for (d, factors), est in results.items():
+        svd_only = kernel_estimate(_synthetic_op(factors, complex_, cfg.rank_tol), cfg,
                                    with_basis=False)
-        assert (est.dim, est.stable) == (svd_only.dim, svd_only.stable) == (int(f < 1), True)
+        count = d + (factors[-1] < 1)
+        assert (est.dim, est.stable) == (svd_only.dim, svd_only.stable) == (count, True)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_certificate_falls_back_when_the_fine_count_differs(complex_, monkeypatch):
+    # the coarse grid counts 1; the refined grid counts 2 or 0, so the
+    # certificate of 1 fails and the refined SVD decides: the estimate is
+    # flagged unstable, exactly as on the SVD-only path
+    cfg = OracleConfig(rank_tol=1e-3, stability=True)
+    svd = np.linalg.svd
+    runs = []
+
+    def counting_svd(m, *args, **kwargs):
+        runs.append(m.shape)
+        return svd(m, *args, **kwargs)
+
+    def estimates():
+        out = []
+        for fine_factors in ((0.5, 0.5), (1.5,)):
+            fine = _synthetic_op(fine_factors, complex_, cfg.rank_tol, seed=1)
+            op = _synthetic_op((0.5,), complex_, cfg.rank_tol, fine=fine)
+            a = fine.matrix[:, oracle._interior_columns(fine)]
+            cut = cfg.rank_tol * norm_est(fine.matrix)
+            assert not oracle._cholesky_certifies(a, cut, 1)
+            for with_basis in (False, True):
+                runs.clear()
+                est = kernel_estimate(op, cfg, with_basis=with_basis)
+                assert len(runs) == 2
+                out.append((est.dim, est.stable))
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    certified = estimates()
+    assert certified == [(1, False)] * 4
+    monkeypatch.setattr(oracle, "_cholesky_certifies", lambda *args: False)
+    assert estimates() == certified
 
 
 def _outer_window(op, cfg):
