@@ -147,10 +147,9 @@ def run_catalog(entries, grid=None, cfg=oracle.DEFAULT_CONFIG,
     """Run entries in worker processes; output ordered by entry name.
 
     The default is one worker per usable core (``CORES``), at most one per
-    entry.  Nearly all of an entry's time is in values-only SVDs, which are
-    memory-bound and gain little from a second BLAS thread, so entries run
-    side by side in processes, each with ``max(1, CORES // workers)`` BLAS
-    threads.  ``workers=1`` runs the entries in this process, one after
+    entry.  Most of an entry's time is in values-only rank decisions, which
+    gain little from a second BLAS thread, so entries run side by side in
+    processes, each with ``max(1, CORES // workers)`` BLAS threads.  ``workers=1`` runs the entries in this process, one after
     another, with its BLAS threads as they are.  The output does not depend
     on ``workers``.
 

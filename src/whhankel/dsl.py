@@ -19,8 +19,10 @@ import operator
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import poly, symbols
-from .errors import NotInvertible, SymbolSyntaxError
+from .errors import NotInvertible, NotRepresentable, SymbolSyntaxError
 
 # --- tokens -----------------------------------------------------------------
 
@@ -276,6 +278,32 @@ def _rat_inverse(x):
     ))
 
 
+#: real points where a power of a rational function is checked
+_POWER_CHECK_T = np.array([0.3, 1.0, 5.0])
+
+
+def _rat_values(x):
+    """x at _POWER_CHECK_T, evaluated as a symbol's rational part is."""
+    with np.errstate(all="ignore"):
+        return (poly.pval(x.num, _POWER_CHECK_T)
+                / poly.pval(poly.from_poles(x.poles), _POWER_CHECK_T))
+
+
+def _check_power(power, want, at, k):
+    """Raise NotRepresentable unless power, a lowered rational power, agrees
+    with want, the base's values raised to the same power, at the points at
+    (those where the base is finite): within 1e-8 of the largest value, or
+    of 1 if that is smaller, as coefficients are pruned (poly.trim)."""
+    with np.errstate(all="ignore"):
+        err = np.max(np.abs(_rat_values(power) - want)[at], initial=0.0)
+        scale = np.max(np.abs(want[at]), initial=1.0)
+        if not (err <= 1e-8 * scale and np.isfinite(scale)):
+            raise NotRepresentable(
+                f"power {k} of a rational function: its expanded coefficients "
+                f"are off by {err:.3g} at t in {_POWER_CHECK_T.tolist()}"
+            )
+
+
 def _lower(node):
     if isinstance(node, Lit):
         return _RatF((node.value,))
@@ -303,13 +331,21 @@ def _lower(node):
             )
             k = -k
         # left-to-right repeated squaring: k = 2 and 3 multiply as
-        # base * base and (base * base) * base
-        mul = _rat_mul if isinstance(base, _RatF) else operator.mul
+        # base * base and (base * base) * base.  The expanded coefficients
+        # of a rational power lose accuracy as k grows, so each power is
+        # checked against the base's values raised to it
+        rational = isinstance(base, _RatF)
+        mul = _rat_mul if rational else operator.mul
         out = base
+        want = value = _rat_values(base) if rational else None
         for bit in bin(k)[3:]:
             out = mul(out, out)
             if bit == "1":
                 out = mul(out, base)
+            if rational:
+                with np.errstate(all="ignore"):
+                    want = want * want * (value if bit == "1" else 1.0)
+                _check_power(out, want, np.isfinite(value), k)
         return out
     if isinstance(node, BinOp):
         left = _lower(node.left)

@@ -39,25 +39,30 @@ against.  The
 cokernel is the kernel of M^H, so there the slice drops the outer rows of M.
 verify and the stability re-run use only dimensions, so they compute singular
 values only; the full SVD runs only where a kernel basis is asked for, and
-its basis vectors are exactly zero on the outer window.  A values-only
-decision on a matrix whose imaginary part is rounding noise (every symbol
-whose zeros and poles lie on the imaginary axis has a real kernel) runs the
-real SVD, under a Weyl bound that keeps the decision (see
-_real_if_negligible).  The stability re-run first tries a certificate that
-exactly the grid's count d of singular values of the refined interior
-columns A lies below the cut, each clear of it by more than the SVD's own
-rounding; when it holds the SVD would count d as well, and it does not run.
-With G = A^H A and F = ||A||_F^2, one step of inverse iteration
-W = orth(G^-1 R), R a fixed-seed n x d draw, finds the near-null space;
-||A W||_2 / sigma_min(W) bounds the d-th smallest singular value from above
-(Courant-Fischer), and a Cholesky factorization of G + F W W^H - s I,
-s = cut^2 + CERT_C (m + n) eps F (1 + d), bounds the (d+1)-th from below,
-since a rank-d PSD update raises at most d eigenvalues (interlacing; Parlett,
-The Symmetric Eigenvalue Problem, 10.3).  The eps terms bound the rounding of
-the products and of the factorization (Higham, Accuracy and Stability,
-3.5-3.6 and Thm 10.3; Rump, BIT 46, 2006); for d = 0 only the factorization
-of G - s I runs.  A failed check proves nothing, and the SVD decides as
-before (see _cholesky_certifies).
+its basis vectors are exactly zero on the outer window.  Each operator
+computes its rank data once, shared by the kernel and the cokernel estimate:
+scale = norm_est(M) (norm_est(M^H) = norm_est(M)) and ||Im M||_F.  When
+||Im M||_F <= 1e-3 rank_tol scale (every symbol whose zeros and poles lie on
+the imaginary axis has a real kernel), a values-only decision reads Re M,
+sliced into one contiguous float64 array: by Weyl's bound that moves every
+singular value of any row or column subset by at most 1e-3 of the cut.
+A values-only decision first tries a certificate that exactly d singular
+values of the interior columns A lie below the cut, each clear of it by
+more than the SVD's own rounding, and none in [cut, gap), gap = GAP_TAU
+scale; when it holds the SVD would count d as well, and it does not run.
+On the grid, d is the classifier's exact prediction, passed as a hint (a
+wrong hint fails the certificate and costs one factorization); on the
+refined grid it is the grid's count.  With G = A^H A and F = ||A||_F^2, one
+step of inverse iteration W = orth(G^-1 R), R a fixed-seed n x d draw, finds
+the near-null space; ||A W||_2 / sigma_min(W) bounds the d-th smallest
+singular value from above (Courant-Fischer), and a Cholesky factorization of
+G + F W W^H - s I, s = gap^2 + CERT_C (m + n) eps F (1 + d), bounds the
+(d+1)-th from below, since a rank-d PSD update raises at most d eigenvalues
+(interlacing; Parlett, The Symmetric Eigenvalue Problem, 10.3).  The eps
+terms bound the rounding of the products and of the factorization (Higham,
+Accuracy and Stability, 3.5-3.6 and Thm 10.3; Rump, BIT 46, 2006); for
+d = 0 only the factorization of G - s I runs.  A failed check proves
+nothing, and the SVD decides (see _cholesky_certifies).
 """
 
 from __future__ import annotations
@@ -129,17 +134,18 @@ class DiscretizedOp:
     description: str
     components: int = 1             # 1 for scalar ops, 2 for the block operator
     rebuild: object = None          # callable Grid -> DiscretizedOp, or None
+    rank_data: tuple = None         # (norm_est, ||Im M||_F), see _rank_data
 
     def adjoint(self):
         parent_rebuild = self.rebuild
-        out = DiscretizedOp(
+        return DiscretizedOp(
             matrix=self.matrix.conj().T,
             grid=self.grid,
             description=f"adjoint({self.description})",
             components=self.components,
             rebuild=(lambda g: parent_rebuild(g).adjoint()) if parent_rebuild else None,
+            rank_data=self.rank_data,
         )
-        return out
 
 
 def norm_est(matrix):
@@ -156,11 +162,15 @@ class KernelEstimate:
     tol: float
     stable: bool
     residuals: tuple = ()
+    scale: float = 0.0              # norm_est(M): the cut is tol * scale
+    decided_by: tuple = ()          # "certificate" or "svd", per grid run
 
     def to_dict(self):
         return {
             "dim": self.dim,
             "tol": self.tol,
+            "scale": self.scale,
+            "decided_by": list(self.decided_by),
             "stable": self.stable,
             "residuals": list(self.residuals),
             "smallest_sigmas": [float(s) for s in self.singular_values[-6:]],
@@ -314,11 +324,15 @@ def _short(a):
 
 def wh_plus_hankel(a, b, sign=1, grid=None, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
     grid = grid or Grid()
-    wa = wh_matrix(a, grid, cfg)
-    hb = hankel_matrix(b, grid, cfg)
+    matrix = wh_matrix(a, grid, cfg).matrix
+    hb = hankel_matrix(b, grid, cfg).matrix
+    if sign > 0:
+        matrix += hb
+    else:
+        matrix -= hb
     name = f"W[{_short(a)}] {'+' if sign > 0 else '-'} H[{_short(b)}]"
     return DiscretizedOp(
-        matrix=wa.matrix + sign * hb.matrix,
+        matrix=matrix,
         grid=grid,
         description=name,
         rebuild=lambda g: wh_plus_hankel(a, b, sign, g, cfg),
@@ -433,31 +447,21 @@ def block_v_product_form(pair, grid=None, cfg=DEFAULT_CONFIG) -> np.ndarray:
 
 # --- kernel estimation --------------------------------------------------------
 
-def _real_if_negligible(m, tol):
-    """Re m when dropping Im m cannot move a rank decision at tol, else m.
-
-    By Weyl's bound dropping Im m moves each singular value by at most
-    ||Im m||_2 <= ||Im m||_F, and sigma_max >= ||m||_F / sqrt(ncols), so
-    ||Im m||_F <= 1e-3 tol ||m||_F / sqrt(ncols) keeps every shift below
-    1e-3 tol sigma_max <= 1e-3 tol norm_est(m), a thousandth of the rank cut.
-    """
-    if np.iscomplexobj(m) and np.linalg.norm(m.imag) <= (
-        1e-3 * tol * np.linalg.norm(m) / math.sqrt(m.shape[1])
-    ):
-        return m.real
-    return m
-
-
 #: rounding allowance of the certificate, in units of (m + n) eps ||A||_F^2
 #: (shift) and (m + n) eps sqrt(d) ||A||_F (residual bound)
 CERT_C = 4
 
+#: a passing certificate also proves no singular value in [cut, gap),
+#: gap = GAP_TAU * norm_est(M)
+GAP_TAU = 1e-3
 
-def _cholesky_certifies(a, cut, d, slack=0.0):
+
+def _cholesky_certifies(a, cut, d, slack=0.0, gap=0.0):
     """True when a proof shows that exactly d singular values of a lie below
-    cut, each clear of it by more than a computed singular value's rounding;
-    False proves nothing.  slack widens the margin on both sides by a
-    relative slack * cut (the Weyl shift of a dropped Im part).
+    cut, each clear of it by more than a computed singular value's rounding,
+    and none in [cut, gap); False proves nothing.  slack widens the margin
+    at the cut on both sides by a relative slack * cut (the Weyl shift of a
+    dropped Im part).
 
     For an m x n matrix a, let G = a^H a and F = ||a||_F^2.  For d >= 1:
 
@@ -470,9 +474,9 @@ def _cholesky_certifies(a, cut, d, slack=0.0):
        ||a||_F below (1 - slack) cut leaves more than 3 (m + n) eps ||a||_F
        of room.
     3. At most d below: factor G + F W W^H - s I by Cholesky, with
-       s = ((1 + slack) cut)^2 + CERT_C (m + n) eps F (1 + d).  A rank-d
-       PSD update raises at most d eigenvalues (interlacing), so success
-       proves sigma_(n-d)(a)^2 >= ((1 + slack) cut)^2 + 3 (m + n) eps F:
+       s = c^2 + CERT_C (m + n) eps F (1 + d), c = max(gap, (1 + slack) cut).
+       A rank-d PSD update raises at most d eigenvalues (interlacing), so
+       success proves sigma_(n-d)(a)^2 >= c^2 + 3 (m + n) eps F:
        the rounding of the Gram matrix (gamma_m F), of the update and that
        of a Cholesky that runs to completion (gamma_(n+1) trace) stay below
        (m + n) eps F (1 + d) together.
@@ -499,7 +503,7 @@ def _cholesky_certifies(a, cut, d, slack=0.0):
         if not bound + room < (1 - slack) * cut:   # also False for NaN
             return False
         g += (fro2 * w) @ w.conj().T
-    shift = ((1 + slack) * cut) ** 2 + CERT_C * (m + n) * eps * fro2 * (1 + d)
+    shift = max(gap, (1 + slack) * cut) ** 2 + CERT_C * (m + n) * eps * fro2 * (1 + d)
     g[np.diag_indices(n)] -= shift
     try:
         np.linalg.cholesky(g)
@@ -518,26 +522,37 @@ def _interior_columns(op: DiscretizedOp):
     )
 
 
+def _rank_data(op: DiscretizedOp):
+    """(scale, ||Im M||_F) of op's matrix M, scale = norm_est(M) (at least
+    1e-300): computed once per operator and shared with its adjoint."""
+    if op.rank_data is None:
+        m = op.matrix
+        imag = float(np.linalg.norm(m.imag)) if np.iscomplexobj(m) else 0.0
+        op.rank_data = (max(norm_est(m), 1e-300), imag)
+    return op.rank_data
+
+
 def _estimate_once(op: DiscretizedOp, tol, with_basis=True, certify=None):
     """Null count of the interior columns of op at tol * norm_est(op), plus
     the null vectors (zero on the outer window) and their residuals when
-    with_basis.  Without a basis a matrix whose imaginary part is rounding
-    noise goes to the real SVD, and with a count certify the certificate of
-    that count is tried first: when it holds the count is certify and no SVD
-    runs (the singular values come back empty)."""
+    with_basis.  Without a basis an operator whose imaginary part is
+    rounding noise is decided on its real part, and with a count certify the
+    certificate of that count is tried first: when it holds the count is
+    certify and no SVD runs (the singular values come back empty)."""
     cols = _interior_columns(op)
-    interior = op.matrix[:, cols]
-    scale = max(norm_est(op.matrix), 1e-300)
+    scale, imag = _rank_data(op)
     cut = tol * scale
     if not with_basis:
-        a = _real_if_negligible(interior, tol)
-        # dropping Im moves each sigma by at most 1e-3 cut (_real_if_negligible)
-        slack = 0.0 if a is interior else 1e-3
-        if certify is not None and _cholesky_certifies(a, cut, certify, slack):
+        # Weyl: dropping Im M moves every sigma by at most ||Im M||_F
+        real = imag <= 1e-3 * cut
+        a = (op.matrix.real if real else op.matrix)[:, cols]   # a contiguous copy
+        slack = 1e-3 if real and imag else 0.0
+        if certify is not None and _cholesky_certifies(
+                a, cut, certify, slack, GAP_TAU * scale):
             return certify, [], (), []
         s = np.linalg.svd(a, compute_uv=False)
         return int(np.count_nonzero(s < cut)), [], s, []
-    _, s, vh = np.linalg.svd(interior, full_matrices=False)
+    _, s, vh = np.linalg.svd(op.matrix[:, cols], full_matrices=False)
     null = s < cut
     basis = np.zeros((np.count_nonzero(null), op.matrix.shape[1]), dtype=complex)
     basis[:, cols] = vh[null].conj()
@@ -546,7 +561,7 @@ def _estimate_once(op: DiscretizedOp, tol, with_basis=True, certify=None):
 
 
 def kernel_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG,
-                    with_basis=True, refined=None) -> KernelEstimate:
+                    with_basis=True, refined=None, hint=None) -> KernelEstimate:
     """Numerical kernel dimension and orthonormal basis of a discretized operator.
 
     dim counts singular values of the interior columns below
@@ -555,16 +570,19 @@ def kernel_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG,
     flagged; refined is op already rebuilt there, else it is rebuilt here.
     The re-run needs only the dimension, so it first tries a certificate
     that exactly the coarse dimension's count of singular values lies below
-    the cut, and computes singular values only when that fails.  The whole
-    estimate computes values only when with_basis is False, which leaves
-    basis and residuals empty.
+    the cut, and computes singular values only when that fails; a
+    values-only estimate tries the certificate of hint, a predicted
+    dimension, on the grid too.  The whole estimate computes values only
+    when with_basis is False, which leaves basis and residuals empty.
     """
     tol = cfg.rank_tol
-    dim, basis, s, residuals = _estimate_once(op, tol, with_basis)
+    dim, basis, s, residuals = _estimate_once(op, tol, with_basis, hint)
+    decided_by = ["svd" if len(s) else "certificate"]
     stable = True
     if cfg.stability and op.rebuild is not None:
         fine = refined if refined is not None else op.rebuild(op.grid.refined())
-        dim2, _, _, _ = _estimate_once(fine, tol, with_basis=False, certify=dim)
+        dim2, _, s2, _ = _estimate_once(fine, tol, with_basis=False, certify=dim)
+        decided_by.append("svd" if len(s2) else "certificate")
         stable = dim2 == dim
     return KernelEstimate(
         dim=dim,
@@ -573,14 +591,16 @@ def kernel_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG,
         tol=tol,
         stable=stable,
         residuals=tuple(residuals),
+        scale=_rank_data(op)[0],
+        decided_by=tuple(decided_by),
     )
 
 
 def coker_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG,
-                   with_basis=True, refined=None) -> KernelEstimate:
+                   with_basis=True, refined=None, hint=None) -> KernelEstimate:
     """Cokernel dimension, measured as the kernel of the conjugate transpose."""
     fine = None if refined is None else refined.adjoint()
-    return kernel_estimate(op.adjoint(), cfg, with_basis, fine)
+    return kernel_estimate(op.adjoint(), cfg, with_basis, fine, hint)
 
 
 # --- recipes --------------------------------------------------------------------
@@ -659,13 +679,16 @@ def _dim_rows(table, prefix, sign_report, op, cfg):
     fine = None
     if cfg.stability and op.rebuild is not None:
         fine = op.rebuild(op.grid.refined())
-    ker = kernel_estimate(op, cfg, with_basis=False, refined=fine)
-    cok = coker_estimate(op, cfg, with_basis=False, refined=fine)
-    for cell, dim_pred, est in (("ker", sign_report.ker, ker),
-                                ("coker", sign_report.coker, cok)):
+    estimates = []
+    for cell, dim_pred, estimate in (("ker", sign_report.ker, kernel_estimate),
+                                     ("coker", sign_report.coker, coker_estimate)):
+        # an exact prediction is the grid's hint: its certificate runs first
+        hint = dim_pred.value if dim_pred.kind == "exact" else None
+        est = estimate(op, cfg, with_basis=False, refined=fine, hint=hint)
         table.add(prefix + cell, dim_pred.describe(), est.dim, est.stable,
                   _judge(dim_pred, est.dim, est.stable))
-    return ker, cok
+        estimates.append(est)
+    return tuple(estimates)
 
 
 def verify(report, pair, grid=None, cfg=DEFAULT_CONFIG) -> VerdictTable:

@@ -10,6 +10,7 @@ from whhankel.dsl import BinOp, Chi, EFunc, Lit, Neg, Pow, Var, format_symbol
 from whhankel.errors import (
     ImproperRational,
     NotInvertible,
+    NotRepresentable,
     RealPoleError,
     SymbolSyntaxError,
 )
@@ -135,6 +136,20 @@ def test_power_equals_repeated_product():
         assert parse_symbol(f"{base}^-{k}").isclose(parse_symbol(f"((t+1i)/(t-2i))^{k}"))
 
 
+def test_power_checked_against_the_base_value():
+    t = np.array([-7.0, -1.0, -0.2, 0.3, 1.0, 2.5, 5.0, 40.0])
+    a = parse_symbol("chi^40")
+    assert np.max(np.abs(a.eval(t) - ((t - 1j) / (t + 1j)) ** 40)) < 1e-10
+    # the expanded coefficients lose the symbol: O(1) errors at k = 60, the
+    # zero symbol at k = 2000, overflow for a constant
+    for text in ("chi^60", "chi^2000", "chi^-60", "2^2000"):
+        with pytest.raises(NotRepresentable):
+            parse_symbol(text)
+    # a pole of the base at a check point is skipped, not misread
+    with pytest.raises(RealPoleError):
+        parse_symbol("(1/(t-1))^2")
+
+
 # --- formatting ------------------------------------------------------------------
 
 def test_format_examples(a_n0):
@@ -173,11 +188,12 @@ def test_parse_format_lower_idempotent(a_n0):
 @given(st.text(alphabet="0123456789.+-*/^()ite chi", max_size=30))
 @example("0^0e0")
 @example("t^2e0")
+@example("9^999")
 def test_fuzzed_input_never_crashes(text):
     try:
         parse_symbol(text)
     except SymbolSyntaxError as err:
         assert 0 <= err.position <= len(text)
-    except (ImproperRational, RealPoleError, NotInvertible, OverflowError,
-            ZeroDivisionError):
+    except (ImproperRational, RealPoleError, NotInvertible, NotRepresentable,
+            OverflowError, ZeroDivisionError):
         pass

@@ -28,7 +28,7 @@ from whhankel import (
     wh_matrix,
 )
 from whhankel import oracle
-from whhankel.catalog import parse_catalog, shipped_catalog_path
+from whhankel.catalog import parse_catalog, run_catalog, shipped_catalog_path
 from whhankel.classify import Dim, SignReport, ClassificationReport
 from whhankel.errors import ShiftNotCommensurate
 from whhankel.kernels import kernel_basis_scalar
@@ -540,7 +540,10 @@ def test_cholesky_certificate_at_the_cut(complex_, monkeypatch):
         s = np.linalg.svd(a, compute_uv=False)
         smallest = s[32 - len(factors):] / cut
         assert np.allclose(smallest, sorted(factors)[::-1], rtol=0, atol=1e-9)
-        assert np.iscomplexobj(oracle._real_if_negligible(a, cfg.rank_tol)) == complex_
+        # the operator's realness test: ||Im M||_F against 1e-3 of the cut
+        scale, imag = oracle._rank_data(op)
+        assert scale == norm_est(op.matrix)
+        assert (imag <= 1e-3 * cut) == (not complex_)
         count = int(np.count_nonzero(s < cut))
         assert count == d + (factors[-1] < 1)
         passed = oracle._cholesky_certifies(a, cut, d)
@@ -592,6 +595,110 @@ def test_certificate_falls_back_when_the_fine_count_differs(complex_, monkeypatc
     assert certified == [(1, False)] * 4
     monkeypatch.setattr(oracle, "_cholesky_certifies", lambda *args: False)
     assert estimates() == certified
+
+
+#: (d, factors of gap): the d null values at 0.5 cut, the (d+1)-th at
+#: 0.5 or 2 gap, gap = GAP_TAU * norm_est
+GAP_CASES = [(d, f) for d in (0, 1, 2) for f in (0.5, 2.0)]
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_gap_certificate(complex_, monkeypatch):
+    cfg = OracleConfig(stability=True)
+    ratio = oracle.GAP_TAU / cfg.rank_tol       # gap / cut
+    results = {}
+    for d, f in GAP_CASES:
+        op = _synthetic_op((0.5,) * d + (f * ratio,), complex_, cfg.rank_tol)
+        a = op.matrix[:, oracle._interior_columns(op)]
+        scale = norm_est(op.matrix)
+        cut, gap = cfg.rank_tol * scale, oracle.GAP_TAU * scale
+        s = np.linalg.svd(a, compute_uv=False)
+        assert np.count_nonzero(s < cut) == d
+        in_gap = np.count_nonzero((s >= cut) & (s < gap))
+        assert in_gap == (f < 1)
+        # the certificate passes exactly where the SVD shows no value in
+        # [cut, gap); without the gap it proves the count alone
+        assert oracle._cholesky_certifies(a, cut, d, gap=gap) == (in_gap == 0)
+        assert oracle._cholesky_certifies(a, cut, d)
+        results[d, f] = [kernel_estimate(op, cfg, with_basis=False, hint=hint)
+                         for hint in (None, d)]
+        decided = "svd" if f < 1 else "certificate"
+        assert results[d, f][1].decided_by == (decided, decided)
+    monkeypatch.setattr(oracle, "_cholesky_certifies", lambda *args: False)
+    for (d, f), estimates in results.items():
+        op = _synthetic_op((0.5,) * d + (f * ratio,), complex_, cfg.rank_tol)
+        svd_only = kernel_estimate(op, cfg, with_basis=False)
+        assert svd_only.decided_by == ("svd", "svd")
+        for est in estimates:
+            assert (est.dim, est.stable, est.scale) == (
+                svd_only.dim, svd_only.stable, svd_only.scale) == (
+                d, True, norm_est(op.matrix))
+
+
+def test_wrong_hint_runs_the_coarse_svd(a_n0, monkeypatch):
+    # W(a) + H(a chi) of the shipped catalog: kernel and cokernel 1
+    cfg = OracleConfig(stability=True)
+    op = wh_plus_hankel(a_n0, a_n0 * chi(), +1, GRID, cfg)
+    svd = np.linalg.svd
+    runs = []
+
+    def counting_svd(m, *args, **kwargs):
+        runs.append(m.shape)
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for estimate in (kernel_estimate, coker_estimate):
+        plain = estimate(op, cfg, with_basis=False)
+        assert plain.dim == 1 and len(runs) == 1
+        assert plain.decided_by == ("svd", "certificate")
+        for hint in (0, 2):
+            runs.clear()
+            est = estimate(op, cfg, with_basis=False, hint=hint)
+            assert len(runs) == 1, hint     # the coarse SVD runs
+            assert est == plain, hint
+        runs.clear()
+        est = estimate(op, cfg, with_basis=False, hint=1)
+        assert runs == [] and est.decided_by == ("certificate", "certificate")
+        assert (est.dim, est.stable, est.scale) == (1, True, plain.scale)
+        assert est.scale == norm_est(op.matrix)
+        assert {"scale", "decided_by"} <= set(est.to_dict())
+
+
+def test_catalog_entries_run_no_rank_svd(monkeypatch):
+    # a scalar and a pair entry at catalog settings: every rank decision,
+    # on the grid and on its refinement, ends in a passing certificate
+    names = ("scalar_chi_inverse", "pair_chi_shift_nm1")
+    entries = [e for e in parse_catalog(shipped_catalog_path().read_text(encoding="utf-8"))
+               if e.name in names]
+    assert len(entries) == 2
+    depth, rank_svds, passed = [0], [], []
+    estimate_once, certifies, svd = (
+        oracle._estimate_once, oracle._cholesky_certifies, np.linalg.svd)
+
+    def traced_estimate_once(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return estimate_once(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def traced_certifies(*args, **kwargs):
+        passed.append(certifies(*args, **kwargs))
+        return passed[-1]
+
+    def traced_svd(m, *args, **kwargs):
+        if depth[0]:
+            rank_svds.append(m.shape)
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_estimate_once", traced_estimate_once)
+    monkeypatch.setattr(oracle, "_cholesky_certifies", traced_certifies)
+    monkeypatch.setattr(np.linalg, "svd", traced_svd)
+    results = run_catalog(entries, Grid(T=25.0, h=0.05), OracleConfig(), workers=1)
+    assert [r["status"] for r in results] == ["pass", "pass"]
+    assert rank_svds == []
+    # 1 scalar operator and 2 pair operators, kernel and cokernel, two grids
+    assert passed == [True] * 12
 
 
 def _outer_window(op, cfg):
