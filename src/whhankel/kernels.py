@@ -3,7 +3,8 @@
 Everything here reduces whole-line compositions like J Q W0(g) P to half-line
 Hankel applications: on the mirrored midpoint grid the discrete operators
 satisfy J Q W0(g) P = H(tilde(g)) exactly, so the maps below run on N x N
-Toeplitz/Hankel matrices.  A Workspace caches assembled matrices per symbol.
+Toeplitz/Hankel matrices.  A Workspace assembles a matrix on every request
+and keeps none, so each one lives only as long as the expression using it.
 
 Contents: the exponential kernel generator psi0, scalar kernel bases
 W(g_+^(-1)) psi0, the involutive projections (f +- J Q W0(g) P f)/2 on
@@ -59,23 +60,18 @@ class GridFunction:
 
 
 class Workspace:
-    """Matrix cache for one grid; symbols are hashable, so plain dict caching."""
+    """A grid and its oracle settings; wh and hank assemble a matrix on every
+    call and keep none, since most matrices are read once."""
 
     def __init__(self, grid=None, cfg=DEFAULT_CONFIG):
         self.grid = grid or Grid()
         self.cfg = cfg
-        self._wh = {}
-        self._hank = {}
 
     def wh(self, sym) -> np.ndarray:
-        if sym not in self._wh:
-            self._wh[sym] = oracle.wh_matrix(sym, self.grid, self.cfg).matrix
-        return self._wh[sym]
+        return oracle.wh_matrix(sym, self.grid, self.cfg).matrix
 
     def hank(self, sym) -> np.ndarray:
-        if sym not in self._hank:
-            self._hank[sym] = oracle.hankel_matrix(sym, self.grid, self.cfg).matrix
-        return self._hank[sym]
+        return oracle.hankel_matrix(sym, self.grid, self.cfg).matrix
 
     def flip_apply(self, g, v):
         """J Q W0(g) P on a half-line vector, computed as H(tilde(g))."""
@@ -157,8 +153,9 @@ def projection_image_dims(g, basis, ws):
         return 0, 0
     plus_vecs = []
     minus_vecs = []
+    flip = ws.hank(tilde(g))        # J Q W0(g) P, see Workspace.flip_apply
     for f in basis:
-        pf = ws.flip_apply(g, np.asarray(f.values, dtype=complex))
+        pf = flip @ np.asarray(f.values, dtype=complex)
         plus_vecs.append(0.5 * (f.values + pf))
         minus_vecs.append(0.5 * (f.values - pf))
 
@@ -190,11 +187,10 @@ def e2_map(pair: MatchingPair, big_phi: GridFunction, big_psi: GridFunction,
            ws: Workspace):
     """Inverse transport: (Phi, Psi) back into ker W(V(a,b))."""
     a, b = pair.a, pair.b
-    wp = ws.wh(a) + ws.hank(b)
-    wm = ws.wh(a) - ws.hank(b)
+    wa, hb = ws.wh(a), ws.hank(b)
     scale = max(np.linalg.norm(big_phi.values), np.linalg.norm(big_psi.values))
-    _require_in_kernel(ws, wp, big_phi.values, "transport input (plus kernel)", scale)
-    _require_in_kernel(ws, wm, big_psi.values, "transport input (minus kernel)", scale)
+    _require_in_kernel(ws, wa + hb, big_phi.values, "transport input (plus kernel)", scale)
+    _require_in_kernel(ws, wa - hb, big_psi.values, "transport input (minus kernel)", scale)
     s = big_phi.values + big_psi.values
     diff = big_phi.values - big_psi.values
     second = ws.wh(tilde(b)) @ s + ws.hank(tilde(a)) @ diff
@@ -249,8 +245,9 @@ class KappaResult:
 
 def _membership_residual(x, ws):
     """Relative distance of x from its projection W(chi) W(chi^(-1)) x onto
-    the range of W(chi), applied as two mat-vecs."""
-    q0x = ws.wh(symbols.chi(1)) @ (ws.wh(symbols.chi(-1)) @ x)
+    the range of W(chi), applied as two mat-vecs, one matrix at a time."""
+    q0x = ws.wh(symbols.chi(-1)) @ x
+    q0x = ws.wh(symbols.chi(1)) @ q0x
     nx = np.linalg.norm(x)
     if nx == 0:
         return 0.0
@@ -266,24 +263,28 @@ def _on_grid(compute, ws, which, stage):
         raise NotInKernel(f"{which} grid T={g.T:g} h={g.h:g}, {stage}: {err}") from err
 
 
-def _two_grid_membership(compute, ws, cfg, stage):
+def _two_grid_membership(compute, ws, stage):
     """KappaResult of compute(w) -> (kappa, residual, diagnostics) on ws's
-    grid; stable when the membership decision is the same on the refined
-    grid."""
+    grid; with ws.cfg.stability it is stable when the membership decision is
+    the same on the refined grid, else stable without running it."""
+    cfg = ws.cfg
     kappa, res, diag = _on_grid(compute, ws, "coarse", stage)
     in_img = res < cfg.membership_tol
-    fine_ws = Workspace(ws.grid.refined(), cfg)
-    _, res2, _ = _on_grid(compute, fine_ws, "refined", stage)
+    stable = True
+    if cfg.stability:
+        fine_ws = Workspace(ws.grid.refined(), cfg)
+        _, res2, _ = _on_grid(compute, fine_ws, "refined", stage)
+        stable = (res2 < cfg.membership_tol) == in_img
     return KappaResult(
         kappa=ws.gf(kappa),
         in_image=in_img,
         residual=res,
-        stable=(res2 < cfg.membership_tol) == in_img,
+        stable=stable,
         diagnostics=diag,
     )
 
 
-def kappa_element(a: GSymbol, ws: Workspace = None, cfg=None) -> KappaResult:
+def kappa_element(a: GSymbol, ws: Workspace = None) -> KappaResult:
     """The transported kernel candidate for the pair (a, a chi^(-1)) with
     nu(a) = n(a) = 0, and its membership in the range of W(chi).
 
@@ -297,7 +298,6 @@ def kappa_element(a: GSymbol, ws: Workspace = None, cfg=None) -> KappaResult:
     the third term stays outside the range, i.e. in_image is False.
     """
     ws = ws or Workspace()
-    cfg = cfg or ws.cfg
     if abs(symbols.nu(a)) > 1e-9:
         raise WrongCase("kappa element requires nu(a) = 0")
     if symbols.winding_n(a) != 0:
@@ -313,7 +313,7 @@ def kappa_element(a: GSymbol, ws: Workspace = None, cfg=None) -> KappaResult:
         s = w.wh(inverse(d_plus)) @ psi0_discrete(w.grid).values
         z = w.wh(alpha_t_inv) @ s
         t1 = w.wh(symbols.chi(1)) @ z
-        t2 = w.flip_apply(symbols.chi(-1), w.wh(symbols.chi(1)) @ z)
+        t2 = w.flip_apply(symbols.chi(-1), t1)
         t3 = w.flip_apply(alpha_t_inv, s)
         kappa = t1 + t2 - t3
         scale = max(np.linalg.norm(s), 1e-30)
@@ -323,18 +323,17 @@ def kappa_element(a: GSymbol, ws: Workspace = None, cfg=None) -> KappaResult:
         }
         return kappa, _membership_residual(t3, w), diag
 
-    return _two_grid_membership(compute, ws, cfg, "kappa element")
+    return _two_grid_membership(compute, ws, "kappa element")
 
 
-def kappa_for_pair(pair: MatchingPair, ws: Workspace = None, cfg=None) -> KappaResult:
+def kappa_for_pair(pair: MatchingPair, ws: Workspace = None) -> KappaResult:
     """General conditional branch: n(c) = +1 and one-dimensional ker W(d).
 
     Reduces (a, b) to (a chi^(-1), b chi), transports the kernel of W(d)
     through phi_-, and tests whether the transported element meets the range
-    of W(chi).  Grid-stability is required before the verdict is reported.
+    of W(chi).  With ws.cfg.stability the verdict must agree on both grids.
     """
     ws = ws or Workspace()
-    cfg = cfg or ws.cfg
 
     sub = subordinated(
         MatchingPair(a=pair.a * symbols.chi(-1), b=pair.b * symbols.chi(1))
@@ -345,17 +344,17 @@ def kappa_for_pair(pair: MatchingPair, ws: Workspace = None, cfg=None) -> KappaR
         kappa = 2.0 * phi_pm(sub, basis[0], "-", w).values
         return kappa, _membership_residual(kappa, w), {}
 
-    return _two_grid_membership(compute, ws, cfg, "kappa tester")
+    return _two_grid_membership(compute, ws, "kappa tester")
 
 
 def make_kappa_tester(grid=None, cfg=DEFAULT_CONFIG):
     """classify()-compatible tester resolving the conditional branch on a grid.
 
-    Each call gets its own Workspace: pairs share few matrices, so a cache
-    kept across calls saves no time and holds every matrix it ever built."""
-    grid = grid or Grid()
+    Each call assembles its matrices as it reads them and keeps none, so a
+    call holds a few matrices of one grid at a time."""
+    ws = Workspace(grid, cfg)
 
     def tester(pair: MatchingPair):
-        return kappa_for_pair(pair, Workspace(grid, cfg), cfg)
+        return kappa_for_pair(pair, ws)
 
     return tester

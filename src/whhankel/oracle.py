@@ -136,17 +136,6 @@ class DiscretizedOp:
     rebuild: object = None          # callable Grid -> DiscretizedOp, or None
     rank_data: tuple = None         # (norm_est, ||Im M||_F), see _rank_data
 
-    def adjoint(self):
-        parent_rebuild = self.rebuild
-        return DiscretizedOp(
-            matrix=self.matrix.conj().T,
-            grid=self.grid,
-            description=f"adjoint({self.description})",
-            components=self.components,
-            rebuild=(lambda g: parent_rebuild(g).adjoint()) if parent_rebuild else None,
-            rank_data=self.rank_data,
-        )
-
 
 def norm_est(matrix):
     """sqrt(||M||_1 ||M||_inf), an upper bound of the spectral norm."""
@@ -524,7 +513,7 @@ def _interior_columns(op: DiscretizedOp):
 
 def _rank_data(op: DiscretizedOp):
     """(scale, ||Im M||_F) of op's matrix M, scale = norm_est(M) (at least
-    1e-300): computed once per operator and shared with its adjoint."""
+    1e-300): computed once per operator, for its kernel and its cokernel."""
     if op.rank_data is None:
         m = op.matrix
         imag = float(np.linalg.norm(m.imag)) if np.iscomplexobj(m) else 0.0
@@ -532,32 +521,58 @@ def _rank_data(op: DiscretizedOp):
     return op.rank_data
 
 
-def _estimate_once(op: DiscretizedOp, tol, with_basis=True, certify=None):
-    """Null count of the interior columns of op at tol * norm_est(op), plus
-    the null vectors (zero on the outer window) and their residuals when
-    with_basis.  Without a basis an operator whose imaginary part is
-    rounding noise is decided on its real part, and with a count certify the
-    certificate of that count is tried first: when it holds the count is
-    certify and no SVD runs (the singular values come back empty)."""
+def _estimate_once(op: DiscretizedOp, tol, with_basis=True, certify=None, coker=False):
+    """Null count of the interior columns of op's matrix M, or with coker of
+    M^H (the interior rows of M), at tol * norm_est(M), plus the null vectors
+    (zero on the outer window) and their residuals when with_basis.  Without
+    a basis an operator whose imaginary part is rounding noise is decided on
+    its real part, and with a count certify the certificate of that count is
+    tried first: when it holds the count is certify and no SVD runs (the
+    singular values come back empty)."""
     cols = _interior_columns(op)
     scale, imag = _rank_data(op)
     cut = tol * scale
+    # Weyl: dropping Im M moves every sigma by at most ||Im M||_F
+    real = not with_basis and imag <= 1e-3 * cut
+    m = op.matrix.real if real else op.matrix
+    a = m[cols].conj().T if coker else m[:, cols]      # a contiguous copy
     if not with_basis:
-        # Weyl: dropping Im M moves every sigma by at most ||Im M||_F
-        real = imag <= 1e-3 * cut
-        a = (op.matrix.real if real else op.matrix)[:, cols]   # a contiguous copy
         slack = 1e-3 if real and imag else 0.0
         if certify is not None and _cholesky_certifies(
                 a, cut, certify, slack, GAP_TAU * scale):
             return certify, [], (), []
         s = np.linalg.svd(a, compute_uv=False)
         return int(np.count_nonzero(s < cut)), [], s, []
-    _, s, vh = np.linalg.svd(op.matrix[:, cols], full_matrices=False)
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
     null = s < cut
-    basis = np.zeros((np.count_nonzero(null), op.matrix.shape[1]), dtype=complex)
+    basis = np.zeros((np.count_nonzero(null), m.shape[1]), dtype=complex)
     basis[:, cols] = vh[null].conj()
-    residuals = [float(np.linalg.norm(op.matrix @ v) / scale) for v in basis]
+    residuals = [float(np.linalg.norm(v.conj() @ m if coker else m @ v) / scale)
+                 for v in basis]
     return len(basis), basis, s, residuals
+
+
+def _estimate(op: DiscretizedOp, cfg, with_basis, refined, hint, coker):
+    """kernel_estimate of op, or with coker of its conjugate transpose."""
+    tol = cfg.rank_tol
+    dim, basis, s, residuals = _estimate_once(op, tol, with_basis, hint, coker)
+    decided_by = ["svd" if len(s) else "certificate"]
+    stable = True
+    if cfg.stability and op.rebuild is not None:
+        fine = refined if refined is not None else op.rebuild(op.grid.refined())
+        dim2, _, s2, _ = _estimate_once(fine, tol, False, dim, coker)
+        decided_by.append("svd" if len(s2) else "certificate")
+        stable = dim2 == dim
+    return KernelEstimate(
+        dim=dim,
+        basis=tuple(basis),
+        singular_values=tuple(float(x) for x in s),
+        tol=tol,
+        stable=stable,
+        residuals=tuple(residuals),
+        scale=_rank_data(op)[0],
+        decided_by=tuple(decided_by),
+    )
 
 
 def kernel_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG,
@@ -575,32 +590,13 @@ def kernel_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG,
     dimension, on the grid too.  The whole estimate computes values only
     when with_basis is False, which leaves basis and residuals empty.
     """
-    tol = cfg.rank_tol
-    dim, basis, s, residuals = _estimate_once(op, tol, with_basis, hint)
-    decided_by = ["svd" if len(s) else "certificate"]
-    stable = True
-    if cfg.stability and op.rebuild is not None:
-        fine = refined if refined is not None else op.rebuild(op.grid.refined())
-        dim2, _, s2, _ = _estimate_once(fine, tol, with_basis=False, certify=dim)
-        decided_by.append("svd" if len(s2) else "certificate")
-        stable = dim2 == dim
-    return KernelEstimate(
-        dim=dim,
-        basis=tuple(basis),
-        singular_values=tuple(float(x) for x in s),
-        tol=tol,
-        stable=stable,
-        residuals=tuple(residuals),
-        scale=_rank_data(op)[0],
-        decided_by=tuple(decided_by),
-    )
+    return _estimate(op, cfg, with_basis, refined, hint, coker=False)
 
 
 def coker_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG,
                    with_basis=True, refined=None, hint=None) -> KernelEstimate:
-    """Cokernel dimension, measured as the kernel of the conjugate transpose."""
-    fine = None if refined is None else refined.adjoint()
-    return kernel_estimate(op.adjoint(), cfg, with_basis, fine, hint)
+    """Cokernel dimension: the kernel estimate of M^H, from the interior rows of M."""
+    return _estimate(op, cfg, with_basis, refined, hint, coker=True)
 
 
 # --- recipes --------------------------------------------------------------------

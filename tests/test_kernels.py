@@ -1,8 +1,13 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from whhankel import (
+    Grid,
     MatchingPair,
+    OracleConfig,
     Workspace,
     chi,
     constant,
@@ -18,6 +23,7 @@ from whhankel import (
     tilde,
     wh_matrix,
 )
+from whhankel.catalog import parse_catalog, shipped_catalog_path
 from whhankel.classify import classify, subordinated
 from whhankel.errors import NotInKernel, WrongCase, WrongIndex
 from whhankel.kernels import (
@@ -271,6 +277,8 @@ def test_kappa_error_names_grid_and_stage(ws, a_n0, monkeypatch):
     from whhankel import kernels
 
     real = kernels.kernel_basis_scalar
+    # the session ws has stability off, which runs no refined grid
+    stable_ws = Workspace(ws.grid, dataclasses.replace(ws.cfg, stability=True))
 
     def off_kernel_on_refined_grid(g, w):
         if w.grid == ws.grid:
@@ -283,4 +291,41 @@ def test_kappa_error_names_grid_and_stage(ws, a_n0, monkeypatch):
         NotInKernel,
         match=r"^refined grid T=31\.25 h=0\.05, kappa tester: phi input",
     ):
-        kappa_for_pair(pair, ws)
+        kappa_for_pair(pair, stable_ws)
+
+
+def _catalog_pair(name):
+    text = shipped_catalog_path().read_text(encoding="utf-8")
+    entry = next(e for e in parse_catalog(text) if e.name == name)
+    return MatchingPair(parse_symbol(entry.a_expr), parse_symbol(entry.b_expr))
+
+
+def test_kappa_tester_without_stability_runs_one_grid(coarse_grid, monkeypatch):
+    pair = _catalog_pair("pair_chi_inv_shift_n0")
+    both = make_kappa_tester(coarse_grid, OracleConfig(stability=True))(pair)
+
+    def no_refined_grid(self):
+        raise AssertionError("the refined grid was built with stability off")
+
+    monkeypatch.setattr(Grid, "refined", no_refined_grid)
+    one_grid = make_kappa_tester(coarse_grid, OracleConfig(stability=False))(pair)
+    assert one_grid.stable
+    assert (one_grid.in_image, one_grid.residual) == (both.in_image, both.residual)
+    assert np.array_equal(one_grid.kappa.values, both.kappa.values)
+
+
+def test_kappa_run_holds_few_matrices():
+    # each matrix is assembled where it is read and dropped after it: one
+    # kappa run with the refined re-run stays below three refined matrices
+    pair = _catalog_pair("pair_chi_inv_shift_n0")
+    grid = Grid(T=25.0, h=0.05)
+    ws = Workspace(grid, OracleConfig(stability=True))
+    n = grid.refined().n
+    tracemalloc.start()
+    try:
+        res = kappa_for_pair(pair, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.stable and res.in_image is False
+    assert peak < 3 * n * n * 16, f"peak {peak / 2**20:.1f} MiB"

@@ -477,20 +477,22 @@ def test_certified_refined_count_equals_svd_count(a_n0, a_nm1):
     assert len(ops) == 13
     counts = []
     for op in ops:
-        for side in (op, op.adjoint()):
-            fine = side.rebuild(side.grid.refined())
-            dim, _, s, _ = oracle._estimate_once(fine, cfg.rank_tol, with_basis=False)
+        fine = op.rebuild(op.grid.refined())
+        for coker in (False, True):     # kernel, then cokernel
+            side = (op.description, coker)
+            dim, _, s, _ = oracle._estimate_once(fine, cfg.rank_tol, with_basis=False,
+                                                 coker=coker)
             counts.append(dim)
             # the true count and a neighbour of it
             for d in (dim, dim - 1 if dim else 1):
                 cert = oracle._estimate_once(fine, cfg.rank_tol, with_basis=False,
-                                             certify=d)
+                                             certify=d, coker=coker)
                 if len(cert[2]) == 0:   # certified: no SVD ran
-                    assert cert[0] == d == dim, (side.description, d)
+                    assert cert[0] == d == dim, (side, d)
                 else:
                     assert cert[0] == dim and np.array_equal(cert[2], s)
                     # these kernels sit far from the cut: every true count passes
-                    assert d != dim, side.description
+                    assert d != dim, side
     assert 0 in counts and 1 in counts and 2 in counts
 
 
