@@ -103,11 +103,9 @@ def _check_expected_sign(expected_side, side_report, label, mismatches):
         )
 
 
-def run_entry(entry: CatalogEntry, grid=None, cfg=oracle.DEFAULT_CONFIG,
-              kappa_tester=None) -> dict:
+def run_entry(entry: CatalogEntry, grid, cfg=oracle.DEFAULT_CONFIG) -> dict:
     """Classify and oracle-verify one entry; never raises for entry-level
     failures (they are reported as status 'error')."""
-    grid = grid or oracle.Grid()
     result = {"name": entry.name, "notes": entry.notes}
     try:
         a = dsl.parse_symbol(entry.a_expr)
@@ -117,7 +115,7 @@ def run_entry(entry: CatalogEntry, grid=None, cfg=oracle.DEFAULT_CONFIG,
         else:
             b = dsl.parse_symbol(entry.b_expr)
             pair = MatchingPair(a, b)
-            tester = kappa_tester or kernels.make_kappa_tester(grid, cfg)
+            tester = kernels.make_kappa_tester(grid, cfg)
             report = run_classify(pair, kappa_tester=tester)
             table = oracle.verify(report, pair, grid, cfg)
     except WhhError as err:
@@ -142,26 +140,25 @@ def run_entry(entry: CatalogEntry, grid=None, cfg=oracle.DEFAULT_CONFIG,
     return result
 
 
-def run_catalog(entries, grid=None, cfg=oracle.DEFAULT_CONFIG,
+def run_catalog(entries, grid, cfg=oracle.DEFAULT_CONFIG,
                 workers=CORES) -> list[dict]:
     """Run entries in worker processes; output ordered by entry name.
 
     The default is one worker per usable core (``CORES``), at most one per
     entry.  Most of an entry's time is in values-only rank decisions, which
     gain little from a second BLAS thread, so entries run side by side in
-    processes, each with ``max(1, CORES // workers)`` BLAS threads.  ``workers=1`` runs the entries in this process, one after
-    another, with its BLAS threads as they are.  The output does not depend
-    on ``workers``.
+    processes, each with ``max(1, CORES // workers)`` BLAS threads.
+    ``workers=1`` runs the entries in this process, one after another, with
+    its BLAS threads as they are.  The output does not depend on
+    ``workers``.
 
     Workers are started with ``spawn`` and import the caller's main module,
     so a script that calls this with ``workers > 1`` must guard its entry
     point with ``if __name__ == "__main__":``.
     """
-    grid = grid or oracle.Grid()
     workers = max(1, min(workers, len(entries)))
     if workers == 1:
-        tester = kernels.make_kappa_tester(grid, cfg)
-        results = [run_entry(e, grid, cfg, tester) for e in entries]
+        results = [run_entry(e, grid, cfg) for e in entries]
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -339,8 +339,15 @@ def classify(pair: MatchingPair, kappa_tester=None,
 
     if abs(sub.nu_c) > NU_TOL:
         raise OutOfScope(f"nu(c) = {sub.nu_c:g} != 0 is outside the classified scope")
-    if sub.n_c is None or abs(sub.n_c) > 1:
-        raise OutOfScope(f"|n(c)| = {sub.n_c} > 1 is outside the classified scope")
+    if sub.n_c is None:
+        raise OutOfScope(
+            "n(c) is unresolved: the winding number of c could not be decided"
+        )
+    if abs(sub.n_c) > 1:
+        raise OutOfScope(
+            f"n(c) = {sub.n_c}: |n(c)| = {abs(sub.n_c)} > 1 is outside the "
+            "classified scope"
+        )
     if sub.xi_c is None:
         raise OutOfScope("sign invariant of c could not be determined")
 
@@ -358,15 +365,14 @@ def classify(pair: MatchingPair, kappa_tester=None,
         # W(c) is right-invertible: kernels decompose through the sign
         # projections of ker W(d) and ker W(c)
         pd_plus, pd_minus = _pim_dims(sub.n_d, sub.xi_d, kd)
-        pc_plus = Dim.exact(0)
-        pc_minus = Dim.exact(1) if n_c == -1 else Dim.exact(0)
+        pc_plus, pc_minus = _pim_dims(n_c, sub.xi_c, Dim.exact(-n_c))
         ker_plus = pd_plus + pc_minus
         ker_minus = pd_minus + pc_plus
         base = f"kernel-decomposition(n_c={n_c}, n_d={sub.n_d}, xi_d={sub.xi_d})"
         cert_plus.append(base)
         cert_minus.append(base)
         if kd.kind == "exact" and kd.value >= 2:
-            total = kd.value + (1 if n_c == -1 else 0)
+            total = kd.value - n_c
             notes.append(
                 f"kernel split of ker W(d) (dim {kd.value}) is unresolved; "
                 f"dim ker(+) + dim ker(-) = {total} exactly"

@@ -163,14 +163,10 @@ def cmd_kernel_basis(args):
     sign = +1 if args.sign == "plus" else -1
     op = oracle.wh_plus_hankel(a, b, sign, grid, cfg)
     est = oracle.kernel_estimate(op, cfg)
-    nodes = grid.half_nodes()
     payload = {
         "dim": est.dim,
         "stable": est.stable,
-        "basis": [
-            [[float(t), float(v.real), float(v.imag)] for t, v in zip(nodes, vec)]
-            for vec in est.basis
-        ],
+        "basis": [kernels.GridFunction(grid, vec).to_triples() for vec in est.basis],
     }
     args.json = True  # the basis is structured data; always emit JSON
     _emit(args, payload, "")
@@ -179,20 +175,16 @@ def cmd_kernel_basis(args):
     return 0
 
 
+#: the bundled catalogs, by the name the catalog command takes
+BUNDLED = {"shipped": "catalog.txt", "negative-controls": "negative_controls.txt"}
+
+
 def cmd_catalog(args):
-    path = args.path
-    if path == "shipped":
-        entries = cat.parse_catalog(
-            cat.shipped_catalog_path().read_text(encoding="utf-8")
-        )
-    elif path == "negative-controls":
-        entries = cat.parse_catalog(
-            cat.shipped_catalog_path("negative_controls.txt").read_text(
-                encoding="utf-8"
-            )
-        )
+    if args.path in BUNDLED:
+        path = cat.shipped_catalog_path(BUNDLED[args.path])
+        entries = cat.parse_catalog(path.read_text(encoding="utf-8"))
     else:
-        entries = cat.load_catalog(path)
+        entries = cat.load_catalog(args.path)
     grid, cfg = _mk_grid_cfg(args)
     results = cat.run_catalog(entries, grid, cfg, workers=args.workers)
     _emit(args, results, cat.summarize(results))

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import poly, symbols
 from .errors import NotInvertible, NotRepresentable, SymbolSyntaxError
+from .symbols import RationalPart
 
 # --- tokens -----------------------------------------------------------------
 
@@ -237,17 +238,10 @@ def parse(text):
 
 # --- lowering ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _RatF:
-    """num / prod (t - p)^m, a rational function of t that is not yet a
-    symbol (it may be improper mid-expression)."""
-
-    num: tuple
-    poles: tuple = ()
-
-
-def _rat(num, poles):
-    return _RatF(tuple(num), poles)
+def _rat(num, poles=()):
+    """A rational function of t, which may be improper mid-expression;
+    make_symbol makes a symbol's parts strictly proper."""
+    return RationalPart(tuple(num), poles)
 
 
 def _promote(val):
@@ -274,19 +268,12 @@ def _rat_inverse(x):
     if poly.is_zero(num):
         raise NotInvertible("division by the zero symbol")
     return _rat(*poly.cancel(
-        [poly.from_poles(x.poles) / num[-1]], poly.root_clusters(num)
+        [poly.as_poly(x.den) / num[-1]], poly.root_clusters(num)
     ))
 
 
 #: real points where a power of a rational function is checked
 _POWER_CHECK_T = np.array([0.3, 1.0, 5.0])
-
-
-def _rat_values(x):
-    """x at _POWER_CHECK_T, evaluated as a symbol's rational part is."""
-    with np.errstate(all="ignore"):
-        return (poly.pval(x.num, _POWER_CHECK_T)
-                / poly.pval(poly.from_poles(x.poles), _POWER_CHECK_T))
 
 
 def _check_power(power, want, at, k):
@@ -295,7 +282,7 @@ def _check_power(power, want, at, k):
     (those where the base is finite): within 1e-8 of the largest value, or
     of 1 if that is smaller, as coefficients are pruned (poly.trim)."""
     with np.errstate(all="ignore"):
-        err = np.max(np.abs(_rat_values(power) - want)[at], initial=0.0)
+        err = np.max(np.abs(power.eval(_POWER_CHECK_T) - want)[at], initial=0.0)
         scale = np.max(np.abs(want[at]), initial=1.0)
         if not (err <= 1e-8 * scale and np.isfinite(scale)):
             raise NotRepresentable(
@@ -306,27 +293,27 @@ def _check_power(power, want, at, k):
 
 def _lower(node):
     if isinstance(node, Lit):
-        return _RatF((node.value,))
+        return _rat((node.value,))
     if isinstance(node, Var):
-        return _RatF((0.0, 1.0))
+        return _rat((0.0, 1.0))
     if isinstance(node, Chi):
-        return _RatF((-1j, 1.0), ((-1j, 1),))
+        return _rat((-1j, 1.0), ((-1j, 1),))
     if isinstance(node, EFunc):
         return symbols.exp_symbol(node.delta)
     if isinstance(node, Neg):
         val = _lower(node.operand)
-        if isinstance(val, _RatF):
-            return _RatF(tuple(poly.pscale(val.num, -1.0)), val.poles)
+        if isinstance(val, RationalPart):
+            return _rat(poly.pscale(val.num, -1.0), val.poles)
         return -val
     if isinstance(node, Pow):
         base = _lower(node.base)
         k = node.exponent
         if k == 0:
-            return _RatF((1.0,))
+            return _rat((1.0,))
         if k < 0:
             base = (
                 _rat_inverse(base)
-                if isinstance(base, _RatF)
+                if isinstance(base, RationalPart)
                 else symbols.inverse(base)
             )
             k = -k
@@ -334,10 +321,11 @@ def _lower(node):
         # base * base and (base * base) * base.  The expanded coefficients
         # of a rational power lose accuracy as k grows, so each power is
         # checked against the base's values raised to it
-        rational = isinstance(base, _RatF)
+        rational = isinstance(base, RationalPart)
         mul = _rat_mul if rational else operator.mul
         out = base
-        want = value = _rat_values(base) if rational else None
+        with np.errstate(all="ignore"):
+            want = value = base.eval(_POWER_CHECK_T) if rational else None
         for bit in bin(k)[3:]:
             out = mul(out, out)
             if bit == "1":
@@ -350,7 +338,7 @@ def _lower(node):
     if isinstance(node, BinOp):
         left = _lower(node.left)
         right = _lower(node.right)
-        both_rational = isinstance(left, _RatF) and isinstance(right, _RatF)
+        both_rational = isinstance(left, RationalPart) and isinstance(right, RationalPart)
         if node.op == "+":
             return _rat_add(left, right) if both_rational else _promote(left) + _promote(right)
         if node.op == "-":
@@ -364,7 +352,7 @@ def _lower(node):
         if node.op == "/":
             if both_rational:
                 return _rat_mul(left, _rat_inverse(right))
-            if isinstance(right, _RatF):
+            if isinstance(right, RationalPart):
                 # invert rationally first: the divisor may be improper even
                 # though its reciprocal is a perfectly good symbol
                 return _promote(left) * _promote(_rat_inverse(right))

@@ -65,9 +65,6 @@ class OperatorRecipe:
 
     factors: tuple
 
-    def to_dict(self):
-        return {"factors": [f.to_dict() for f in self.factors]}
-
 
 def factorize(g: GSymbol) -> WHFactorization:
     """Split zeros and poles by half-plane; degree-balance with (t -+ i) factors.

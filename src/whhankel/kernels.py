@@ -63,8 +63,8 @@ class Workspace:
     """A grid and its oracle settings; wh and hank assemble a matrix on every
     call and keep none, since most matrices are read once."""
 
-    def __init__(self, grid=None, cfg=DEFAULT_CONFIG):
-        self.grid = grid or Grid()
+    def __init__(self, grid, cfg=DEFAULT_CONFIG):
+        self.grid = grid
         self.cfg = cfg
 
     def wh(self, sym) -> np.ndarray:
@@ -81,9 +81,8 @@ class Workspace:
         return GridFunction(self.grid, np.asarray(values, dtype=complex), support)
 
 
-def psi0(grid=None, support="half") -> GridFunction:
+def psi0(grid, support="half") -> GridFunction:
     """e^(-t) on the half-line nodes, or its zero extension on the full line."""
-    grid = grid or Grid()
     if support == "half":
         return GridFunction(grid, np.exp(-grid.half_nodes()).astype(complex), "half")
     nodes = grid.full_nodes()
@@ -91,13 +90,12 @@ def psi0(grid=None, support="half") -> GridFunction:
     return GridFunction(grid, vals, "full")
 
 
-def psi0_discrete(grid=None, support="half") -> GridFunction:
+def psi0_discrete(grid, support="half") -> GridFunction:
     """The exact kernel generator of the discretized operator: the geometric
     sequence r^(j+1/2), r = (2-h)/(2+h), which deviates from e^(-t) by an
     O(h^2) exponent error but annihilates the discrete W(chi^(-1)) to
     truncation accuracy.  Kernel formulas use this twin so transport
     identities hold at near machine precision."""
-    grid = grid or Grid()
     r = (2.0 - grid.h) / (2.0 + grid.h)
     j = np.arange(grid.n)
     half = (r ** (j + 0.5)).astype(complex)
@@ -203,10 +201,7 @@ def right_inverse_apply(c: GSymbol, v, ws: Workspace):
     if f.n > 0 or abs(f.nu) > 1e-9:
         raise NoRightInverse(f"W(c) with nu = {f.nu:g}, n = {f.n} is not right-invertible")
     recipe = factorization.one_sided_inverse_recipe(f, "right")
-    out = np.asarray(v, dtype=complex)
-    for factor in reversed(recipe.factors):
-        out = ws.wh(factor) @ out
-    return out
+    return oracle.apply_recipe(recipe, v, ws.grid, ws.cfg)
 
 
 def phi_pm(sub: SubordinatedPair, s: GridFunction, sign: str, ws: Workspace):
@@ -284,7 +279,7 @@ def _two_grid_membership(compute, ws, stage):
     )
 
 
-def kappa_element(a: GSymbol, ws: Workspace = None) -> KappaResult:
+def kappa_element(a: GSymbol, ws: Workspace) -> KappaResult:
     """The transported kernel candidate for the pair (a, a chi^(-1)) with
     nu(a) = n(a) = 0, and its membership in the range of W(chi).
 
@@ -297,7 +292,6 @@ def kappa_element(a: GSymbol, ws: Workspace = None) -> KappaResult:
     small; the minus operator W(a) - H(a chi^(-1)) is invertible exactly when
     the third term stays outside the range, i.e. in_image is False.
     """
-    ws = ws or Workspace()
     if abs(symbols.nu(a)) > 1e-9:
         raise WrongCase("kappa element requires nu(a) = 0")
     if symbols.winding_n(a) != 0:
@@ -326,15 +320,13 @@ def kappa_element(a: GSymbol, ws: Workspace = None) -> KappaResult:
     return _two_grid_membership(compute, ws, "kappa element")
 
 
-def kappa_for_pair(pair: MatchingPair, ws: Workspace = None) -> KappaResult:
+def kappa_for_pair(pair: MatchingPair, ws: Workspace) -> KappaResult:
     """General conditional branch: n(c) = +1 and one-dimensional ker W(d).
 
     Reduces (a, b) to (a chi^(-1), b chi), transports the kernel of W(d)
     through phi_-, and tests whether the transported element meets the range
     of W(chi).  With ws.cfg.stability the verdict must agree on both grids.
     """
-    ws = ws or Workspace()
-
     sub = subordinated(
         MatchingPair(a=pair.a * symbols.chi(-1), b=pair.b * symbols.chi(1))
     )
@@ -347,7 +339,7 @@ def kappa_for_pair(pair: MatchingPair, ws: Workspace = None) -> KappaResult:
     return _two_grid_membership(compute, ws, "kappa tester")
 
 
-def make_kappa_tester(grid=None, cfg=DEFAULT_CONFIG):
+def make_kappa_tester(grid, cfg=DEFAULT_CONFIG):
     """classify()-compatible tester resolving the conditional branch on a grid.
 
     Each call assembles its matrices as it reads them and keeps none, so a

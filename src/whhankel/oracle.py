@@ -75,6 +75,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import poly
+from .classify import subordinated
+from .dsl import format_symbol
 from .errors import OutOfScope, ShiftNotCommensurate
 from .symbols import GSymbol, tilde
 
@@ -83,8 +85,8 @@ from .symbols import GSymbol, tilde
 class Grid:
     """Midpoint discretization of [0, T] (half) and [-T, T] (full)."""
 
-    T: float = 25.0
-    h: float = 0.025
+    T: float
+    h: float
 
     def __post_init__(self):
         ratio = self.T / self.h
@@ -268,9 +270,8 @@ def _toeplitz(sym, grid, cfg, n):
     return sliding_window_view(gen, n)[:, ::-1].copy()
 
 
-def wh_matrix(a: GSymbol, grid=None, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
+def wh_matrix(a: GSymbol, grid, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
     """Half-line convolution operator W(a) on the midpoint grid."""
-    grid = grid or Grid()
     return DiscretizedOp(
         matrix=_toeplitz(a, grid, cfg, grid.n),
         grid=grid,
@@ -279,9 +280,8 @@ def wh_matrix(a: GSymbol, grid=None, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
     )
 
 
-def hankel_matrix(b: GSymbol, grid=None, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
+def hankel_matrix(b: GSymbol, grid, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
     """Hankel operator H(b): entry (i, j) is generator coefficient i + j + 1."""
-    grid = grid or Grid()
     n = grid.n
     gen = _symbol_gen(b, grid, cfg, np.arange(1, 2 * n))
     mat = sliding_window_view(gen, n).copy()
@@ -293,9 +293,8 @@ def hankel_matrix(b: GSymbol, grid=None, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
     )
 
 
-def w0_matrix(a: GSymbol, grid=None, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
+def w0_matrix(a: GSymbol, grid, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
     """Whole-line convolution operator on the mirrored grid [-T, T]."""
-    grid = grid or Grid()
     return DiscretizedOp(
         matrix=_toeplitz(a, grid, cfg, 2 * grid.n),
         grid=grid,
@@ -305,14 +304,11 @@ def w0_matrix(a: GSymbol, grid=None, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
 
 
 def _short(a):
-    from .dsl import format_symbol
-
     s = format_symbol(a)
     return s if len(s) <= 40 else s[:37] + "..."
 
 
-def wh_plus_hankel(a, b, sign=1, grid=None, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
-    grid = grid or Grid()
+def wh_plus_hankel(a, b, sign, grid, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
     matrix = wh_matrix(a, grid, cfg).matrix
     hb = hankel_matrix(b, grid, cfg).matrix
     if sign > 0:
@@ -328,11 +324,8 @@ def wh_plus_hankel(a, b, sign=1, grid=None, cfg=DEFAULT_CONFIG) -> DiscretizedOp
     )
 
 
-def block_v_matrix(pair, grid=None, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
+def block_v_matrix(pair, grid, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
     """2N x 2N matrix of [[0, W(d)], [-W(c), W(tilde(a)^(-1))]]."""
-    from .classify import subordinated
-
-    grid = grid or Grid()
     sub = subordinated(pair)
     n = grid.n
     mat = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -348,7 +341,7 @@ def block_v_matrix(pair, grid=None, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
     )
 
 
-def block_factorization_residual(pair, grid=None, cfg=DEFAULT_CONFIG) -> float:
+def block_factorization_residual(pair, grid, cfg=DEFAULT_CONFIG) -> float:
     """Defect of the whole-line three-factor splitting of the pair operator.
 
     Verifies, on interior-supported random vectors, that
@@ -360,9 +353,6 @@ def block_factorization_residual(pair, grid=None, cfg=DEFAULT_CONFIG) -> float:
     corrections, and all blocks act on the mirrored grid.  Returns the worst
     relative residual over three vectors drawn from a fixed seed.
     """
-    from .classify import subordinated
-
-    grid = grid or Grid()
     sub = subordinated(pair)
     a, b = pair.a, pair.b
     at, btld, at_inv = tilde(a), tilde(b), sub.at_inv
@@ -416,11 +406,8 @@ def block_factorization_residual(pair, grid=None, cfg=DEFAULT_CONFIG) -> float:
     return worst
 
 
-def block_v_product_form(pair, grid=None, cfg=DEFAULT_CONFIG) -> np.ndarray:
+def block_v_product_form(pair, grid, cfg=DEFAULT_CONFIG) -> np.ndarray:
     """The same block operator assembled from its three-factor product form."""
-    from .classify import subordinated
-
-    grid = grid or Grid()
     sub = subordinated(pair)
     n = grid.n
     eye = np.eye(n, dtype=complex)
@@ -601,9 +588,8 @@ def coker_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG,
 
 # --- recipes --------------------------------------------------------------------
 
-def apply_recipe(recipe, v, grid=None, cfg=DEFAULT_CONFIG):
+def apply_recipe(recipe, v, grid, cfg=DEFAULT_CONFIG):
     """Apply W(f1) W(f2) ... W(fk) to a half-line vector (rightmost first)."""
-    grid = grid or Grid()
     out = np.asarray(v, dtype=complex)
     for f in reversed(recipe.factors):
         out = wh_matrix(f, grid, cfg).matrix @ out
@@ -687,9 +673,8 @@ def _dim_rows(table, prefix, sign_report, op, cfg):
     return tuple(estimates)
 
 
-def verify(report, pair, grid=None, cfg=DEFAULT_CONFIG) -> VerdictTable:
+def verify(report, pair, grid, cfg=DEFAULT_CONFIG) -> VerdictTable:
     """Compare a classification report against oracle kernel/cokernel estimates."""
-    grid = grid or Grid()
     table = VerdictTable()
     measured_index = {}
     for sign, sr in (("plus", report.plus), ("minus", report.minus)):
@@ -710,8 +695,8 @@ def verify(report, pair, grid=None, cfg=DEFAULT_CONFIG) -> VerdictTable:
     return table
 
 
-def verify_scalar(report, a, grid=None, cfg=DEFAULT_CONFIG) -> VerdictTable:
+def verify_scalar(report, a, grid, cfg=DEFAULT_CONFIG) -> VerdictTable:
     """Oracle check of a scalar half-line operator classification."""
     table = VerdictTable()
-    _dim_rows(table, "", report, wh_matrix(a, grid or Grid(), cfg), cfg)
+    _dim_rows(table, "", report, wh_matrix(a, grid, cfg), cfg)
     return table

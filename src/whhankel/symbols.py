@@ -51,9 +51,11 @@ class APTerm:
 
 @dataclass(frozen=True)
 class RationalPart:
-    """Strictly proper num / prod (t - p)^m: ascending numerator coefficients
-    and canonically ordered (pole, multiplicity) pairs, no pole on the real
-    line.  The monic denominator is derived from the poles."""
+    """num / prod (t - p)^m: ascending numerator coefficients and
+    canonically ordered (pole, multiplicity) pairs.  The monic denominator is
+    derived from the poles.  The class checks nothing: the DSL holds improper
+    ones mid-expression, and make_symbol makes a symbol's parts strictly
+    proper with no pole on the real line."""
 
     num: tuple
     poles: tuple

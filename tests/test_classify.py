@@ -17,8 +17,9 @@ from whhankel import (
     tilde,
     v_symbol,
 )
+from whhankel import symbols
 from whhankel.classify import Dim
-from whhankel.errors import NotInvertible, NotMatching, OutOfScope
+from whhankel.errors import NotInvertible, NotMatching, OutOfScope, WindingUnresolved
 
 
 def _dims(report):
@@ -201,10 +202,61 @@ def test_adjoint_duality_swaps_dims(a_n0, a_n1):
 
 
 def test_out_of_scope_guards(a_n0):
-    with pytest.raises(OutOfScope):
-        classify(MatchingPair(a_n0, a_n0 * chi(2)))  # |n(c)| = 2
+    with pytest.raises(OutOfScope, match=r"^n\(c\) = -2: \|n\(c\)\| = 2 > 1 "):
+        classify(MatchingPair(a_n0, a_n0 * chi(2)))
     with pytest.raises(OutOfScope):
         classify(MatchingPair(exp_symbol(1.0), one()))  # nu(c) != 0
+
+
+def test_scope_message_for_unresolved_winding(a_n0, monkeypatch):
+    def unresolved(g):
+        raise WindingUnresolved("test")
+
+    monkeypatch.setattr(symbols, "winding_n", unresolved)
+    with pytest.raises(OutOfScope, match=r"^n\(c\) is unresolved"):
+        classify(MatchingPair(a_n0, a_n0 * chi()))
+
+
+# the three cases below pin classifier branches that Tier-1 reaches nowhere
+# else; the classify-sweep benchmark pairs take each of them
+
+def test_kernel_split_note_on_the_n_c_le_0_branch():
+    a = parse_symbol("((t+0.73+2.6i)/(t-0.52-0.71i))^2")
+    r = classify(MatchingPair(a, a))
+    assert _dims(r) == ("?", "0", "?", "0")
+    cert = "family:b=a;kernel-decomposition(n_c=0, n_d=-4, xi_d=1);cokernel-collapse"
+    assert (r.plus.certificate, r.minus.certificate) == (cert, cert)
+    assert r.notes == (
+        "kernel split of ker W(d) (dim 4) is unresolved; "
+        "dim ker(+) + dim ker(-) = 4 exactly",
+    )
+
+
+def test_chi_reduction_with_both_sides_unresolved():
+    a = parse_symbol(
+        "((t-1.38-0.8i)/(t-0.3-1.52i))^3*((t+1.15+1.24i)/(t+0.76-2.37i))^3"
+    )
+    r = classify(MatchingPair(a, a * chi(-1)))
+    assert _dims(r) == ("?", "0", "?", "?")
+    assert r.plus.certificate == (
+        "family:b=a*chi^-1;chi-reduction(kernel-split-unresolved);"
+        "cokernel-collapse(chi-reduction)"
+    )
+    assert r.minus.certificate == "family:b=a*chi^-1;chi-reduction(kernel-split-unresolved)"
+    assert r.index_check == {"lhs": None, "rhs": 6, "consistent": None}
+    assert r.notes == ()
+
+
+def test_adjoint_route_unavailable_note():
+    a = parse_symbol("((t-1.36-2.72i)/(t+1.09+1.88i))^2*((t+1.19-0.6i)/(t+1.28-2.67i))")
+    r = classify(MatchingPair(a, a * chi(-1)))
+    assert _dims(r) == ("0", "?", "0", "?")
+    cert = "family:b=a*chi^-1;chi-reduction;kernel-trivial"
+    assert (r.plus.certificate, r.minus.certificate) == (cert, cert)
+    assert r.notes == (
+        "adjoint route unavailable: n(c) = -3: |n(c)| = 3 > 1 is outside the "
+        "classified scope",
+    )
 
 
 def test_index_check_fields(a_nm1):

@@ -1,13 +1,16 @@
 """Guard against dead code in the package, by static reading with ``ast``.
 
-Two checks:
+Three checks:
 
 - every name a package module (``__init__.py`` aside, which only re-exports)
   imports is used in that module's code;
 - every function, method and class defined in ``src/whhankel``, dunders
   aside, is named somewhere in ``src/``, ``tests/`` or ``perfbench/``: as a
   name, an attribute, an imported name, or a word inside a string that is not
-  a docstring (``perfbench/spans.py`` lists the functions it wraps by name).
+  a docstring (``perfbench/spans.py`` lists the functions it wraps by name);
+- there is no default grid: ``oracle.Grid`` has no field defaults, and no
+  function gives a ``grid`` or ``ws`` argument a default, so every caller
+  names the grid it runs on.
 
 What it cannot catch:
 
@@ -115,3 +118,28 @@ def test_every_definition_is_named_somewhere():
             if name not in referenced:
                 dead.append(f"{path.name}: {name}")
     assert not dead, f"defined but never named: {dead}"
+
+
+def test_no_default_grid():
+    defaults = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ClassDef) and node.name == "Grid":
+                defaults += [
+                    f"{path.name}: Grid.{stmt.target.id}"
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                ]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                with_default = positional[len(positional) - len(args.defaults):]
+                with_default += [
+                    a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+                ]
+                defaults += [
+                    f"{path.name}: {node.name}({a.arg}=...)"
+                    for a in with_default
+                    if a.arg in ("grid", "ws")
+                ]
+    assert not defaults, f"default grids: {defaults}"

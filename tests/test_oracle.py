@@ -306,6 +306,17 @@ def test_verify_reports_no_prediction_for_unknowns(a_n0):
     assert cells["plus.ker"] == "pass"
 
 
+def test_judge_lower_bounds_and_infinite_predictions():
+    judge = oracle._judge
+    assert judge(Dim.at_least(2), 2, True) == "pass"
+    assert judge(Dim.at_least(2), 5, True) == "pass"
+    assert judge(Dim.at_least(2), 1, True) == "fail"
+    assert judge(Dim.at_least(2), 0, False) == "unstable"
+    assert judge(Dim.infinite(), 3, True) == "consistent"
+    assert judge(Dim.infinite(), 2, True) == "fail"
+    assert judge(Dim.infinite(), 9, False) == "unstable"
+
+
 def test_wh_plus_hankel_dims_case_families(a_n0, a_nm1):
     plus = wh_plus_hankel(a_n0, a_n0 * chi(), +1, GRID, CFG)
     minus = wh_plus_hankel(a_n0, a_n0 * chi(), -1, GRID, CFG)
