@@ -261,14 +261,15 @@ def _on_grid(compute, ws, which, stage):
 def _two_grid_membership(compute, ws, stage):
     """KappaResult of compute(w) -> (kappa, residual, diagnostics) on ws's
     grid; with ws.cfg.stability it is stable when the membership decision is
-    the same on the refined grid, else stable without running it."""
+    the same on Grid.longer(), recomputed there since products of truncated
+    matrices do not nest, else stable without running it."""
     cfg = ws.cfg
-    kappa, res, diag = _on_grid(compute, ws, "coarse", stage)
+    kappa, res, diag = _on_grid(compute, ws, "shorter", stage)
     in_img = res < cfg.membership_tol
     stable = True
     if cfg.stability:
-        fine_ws = Workspace(ws.grid.refined(), cfg)
-        _, res2, _ = _on_grid(compute, fine_ws, "refined", stage)
+        long_ws = Workspace(ws.grid.longer(), cfg)
+        _, res2, _ = _on_grid(compute, long_ws, "longer", stage)
         stable = (res2 < cfg.membership_tol) == in_img
     return KappaResult(
         kappa=ws.gf(kappa),

@@ -37,8 +37,11 @@ and leave the null space.  Singular values are cut at rank_tol * norm_est(M),
 an upper bound of ||M||_2, the same scale the kernel residuals are measured
 against.  The
 cokernel is the kernel of M^H, so there the slice drops the outer rows of M.
-verify and the stability re-run use only dimensions, so they compute singular
-values only; the full SVD runs only where a kernel basis is asked for, and
+The stability re-run repeats a decision at the same h on ceil(1.25 n) nodes
+(Grid.longer), whose matrix has the grid's as its leading block: a longer
+section of the same operator, where kernel singular values move with T, not
+h.  verify and the re-run use only dimensions, so they compute singular
+values only; the full SVD runs where a basis is asked for, and
 its basis vectors are exactly zero on the outer window.  Each operator
 computes its rank data once, shared by the kernel and the cokernel estimate:
 scale = norm_est(M) (norm_est(M^H) = norm_est(M)) and ||Im M||_F.  When
@@ -52,7 +55,7 @@ more than the SVD's own rounding, and none in [cut, gap), gap = GAP_TAU
 scale; when it holds the SVD would count d as well, and it does not run.
 On the grid, d is the classifier's exact prediction, passed as a hint (a
 wrong hint fails the certificate and costs one factorization); on the
-refined grid it is the grid's count.  With G = A^H A and F = ||A||_F^2, one
+longer grid it is the grid's count.  With G = A^H A and F = ||A||_F^2, one
 step of inverse iteration W = orth(G^-1 R), R a fixed-seed n x d draw, finds
 the near-null space; ||A W||_2 / sigma_min(W) bounds the d-th smallest
 singular value from above (Courant-Fischer), and a Cholesky factorization of
@@ -103,10 +106,9 @@ class Grid:
     def full_nodes(self):
         return -self.T + (np.arange(2 * self.n) + 0.5) * self.h
 
-    def refined(self):
-        """The stability re-run grid (1.25 T, h/2)."""
-        fine_h = self.h * 0.5
-        return Grid(T=round(self.T * 1.25 / fine_h) * fine_h, h=fine_h)
+    def longer(self):
+        """The stability re-run grid: the same h on ceil(1.25 n) nodes."""
+        return Grid(T=math.ceil(1.25 * self.n) * self.h, h=self.h)
 
 
 #: outer window of nodes of each component left out of rank decisions
@@ -121,7 +123,7 @@ class OracleConfig:
     rank_tol: float = 1e-8          # sigma < rank_tol * norm_est(M) counts as null
     residual_tol: float = 1e-5      # "numerically in kernel" threshold (relative)
     membership_tol: float = 1e-4    # image-membership threshold (relative)
-    stability: bool = True          # re-run rank decisions on (1.25 T, h/2)
+    stability: bool = True          # re-run rank decisions on Grid.longer()
     # fixed, not settable: the outer BOUNDARY_FRAC window of rank decisions
     # and the SNAP_TOL of shifts
 
@@ -539,15 +541,15 @@ def _estimate_once(op: DiscretizedOp, tol, with_basis=True, certify=None, coker=
     return len(basis), basis, s, residuals
 
 
-def _estimate(op: DiscretizedOp, cfg, with_basis, refined, hint, coker):
+def _estimate(op: DiscretizedOp, cfg, with_basis, longer, hint, coker):
     """kernel_estimate of op, or with coker of its conjugate transpose."""
     tol = cfg.rank_tol
     dim, basis, s, residuals = _estimate_once(op, tol, with_basis, hint, coker)
     decided_by = ["svd" if len(s) else "certificate"]
     stable = True
     if cfg.stability and op.rebuild is not None:
-        fine = refined if refined is not None else op.rebuild(op.grid.refined())
-        dim2, _, s2, _ = _estimate_once(fine, tol, False, dim, coker)
+        longer = longer if longer is not None else op.rebuild(op.grid.longer())
+        dim2, _, s2, _ = _estimate_once(longer, tol, False, dim, coker)
         decided_by.append("svd" if len(s2) else "certificate")
         stable = dim2 == dim
     return KernelEstimate(
@@ -563,27 +565,26 @@ def _estimate(op: DiscretizedOp, cfg, with_basis, refined, hint, coker):
 
 
 def kernel_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG,
-                    with_basis=True, refined=None, hint=None) -> KernelEstimate:
+                    with_basis=True, longer=None, hint=None) -> KernelEstimate:
     """Numerical kernel dimension and orthonormal basis of a discretized operator.
 
     dim counts singular values of the interior columns below
     cfg.rank_tol * norm_est(M).  With stability enabled the dimension is
-    recomputed on the (1.25 T, h/2) grid and must agree, else the estimate is
-    flagged; refined is op already rebuilt there, else it is rebuilt here.
-    The re-run needs only the dimension, so it first tries a certificate
-    that exactly the coarse dimension's count of singular values lies below
-    the cut, and computes singular values only when that fails; a
-    values-only estimate tries the certificate of hint, a predicted
-    dimension, on the grid too.  The whole estimate computes values only
+    recomputed on Grid.longer() and must agree, else the estimate is flagged;
+    longer is op already rebuilt there, else it is rebuilt here.  The re-run
+    needs only the dimension, so it first tries a certificate that exactly
+    the grid's count of singular values lies below the cut, and computes
+    singular values only when that fails; a values-only estimate tries the
+    certificate of hint, a predicted dimension, on the grid too.  The whole estimate computes values only
     when with_basis is False, which leaves basis and residuals empty.
     """
-    return _estimate(op, cfg, with_basis, refined, hint, coker=False)
+    return _estimate(op, cfg, with_basis, longer, hint, coker=False)
 
 
 def coker_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG,
-                   with_basis=True, refined=None, hint=None) -> KernelEstimate:
+                   with_basis=True, longer=None, hint=None) -> KernelEstimate:
     """Cokernel dimension: the kernel estimate of M^H, from the interior rows of M."""
-    return _estimate(op, cfg, with_basis, refined, hint, coker=True)
+    return _estimate(op, cfg, with_basis, longer, hint, coker=True)
 
 
 # --- recipes --------------------------------------------------------------------
@@ -641,8 +642,6 @@ class VerdictTable:
 def _judge(dim_pred, measured, stable):
     """Compare one predicted dimension against a measured one."""
     kind = dim_pred.kind
-    if kind == "unknown":
-        return "no-prediction"
     if not stable:
         return "unstable"
     if kind == "exact":
@@ -657,16 +656,16 @@ def _judge(dim_pred, measured, stable):
 def _dim_rows(table, prefix, sign_report, op, cfg):
     """Add the ker and coker rows of op against sign_report; returns the
     kernel and cokernel estimates."""
-    # one refined operator serves the stability re-runs of both estimates
-    fine = None
+    # one longer operator serves the stability re-runs of both estimates
+    longer = None
     if cfg.stability and op.rebuild is not None:
-        fine = op.rebuild(op.grid.refined())
+        longer = op.rebuild(op.grid.longer())
     estimates = []
     for cell, dim_pred, estimate in (("ker", sign_report.ker, kernel_estimate),
                                      ("coker", sign_report.coker, coker_estimate)):
         # an exact prediction is the grid's hint: its certificate runs first
         hint = dim_pred.value if dim_pred.kind == "exact" else None
-        est = estimate(op, cfg, with_basis=False, refined=fine, hint=hint)
+        est = estimate(op, cfg, with_basis=False, longer=longer, hint=hint)
         table.add(prefix + cell, dim_pred.describe(), est.dim, est.stable,
                   _judge(dim_pred, est.dim, est.stable))
         estimates.append(est)

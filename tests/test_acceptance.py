@@ -261,15 +261,26 @@ def test_criterion_06_case_catalog_end_to_end(catalog_results):
 GOLDEN_VERDICTS = Path(__file__).parent / "data" / "shipped_catalog_verdicts.json"
 
 
-def test_catalog_verdicts_match_golden_file(catalog_results):
+def _match_golden(results, fields):
     golden = json.loads(GOLDEN_VERDICTS.read_text(encoding="utf-8"))
-    fields = ("name", "status", "report", "verdicts", "error", "message")
-    got = json.loads(json.dumps([
-        {k: r[k] for k in fields if k in r} for r in catalog_results["results"]
-    ]))
+    got = json.loads(json.dumps([{k: r[k] for k in fields if k in r} for r in results]))
     assert [r["name"] for r in got] == [r["name"] for r in golden]
     for mine, want in zip(got, golden):
         assert mine == want, mine["name"]
+
+
+def test_catalog_verdicts_match_golden_file(catalog_results):
+    _match_golden(catalog_results["results"],
+                  ("name", "status", "report", "verdicts", "error", "message"))
+
+
+def test_catalog_verdicts_hold_at_twice_the_h():
+    # the stability re-run varies only T, so the h range is checked here:
+    # at h = 0.1 every entry gives the golden status, report and verdicts
+    entries = parse_catalog(shipped_catalog_path().read_text(encoding="utf-8"))
+    results = run_catalog(entries, Grid(T=25.0, h=0.1), OracleConfig(stability=True),
+                          workers=1)
+    _match_golden(results, ("name", "status", "report", "verdicts"))
 
 
 def test_catalog_output_independent_of_worker_count():

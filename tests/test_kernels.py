@@ -277,19 +277,19 @@ def test_kappa_error_names_grid_and_stage(ws, a_n0, monkeypatch):
     from whhankel import kernels
 
     real = kernels.kernel_basis_scalar
-    # the session ws has stability off, which runs no refined grid
+    # the session ws has stability off, which runs no longer grid
     stable_ws = Workspace(ws.grid, dataclasses.replace(ws.cfg, stability=True))
 
-    def off_kernel_on_refined_grid(g, w):
+    def off_kernel_on_longer_grid(g, w):
         if w.grid == ws.grid:
             return real(g, w)
         return [w.gf(np.ones(w.grid.n))]
 
-    monkeypatch.setattr(kernels, "kernel_basis_scalar", off_kernel_on_refined_grid)
+    monkeypatch.setattr(kernels, "kernel_basis_scalar", off_kernel_on_longer_grid)
     pair = MatchingPair(a_n0, a_n0 * chi(-1))
     with pytest.raises(
         NotInKernel,
-        match=r"^refined grid T=31\.25 h=0\.05, kappa tester: phi input",
+        match=r"^longer grid T=31\.3 h=0\.1, kappa tester: phi input",
     ):
         kappa_for_pair(pair, stable_ws)
 
@@ -304,10 +304,10 @@ def test_kappa_tester_without_stability_runs_one_grid(coarse_grid, monkeypatch):
     pair = _catalog_pair("pair_chi_inv_shift_n0")
     both = make_kappa_tester(coarse_grid, OracleConfig(stability=True))(pair)
 
-    def no_refined_grid(self):
-        raise AssertionError("the refined grid was built with stability off")
+    def no_longer_grid(self):
+        raise AssertionError("the longer grid was built with stability off")
 
-    monkeypatch.setattr(Grid, "refined", no_refined_grid)
+    monkeypatch.setattr(Grid, "longer", no_longer_grid)
     one_grid = make_kappa_tester(coarse_grid, OracleConfig(stability=False))(pair)
     assert one_grid.stable
     assert (one_grid.in_image, one_grid.residual) == (both.in_image, both.residual)
@@ -316,11 +316,11 @@ def test_kappa_tester_without_stability_runs_one_grid(coarse_grid, monkeypatch):
 
 def test_kappa_run_holds_few_matrices():
     # each matrix is assembled where it is read and dropped after it: one
-    # kappa run with the refined re-run stays below three refined matrices
+    # kappa run with the longer re-run stays below three longer-grid matrices
     pair = _catalog_pair("pair_chi_inv_shift_n0")
     grid = Grid(T=25.0, h=0.05)
     ws = Workspace(grid, OracleConfig(stability=True))
-    n = grid.refined().n
+    n = grid.longer().n
     tracemalloc.start()
     try:
         res = kappa_for_pair(pair, ws)

@@ -280,9 +280,9 @@ def test_verify_scalar_rows():
     assert [r.verdict for r in bad.rows] == ["fail", "pass"]
 
 
-def test_verify_builds_one_refined_operator(monkeypatch, a_n0):
+def test_verify_builds_one_longer_operator(monkeypatch, a_n0):
     # the stability re-runs of the ker and coker estimates of one sign share
-    # one operator rebuilt on the refined grid
+    # one operator rebuilt on the longer grid
     built = []
     original = oracle.wh_plus_hankel
 
@@ -293,8 +293,8 @@ def test_verify_builds_one_refined_operator(monkeypatch, a_n0):
     monkeypatch.setattr(oracle, "wh_plus_hankel", recording)
     pair = MatchingPair(a_n0, a_n0 * chi())
     verify(classify(pair), pair, GRID, OracleConfig(stability=True))
-    fine = GRID.refined()
-    assert built == [(1, GRID), (1, fine), (-1, GRID), (-1, fine)]
+    longer = GRID.longer()
+    assert built == [(1, GRID), (1, longer), (-1, GRID), (-1, longer)]
 
 
 def test_verify_reports_no_prediction_for_unknowns(a_n0):
@@ -315,6 +315,30 @@ def test_judge_lower_bounds_and_infinite_predictions():
     assert judge(Dim.infinite(), 3, True) == "consistent"
     assert judge(Dim.infinite(), 2, True) == "fail"
     assert judge(Dim.infinite(), 9, False) == "unstable"
+    # stability is judged before the kind of prediction
+    assert judge(Dim.unknown(), 2, False) == "unstable"
+    assert judge(Dim.unknown(), 2, True) == "no-prediction"
+
+
+@pytest.mark.parametrize("h, n_longer, t_longer", [(0.1, 313, "31.3"), (0.05, 625, "31.25")])
+def test_grid_matrices_are_leading_blocks_of_the_longer_grid(h, n_longer, t_longer,
+                                                             a_n0, a_nm1):
+    # the stability re-run measures the same operator on ceil(1.25 n) nodes
+    grid = Grid(T=25.0, h=h)
+    longer = grid.longer()
+    assert (longer.n, f"{longer.T:g}", longer.h) == (n_longer, t_longer, h)
+    n = grid.n
+    shifted = parse_symbol("e(0.5)*((t-2i)/(t+1i))")
+    for build in (lambda g: wh_plus_hankel(a_n0, a_n0 * chi(), +1, g, CFG),
+                  lambda g: wh_plus_hankel(a_n0, a_n0 * chi(), -1, g, CFG),
+                  lambda g: hankel_matrix(shifted, g, CFG)):
+        assert np.array_equal(build(grid).matrix, build(longer).matrix[:n, :n])
+    # the block operator nests component by component
+    pair = MatchingPair(a_nm1, a_nm1 * chi())
+    blocks = block_v_matrix(pair, grid, CFG).matrix.reshape(2, n, 2, n)
+    longer_blocks = block_v_matrix(pair, longer, CFG).matrix.reshape(
+        2, n_longer, 2, n_longer)
+    assert np.array_equal(blocks, longer_blocks[:, :n, :, :n])
 
 
 def test_wh_plus_hankel_dims_case_families(a_n0, a_nm1):
@@ -428,8 +452,8 @@ def test_values_only_estimate_matches_full_svd(a_n0, a_nm1, monkeypatch):
     # values-only SVDs run in real arithmetic exactly when the matrix is real
     # up to rounding; the basis path always stays complex.  Every SVD sees the
     # interior columns: n rows and n - w columns per component, on the grid
-    # and on its refinement.  The refined SVD runs only where the certificate
-    # of the grid's count fails, and here it holds for every count
+    # and on the longer grid.  The longer-grid SVD runs only where the
+    # certificate of the grid's count fails, and here it holds for every count
     kinds, shapes = [], []
     svd = np.linalg.svd
 
@@ -440,7 +464,7 @@ def test_values_only_estimate_matches_full_svd(a_n0, a_nm1, monkeypatch):
 
     def interior_shapes(op):
         out = []
-        for grid in (op.grid, op.grid.refined()):
+        for grid in (op.grid, op.grid.longer()):
             n, w = grid.n, round(BOUNDARY_FRAC * grid.n)
             out.append((op.components * n, op.components * (n - w)))
         return out
@@ -464,7 +488,7 @@ def test_values_only_estimate_matches_full_svd(a_n0, a_nm1, monkeypatch):
     assert kinds == [("c", True)]
     assert shapes == interior_shapes(catalog_op)[:1]
 
-    # with the certificate failing, the refined SVD runs after every count
+    # with the certificate failing, the longer-grid SVD runs after every count
     monkeypatch.setattr(oracle, "_cholesky_certifies", lambda *args: False)
     for op, kind in ((complex_op, "c"), (catalog_op, "f"), (block_op, "f")):
         for estimate in (kernel_estimate, coker_estimate):
@@ -488,15 +512,15 @@ def test_certified_refined_count_equals_svd_count(a_n0, a_nm1):
     assert len(ops) == 13
     counts = []
     for op in ops:
-        fine = op.rebuild(op.grid.refined())
+        longer = op.rebuild(op.grid.longer())
         for coker in (False, True):     # kernel, then cokernel
             side = (op.description, coker)
-            dim, _, s, _ = oracle._estimate_once(fine, cfg.rank_tol, with_basis=False,
+            dim, _, s, _ = oracle._estimate_once(longer, cfg.rank_tol, with_basis=False,
                                                  coker=coker)
             counts.append(dim)
             # the true count and a neighbour of it
             for d in (dim, dim - 1 if dim else 1):
-                cert = oracle._estimate_once(fine, cfg.rank_tol, with_basis=False,
+                cert = oracle._estimate_once(longer, cfg.rank_tol, with_basis=False,
                                              certify=d, coker=coker)
                 if len(cert[2]) == 0:   # certified: no SVD ran
                     assert cert[0] == d == dim, (side, d)
@@ -577,8 +601,8 @@ def test_cholesky_certificate_at_the_cut(complex_, monkeypatch):
 
 @pytest.mark.parametrize("complex_", [False, True])
 def test_certificate_falls_back_when_the_fine_count_differs(complex_, monkeypatch):
-    # the coarse grid counts 1; the refined grid counts 2 or 0, so the
-    # certificate of 1 fails and the refined SVD decides: the estimate is
+    # the grid counts 1; the longer grid counts 2 or 0, so the
+    # certificate of 1 fails and the longer-grid SVD decides: the estimate is
     # flagged unstable, exactly as on the SVD-only path
     cfg = OracleConfig(rank_tol=1e-3, stability=True)
     svd = np.linalg.svd
@@ -679,7 +703,7 @@ def test_wrong_hint_runs_the_coarse_svd(a_n0, monkeypatch):
 
 def test_catalog_entries_run_no_rank_svd(monkeypatch):
     # a scalar and a pair entry at catalog settings: every rank decision,
-    # on the grid and on its refinement, ends in a passing certificate
+    # on the grid and on the longer grid, ends in a passing certificate
     names = ("scalar_chi_inverse", "pair_chi_shift_nm1")
     entries = [e for e in parse_catalog(shipped_catalog_path().read_text(encoding="utf-8"))
                if e.name in names]
