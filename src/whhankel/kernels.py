@@ -68,10 +68,10 @@ class Workspace:
         self.cfg = cfg
 
     def wh(self, sym) -> np.ndarray:
-        return oracle.wh_matrix(sym, self.grid, self.cfg).matrix
+        return oracle._toeplitz(sym, self.grid, self.grid.n)
 
     def hank(self, sym) -> np.ndarray:
-        return oracle.hankel_matrix(sym, self.grid, self.cfg).matrix
+        return oracle._hankel(sym, self.grid, self.grid.n)
 
     def flip_apply(self, g, v):
         """J Q W0(g) P on a half-line vector, computed as H(tilde(g))."""
@@ -172,7 +172,7 @@ def e1_map(pair: MatchingPair, phi: GridFunction, psi: GridFunction, ws: Workspa
     """Send (phi, psi) in ker W(V(a,b)) to (Phi, Psi) in ker(W+H) x ker(W-H)."""
     sub = subordinated(pair)
     v = np.concatenate([phi.values, psi.values])
-    block = oracle.block_v_matrix(pair, ws.grid, ws.cfg).matrix
+    block = oracle._block_v(sub, ws.grid, ws.grid.n)
     _require_in_kernel(ws, block, v, "transport input (block kernel)")
     jc = ws.flip_apply(sub.c, phi.values)
     ja = ws.flip_apply(sub.at_inv, psi.values)
@@ -201,7 +201,7 @@ def right_inverse_apply(c: GSymbol, v, ws: Workspace):
     if f.n > 0 or abs(f.nu) > 1e-9:
         raise NoRightInverse(f"W(c) with nu = {f.nu:g}, n = {f.n} is not right-invertible")
     recipe = factorization.one_sided_inverse_recipe(f, "right")
-    return oracle.apply_recipe(recipe, v, ws.grid, ws.cfg)
+    return oracle.apply_recipe(recipe, v, ws.grid)
 
 
 def phi_pm(sub: SubordinatedPair, s: GridFunction, sign: str, ws: Workspace):

@@ -38,11 +38,12 @@ an upper bound of ||M||_2, the same scale the kernel residuals are measured
 against.  The
 cokernel is the kernel of M^H, so there the slice drops the outer rows of M.
 The stability re-run repeats a decision at the same h on ceil(1.25 n) nodes
-(Grid.longer), whose matrix has the grid's as its leading block: a longer
-section of the same operator, where kernel singular values move with T, not
-h.  verify and the re-run use only dimensions, so they compute singular
-values only; the full SVD runs where a basis is asked for, and
-its basis vectors are exactly zero on the outer window.  Each operator
+(Grid.longer): a longer section of the same operator, where kernel singular
+values move with T, not h.  With stability on, each estimated operator is
+assembled once, on the longer grid, and the grid's matrix is each component's
+leading block of it.  verify and the re-run use only dimensions, so they
+compute singular values only; the full SVD runs where a basis is asked for,
+and its basis vectors are exactly zero on the outer window.  Each operator
 computes its rank data once, shared by the kernel and the cokernel estimate:
 scale = norm_est(M) (norm_est(M^H) = norm_est(M)) and ||Im M||_F.  When
 ||Im M||_F <= 1e-3 rank_tol scale (every symbol whose zeros and poles lie on
@@ -78,8 +79,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import poly
-from .classify import subordinated
-from .dsl import format_symbol
+from .classify import Dim, subordinated
 from .errors import OutOfScope, ShiftNotCommensurate
 from .symbols import GSymbol, tilde
 
@@ -123,7 +123,7 @@ class OracleConfig:
     rank_tol: float = 1e-8          # sigma < rank_tol * norm_est(M) counts as null
     residual_tol: float = 1e-5      # "numerically in kernel" threshold (relative)
     membership_tol: float = 1e-4    # image-membership threshold (relative)
-    stability: bool = True          # re-run rank decisions on Grid.longer()
+    stability: bool = True          # assemble on Grid.longer(), re-run ranks there
     # fixed, not settable: the outer BOUNDARY_FRAC window of rank decisions
     # and the SNAP_TOL of shifts
 
@@ -133,11 +133,10 @@ DEFAULT_CONFIG = OracleConfig()
 
 @dataclass
 class DiscretizedOp:
-    matrix: np.ndarray
+    matrix: np.ndarray              # each component's leading block of longer's
     grid: Grid
-    description: str
     components: int = 1             # 1 for scalar ops, 2 for the block operator
-    rebuild: object = None          # callable Grid -> DiscretizedOp, or None
+    longer: DiscretizedOp | None = None   # the same operator on grid.longer(), or None
     rank_data: tuple = None         # (norm_est, ||Im M||_F), see _rank_data
 
 
@@ -247,7 +246,7 @@ def _laurent_coeffs(const, poles, m_index):
     return gen
 
 
-def _symbol_gen(sym, grid, cfg, m_index):
+def _symbol_gen(sym, grid, m_index):
     """Fourier coefficients of the conformally mapped symbol at indices m_index."""
     m_index = np.asarray(m_index)
     gen = np.zeros(m_index.shape, dtype=complex)
@@ -266,84 +265,75 @@ def _symbol_gen(sym, grid, cfg, m_index):
     return gen
 
 
-def _toeplitz(sym, grid, cfg, n):
+def _toeplitz(sym, grid, n):
     """n x n Toeplitz matrix of sym: entry (i, j) is generator coefficient i - j."""
-    gen = _symbol_gen(sym, grid, cfg, np.arange(-(n - 1), n))
+    gen = _symbol_gen(sym, grid, np.arange(-(n - 1), n))
     return sliding_window_view(gen, n)[:, ::-1].copy()
+
+
+def _hankel(sym, grid, n):
+    """n x n Hankel matrix of sym: entry (i, j) is generator coefficient i + j + 1."""
+    return sliding_window_view(_symbol_gen(sym, grid, np.arange(1, 2 * n)), n).copy()
+
+
+def _block_v(sub, grid, n):
+    """2n x 2n matrix of [[0, W(d)], [-W(c), W(tilde(a)^(-1))]], sub the
+    subordinated pair of (a, b)."""
+    mat = np.zeros((2 * n, 2 * n), dtype=complex)
+    mat[:n, n:] = _toeplitz(sub.d, grid, n)
+    mat[n:, :n] = -_toeplitz(sub.c, grid, n)
+    mat[n:, n:] = _toeplitz(sub.at_inv, grid, n)
+    return mat
+
+
+def _discretized(assemble, grid, cfg, components=1) -> DiscretizedOp:
+    """The operator whose matrix with n nodes per component at grid's h is
+    assemble(n).  With cfg.stability it is assembled once, on grid.longer(),
+    and the grid's matrix is each component's leading grid.n block of that:
+    a view for one component, a copy for more."""
+    if not cfg.stability:
+        return DiscretizedOp(assemble(grid.n), grid, components)
+    longer = DiscretizedOp(assemble(grid.longer().n), grid.longer(), components)
+    c, n, big = components, grid.n, longer.grid.n
+    matrix = longer.matrix.reshape(c, big, c, big)[:, :n, :, :n].reshape(c * n, c * n)
+    return DiscretizedOp(matrix, grid, components, longer)
 
 
 def wh_matrix(a: GSymbol, grid, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
     """Half-line convolution operator W(a) on the midpoint grid."""
-    return DiscretizedOp(
-        matrix=_toeplitz(a, grid, cfg, grid.n),
-        grid=grid,
-        description=f"W[{_short(a)}]",
-        rebuild=lambda g: wh_matrix(a, g, cfg),
-    )
+    return _discretized(lambda n: _toeplitz(a, grid, n), grid, cfg)
 
 
 def hankel_matrix(b: GSymbol, grid, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
-    """Hankel operator H(b): entry (i, j) is generator coefficient i + j + 1."""
-    n = grid.n
-    gen = _symbol_gen(b, grid, cfg, np.arange(1, 2 * n))
-    mat = sliding_window_view(gen, n).copy()
-    return DiscretizedOp(
-        matrix=mat,
-        grid=grid,
-        description=f"H[{_short(b)}]",
-        rebuild=lambda g: hankel_matrix(b, g, cfg),
-    )
+    """Hankel operator H(b), see _hankel."""
+    return _discretized(lambda n: _hankel(b, grid, n), grid, cfg)
 
 
-def w0_matrix(a: GSymbol, grid, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
-    """Whole-line convolution operator on the mirrored grid [-T, T]."""
-    return DiscretizedOp(
-        matrix=_toeplitz(a, grid, cfg, 2 * grid.n),
-        grid=grid,
-        description=f"W0[{_short(a)}]",
-        rebuild=lambda g: w0_matrix(a, g, cfg),
-    )
-
-
-def _short(a):
-    s = format_symbol(a)
-    return s if len(s) <= 40 else s[:37] + "..."
+def w0_matrix(a: GSymbol, grid) -> DiscretizedOp:
+    """Whole-line convolution operator on the mirrored grid [-T, T]: centred,
+    so no leading block of a longer grid's, and without a longer operator."""
+    return DiscretizedOp(_toeplitz(a, grid, 2 * grid.n), grid)
 
 
 def wh_plus_hankel(a, b, sign, grid, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
-    matrix = wh_matrix(a, grid, cfg).matrix
-    hb = hankel_matrix(b, grid, cfg).matrix
-    if sign > 0:
-        matrix += hb
-    else:
-        matrix -= hb
-    name = f"W[{_short(a)}] {'+' if sign > 0 else '-'} H[{_short(b)}]"
-    return DiscretizedOp(
-        matrix=matrix,
-        grid=grid,
-        description=name,
-        rebuild=lambda g: wh_plus_hankel(a, b, sign, g, cfg),
-    )
+    def assemble(n):
+        matrix, hb = _toeplitz(a, grid, n), _hankel(b, grid, n)
+        if sign > 0:
+            matrix += hb
+        else:
+            matrix -= hb
+        return matrix
+
+    return _discretized(assemble, grid, cfg)
 
 
 def block_v_matrix(pair, grid, cfg=DEFAULT_CONFIG) -> DiscretizedOp:
-    """2N x 2N matrix of [[0, W(d)], [-W(c), W(tilde(a)^(-1))]]."""
+    """The 2N x 2N block operator W(V(a,b)) of a matching pair, see _block_v."""
     sub = subordinated(pair)
-    n = grid.n
-    mat = np.zeros((2 * n, 2 * n), dtype=complex)
-    mat[:n, n:] = wh_matrix(sub.d, grid, cfg).matrix
-    mat[n:, :n] = -wh_matrix(sub.c, grid, cfg).matrix
-    mat[n:, n:] = wh_matrix(sub.at_inv, grid, cfg).matrix
-    return DiscretizedOp(
-        matrix=mat,
-        grid=grid,
-        description="W[V(a,b)]",
-        components=2,
-        rebuild=lambda g: block_v_matrix(pair, g, cfg),
-    )
+    return _discretized(lambda n: _block_v(sub, grid, n), grid, cfg, components=2)
 
 
-def block_factorization_residual(pair, grid, cfg=DEFAULT_CONFIG) -> float:
+def block_factorization_residual(pair, grid) -> float:
     """Defect of the whole-line three-factor splitting of the pair operator.
 
     Verifies, on interior-supported random vectors, that
@@ -370,13 +360,12 @@ def block_factorization_residual(pair, grid, cfg=DEFAULT_CONFIG) -> float:
     def j(v):
         return v[::-1]
 
-    w0 = {s: w0_matrix(s, grid, cfg).matrix
-          for s in (a, b, btld, at, sub.c, sub.d, at_inv)}
+    w0 = {s: _toeplitz(s, grid, n2) for s in (a, b, btld, at, sub.c, sub.d, at_inv)}
     corner = a - b * btld * at_inv
     w0corner = (
         np.zeros((n2, n2), dtype=complex)
         if corner.is_zero()
-        else w0_matrix(corner, grid, cfg).matrix
+        else _toeplitz(corner, grid, n2)
     )
     rng = np.random.default_rng(0)
     mask = np.abs(grid.full_nodes()) <= grid.T / 2
@@ -408,15 +397,15 @@ def block_factorization_residual(pair, grid, cfg=DEFAULT_CONFIG) -> float:
     return worst
 
 
-def block_v_product_form(pair, grid, cfg=DEFAULT_CONFIG) -> np.ndarray:
+def block_v_product_form(pair, grid) -> np.ndarray:
     """The same block operator assembled from its three-factor product form."""
     sub = subordinated(pair)
     n = grid.n
     eye = np.eye(n, dtype=complex)
     zero = np.zeros((n, n), dtype=complex)
-    wd = wh_matrix(sub.d, grid, cfg).matrix
-    wc = wh_matrix(sub.c, grid, cfg).matrix
-    wai = wh_matrix(sub.at_inv, grid, cfg).matrix
+    wd = _toeplitz(sub.d, grid, n)
+    wc = _toeplitz(sub.c, grid, n)
+    wai = _toeplitz(sub.at_inv, grid, n)
     f1 = np.block([[-wd, zero], [zero, eye]])
     f2 = np.block([[zero, -eye], [eye, wai]])
     f3 = np.block([[-wc, zero], [zero, eye]])
@@ -541,15 +530,17 @@ def _estimate_once(op: DiscretizedOp, tol, with_basis=True, certify=None, coker=
     return len(basis), basis, s, residuals
 
 
-def _estimate(op: DiscretizedOp, cfg, with_basis, longer, hint, coker):
+def _estimate(op: DiscretizedOp, cfg, with_basis, hint, coker):
     """kernel_estimate of op, or with coker of its conjugate transpose."""
+    if cfg.stability and op.longer is None:
+        raise ValueError("the stability re-run needs the operator on the longer "
+                         "grid: assemble it with stability on")
     tol = cfg.rank_tol
     dim, basis, s, residuals = _estimate_once(op, tol, with_basis, hint, coker)
     decided_by = ["svd" if len(s) else "certificate"]
     stable = True
-    if cfg.stability and op.rebuild is not None:
-        longer = longer if longer is not None else op.rebuild(op.grid.longer())
-        dim2, _, s2, _ = _estimate_once(longer, tol, False, dim, coker)
+    if cfg.stability:
+        dim2, _, s2, _ = _estimate_once(op.longer, tol, False, dim, coker)
         decided_by.append("svd" if len(s2) else "certificate")
         stable = dim2 == dim
     return KernelEstimate(
@@ -565,35 +556,36 @@ def _estimate(op: DiscretizedOp, cfg, with_basis, longer, hint, coker):
 
 
 def kernel_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG,
-                    with_basis=True, longer=None, hint=None) -> KernelEstimate:
+                    with_basis=True, hint=None) -> KernelEstimate:
     """Numerical kernel dimension and orthonormal basis of a discretized operator.
 
     dim counts singular values of the interior columns below
     cfg.rank_tol * norm_est(M).  With stability enabled the dimension is
-    recomputed on Grid.longer() and must agree, else the estimate is flagged;
-    longer is op already rebuilt there, else it is rebuilt here.  The re-run
-    needs only the dimension, so it first tries a certificate that exactly
-    the grid's count of singular values lies below the cut, and computes
-    singular values only when that fails; a values-only estimate tries the
-    certificate of hint, a predicted dimension, on the grid too.  The whole estimate computes values only
-    when with_basis is False, which leaves basis and residuals empty.
+    recomputed on op.longer, the operator op was sliced from, and must
+    agree, else the estimate is flagged; an op without one (assembled with
+    stability off) raises ValueError.  The re-run needs only the dimension,
+    so it first tries a certificate that exactly the grid's count of
+    singular values lies below the cut, and computes singular values only
+    when that fails; a values-only estimate tries the certificate of hint, a
+    predicted dimension, on the grid too.  The whole estimate computes values
+    only when with_basis is False, which leaves basis and residuals empty.
     """
-    return _estimate(op, cfg, with_basis, longer, hint, coker=False)
+    return _estimate(op, cfg, with_basis, hint, coker=False)
 
 
 def coker_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG,
-                   with_basis=True, longer=None, hint=None) -> KernelEstimate:
+                   with_basis=True, hint=None) -> KernelEstimate:
     """Cokernel dimension: the kernel estimate of M^H, from the interior rows of M."""
-    return _estimate(op, cfg, with_basis, longer, hint, coker=True)
+    return _estimate(op, cfg, with_basis, hint, coker=True)
 
 
 # --- recipes --------------------------------------------------------------------
 
-def apply_recipe(recipe, v, grid, cfg=DEFAULT_CONFIG):
+def apply_recipe(recipe, v, grid):
     """Apply W(f1) W(f2) ... W(fk) to a half-line vector (rightmost first)."""
     out = np.asarray(v, dtype=complex)
     for f in reversed(recipe.factors):
-        out = wh_matrix(f, grid, cfg).matrix @ out
+        out = _toeplitz(f, grid, grid.n) @ out
     return out
 
 
@@ -656,16 +648,12 @@ def _judge(dim_pred, measured, stable):
 def _dim_rows(table, prefix, sign_report, op, cfg):
     """Add the ker and coker rows of op against sign_report; returns the
     kernel and cokernel estimates."""
-    # one longer operator serves the stability re-runs of both estimates
-    longer = None
-    if cfg.stability and op.rebuild is not None:
-        longer = op.rebuild(op.grid.longer())
     estimates = []
     for cell, dim_pred, estimate in (("ker", sign_report.ker, kernel_estimate),
                                      ("coker", sign_report.coker, coker_estimate)):
         # an exact prediction is the grid's hint: its certificate runs first
         hint = dim_pred.value if dim_pred.kind == "exact" else None
-        est = estimate(op, cfg, with_basis=False, longer=longer, hint=hint)
+        est = estimate(op, cfg, with_basis=False, hint=hint)
         table.add(prefix + cell, dim_pred.describe(), est.dim, est.stable,
                   _judge(dim_pred, est.dim, est.stable))
         estimates.append(est)
@@ -675,22 +663,16 @@ def _dim_rows(table, prefix, sign_report, op, cfg):
 def verify(report, pair, grid, cfg=DEFAULT_CONFIG) -> VerdictTable:
     """Compare a classification report against oracle kernel/cokernel estimates."""
     table = VerdictTable()
-    measured_index = {}
+    lhs, stable = 0, True       # measured index sum; every side stable
     for sign, sr in (("plus", report.plus), ("minus", report.minus)):
         op = wh_plus_hankel(pair.a, pair.b, +1 if sign == "plus" else -1, grid, cfg)
         ker, cok = _dim_rows(table, f"{sign}.", sr, op, cfg)
-        if ker.stable and cok.stable:
-            measured_index[sign] = ker.dim - cok.dim
-    if report.index_check is not None and len(measured_index) == 2:
+        lhs += ker.dim - cok.dim
+        stable = stable and ker.stable and cok.stable
+    if report.index_check is not None:
         rhs = report.index_check["rhs"]
-        lhs = measured_index["plus"] + measured_index["minus"]
-        table.add(
-            "index-identity",
-            str(rhs),
-            lhs,
-            True,
-            "pass" if lhs == rhs else "fail",
-        )
+        table.add("index-identity", str(rhs), lhs, stable,
+                  _judge(Dim.exact(rhs), lhs, stable))
     return table
 
 

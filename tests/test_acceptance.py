@@ -394,8 +394,8 @@ def test_criterion_09_algebraic_identity_suite():
         r1 = wh_matrix(ab, grid, cfg).matrix @ v - wa @ (wb @ v) - ha @ (hbt @ v)
         r2 = hankel_matrix(ab, grid, cfg).matrix @ v - wa @ (hb @ v) - ha @ (wbt @ v)
         worst_prod = max(worst_prod, np.linalg.norm(r1) / scale, np.linalg.norm(r2) / scale)
-        w0 = w0_matrix(a, grid, cfg).matrix
-        w0t = w0_matrix(tilde(a), grid, cfg).matrix
+        w0 = w0_matrix(a, grid).matrix
+        w0t = w0_matrix(tilde(a), grid).matrix
         fscale = np.linalg.norm(vf) * (1.0 + a.norm_estimate())
         r3 = (w0 @ vf[::-1])[::-1] - w0t @ vf
         worst_flip = max(worst_flip, np.linalg.norm(r3) / fscale)

@@ -58,7 +58,7 @@ def test_w0_flip_sends_twin_to_reflection(ws):
     from whhankel.oracle import w0_matrix
 
     full = psi0_discrete(ws.grid, support="full")
-    out = w0_matrix(chi(-1), ws.grid, ws.cfg).matrix @ full.values
+    out = w0_matrix(chi(-1), ws.grid).matrix @ full.values
     assert np.linalg.norm(out + full.values[::-1]) < 1e-8 * np.linalg.norm(full.values)
 
 
@@ -267,7 +267,7 @@ def test_flip_apply_matches_whole_line_composition(ws, a_n0):
     fast = ws.flip_apply(a_n0, v)
     full = np.zeros(2 * ws.grid.n, dtype=complex)
     full[ws.grid.n:] = v                      # embed P v on the mirrored grid
-    w0v = w0_matrix(a_n0, ws.grid, ws.cfg).matrix @ full
+    w0v = w0_matrix(a_n0, ws.grid).matrix @ full
     w0v[ws.grid.n:] = 0.0                     # Q
     slow = w0v[::-1][ws.grid.n:]              # J, then restrict to t > 0
     assert np.linalg.norm(fast - slow) < 1e-12 * max(np.linalg.norm(v), 1.0)

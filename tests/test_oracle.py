@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -66,15 +67,15 @@ def test_strided_assembly_matches_scipy(a_n0):
 
     n = GRID.n
     for sym in (a_n0, chi(-1), exp_symbol(0.5) * chi()):
-        gen = _symbol_gen(sym, GRID, CFG, np.arange(-(n - 1), n))
+        gen = _symbol_gen(sym, GRID, np.arange(-(n - 1), n))
         ref = sl.toeplitz(gen[n - 1:], gen[:n][::-1])
         assert np.array_equal(wh_matrix(sym, GRID, CFG).matrix, ref)
-        gen = _symbol_gen(sym, GRID, CFG, np.arange(1, 2 * n))
+        gen = _symbol_gen(sym, GRID, np.arange(1, 2 * n))
         ref = sl.hankel(gen[:n], gen[n - 1:])
         assert np.array_equal(hankel_matrix(sym, GRID, CFG).matrix, ref)
-        gen = _symbol_gen(sym, GRID, CFG, np.arange(-(2 * n - 1), 2 * n))
+        gen = _symbol_gen(sym, GRID, np.arange(-(2 * n - 1), 2 * n))
         ref = sl.toeplitz(gen[2 * n - 1:], gen[: 2 * n][::-1])
-        assert np.array_equal(w0_matrix(sym, GRID, CFG).matrix, ref)
+        assert np.array_equal(w0_matrix(sym, GRID).matrix, ref)
 
 
 def test_shift_matrices_are_translations():
@@ -154,8 +155,8 @@ def test_kernel_vector_convergence_is_at_least_first_order():
 
 def test_flip_identities_on_the_full_line(a_n0):
     grid = GRID
-    w0 = w0_matrix(a_n0, grid, CFG).matrix
-    w0t = w0_matrix(tilde(a_n0), grid, CFG).matrix
+    w0 = w0_matrix(a_n0, grid).matrix
+    w0t = w0_matrix(tilde(a_n0), grid).matrix
     full = grid.full_nodes()
     v = np.exp(-0.25 * full**2) * np.exp(0.5j * full)
     # J^2 = I and JQ = PJ are exact index manipulations
@@ -209,7 +210,7 @@ def test_hankel_chi_annihilates_w_chi():
 def test_block_matrix_and_product_form(a_n0):
     pair = MatchingPair(a_n0, a_n0 * chi())
     direct = block_v_matrix(pair, GRID, CFG).matrix
-    product = block_v_product_form(pair, GRID, CFG)
+    product = block_v_product_form(pair, GRID)
     assert np.allclose(direct, product, atol=1e-10)
     est = kernel_estimate(block_v_matrix(pair, GRID, CFG), CFG)
     assert est.dim == 1  # dim ker W(c) + dim ker W(d) = 1 + 0
@@ -231,14 +232,14 @@ def test_apply_recipe_right_inverse():
     rec = one_sided_inverse_recipe(factorize(chi(-1)), "right")
     v = _bump(GRID)
     w = wh_matrix(chi(-1), GRID, CFG).matrix
-    assert np.linalg.norm(w @ apply_recipe(rec, v, GRID, CFG) - v) < 1e-6 * np.linalg.norm(v)
+    assert np.linalg.norm(w @ apply_recipe(rec, v, GRID) - v) < 1e-6 * np.linalg.norm(v)
 
 
 def test_apply_recipe_composite_symbol(a_nm1):
     rec = one_sided_inverse_recipe(factorize(a_nm1), "right")
     v = _bump(GRID)
     w = wh_matrix(a_nm1, GRID, CFG).matrix
-    out = w @ apply_recipe(rec, v, GRID, CFG)
+    out = w @ apply_recipe(rec, v, GRID)
     assert np.linalg.norm(out - v) < 1e-5 * np.linalg.norm(v)
 
 
@@ -246,7 +247,7 @@ def test_empty_recipe_is_identity():
     from whhankel import OperatorRecipe
 
     v = _bump(GRID)
-    assert np.allclose(apply_recipe(OperatorRecipe(factors=()), v, GRID, CFG), v)
+    assert np.allclose(apply_recipe(OperatorRecipe(factors=()), v, GRID), v)
 
 
 def test_verify_pass_and_corrupted_report(a_n0):
@@ -280,21 +281,92 @@ def test_verify_scalar_rows():
     assert [r.verdict for r in bad.rows] == ["fail", "pass"]
 
 
-def test_verify_builds_one_longer_operator(monkeypatch, a_n0):
-    # the stability re-runs of the ker and coker estimates of one sign share
-    # one operator rebuilt on the longer grid
-    built = []
-    original = oracle.wh_plus_hankel
+def test_verify_assembles_each_operator_once(monkeypatch, a_n0, a_nm1):
+    # each sign's operator is assembled once, on the longer grid, and the
+    # grid's matrix is its leading block: the stability re-runs of the ker
+    # and coker estimates assemble nothing more
+    built, ops, hankel_sizes = [], [], []
+    original, hankel = oracle.wh_plus_hankel, oracle._hankel
 
-    def recording(a, b, sign=1, grid=None, cfg=oracle.DEFAULT_CONFIG):
+    def recording(a, b, sign, grid, cfg):
         built.append((sign, grid))
-        return original(a, b, sign, grid, cfg)
+        ops.append(original(a, b, sign, grid, cfg))
+        return ops[-1]
+
+    def recording_hankel(sym, grid, n):
+        hankel_sizes.append(n)
+        return hankel(sym, grid, n)
 
     monkeypatch.setattr(oracle, "wh_plus_hankel", recording)
+    monkeypatch.setattr(oracle, "_hankel", recording_hankel)
     pair = MatchingPair(a_n0, a_n0 * chi())
-    verify(classify(pair), pair, GRID, OracleConfig(stability=True))
-    longer = GRID.longer()
-    assert built == [(1, GRID), (1, longer), (-1, GRID), (-1, longer)]
+    stab = OracleConfig(stability=True)
+    verify(classify(pair), pair, GRID, stab)
+    n, big = GRID.n, GRID.longer().n
+    assert built == [(1, GRID), (-1, GRID)]
+    assert hankel_sizes == [big, big]
+    for op in ops:
+        assert op.longer.grid == GRID.longer() and op.longer.longer is None
+        assert np.shares_memory(op.matrix, op.longer.matrix)
+        assert np.array_equal(op.matrix, op.longer.matrix[:n, :n])
+    # the block operator copies each component's leading block
+    block_pair = MatchingPair(a_nm1, a_nm1 * chi())
+    block = block_v_matrix(block_pair, GRID, stab)
+    assert block.longer.grid == GRID.longer()
+    assert not np.shares_memory(block.matrix, block.longer.matrix)
+    assert np.array_equal(block.matrix.reshape(2, n, 2, n),
+                          block.longer.matrix.reshape(2, big, 2, big)[:, :n, :, :n])
+
+    # with stability off only the grid is assembled
+    def no_longer_grid(self):
+        raise AssertionError("the longer grid was built with stability off")
+
+    monkeypatch.setattr(Grid, "longer", no_longer_grid)
+    built.clear()
+    ops.clear()
+    hankel_sizes.clear()
+    verify(classify(pair), pair, GRID, CFG)
+    assert built == [(1, GRID), (-1, GRID)] and hankel_sizes == [n, n]
+    assert [op.longer for op in ops] == [None, None]
+    assert block_v_matrix(block_pair, GRID, CFG).longer is None
+
+
+def test_stability_rerun_needs_the_longer_operator():
+    # an operator assembled with stability off has no longer grid to re-run
+    # on; the re-run is never skipped silently
+    op = wh_matrix(chi(-1), GRID, CFG)
+    for estimate in (kernel_estimate, coker_estimate):
+        with pytest.raises(ValueError, match="longer grid"):
+            estimate(op, OracleConfig(stability=True))
+
+
+def test_index_identity_row_with_an_unstable_side(monkeypatch, a_nm1):
+    # the row is added whenever the report has an index check; an unstable
+    # side makes it unstable, with the measured sum still shown
+    pair = MatchingPair(a_nm1, a_nm1 * chi())
+    report = classify(pair)
+    row = verify(report, pair, GRID, CFG).rows[-1]
+    assert (row.cell, row.predicted, row.measured, row.stable, row.verdict) == (
+        "index-identity", "2", 2, True, "pass")
+    original = oracle.coker_estimate
+    signs = []
+
+    def unstable_minus(op, cfg, **kwargs):
+        signs.append("plus" if not signs else "minus")
+        est = original(op, cfg, **kwargs)
+        return dataclasses.replace(est, stable=est.stable and signs[-1] == "plus")
+
+    monkeypatch.setattr(oracle, "coker_estimate", unstable_minus)
+    table = verify(report, pair, GRID, CFG)
+    assert signs == ["plus", "minus"]
+    assert [(r.cell, r.stable, r.verdict) for r in table.rows] == [
+        ("plus.ker", True, "pass"),
+        ("plus.coker", True, "pass"),
+        ("minus.ker", True, "pass"),
+        ("minus.coker", False, "unstable"),
+        ("index-identity", False, "unstable"),
+    ]
+    assert table.rows[-1].measured == 2
 
 
 def test_verify_reports_no_prediction_for_unknowns(a_n0):
@@ -357,8 +429,8 @@ def test_full_line_building_blocks(a_n0):
     # the flip J is v[::-1] on the mirrored grid: J W0(a) J = W0(a~)
     full = GRID.full_nodes()
     w = np.exp(-0.25 * full**2)
-    lhs = (w0_matrix(a_n0, GRID, CFG).matrix @ w[::-1])[::-1]
-    rhs = w0_matrix(tilde(a_n0), GRID, CFG).matrix @ w
+    lhs = (w0_matrix(a_n0, GRID).matrix @ w[::-1])[::-1]
+    rhs = w0_matrix(tilde(a_n0), GRID).matrix @ w
     assert np.linalg.norm(lhs - rhs) < 1e-8 * np.linalg.norm(w)
 
 
@@ -379,7 +451,7 @@ def test_block_three_factor_splitting(a_n0, a_nm1):
     from whhankel.oracle import block_factorization_residual
 
     for a, b in ((a_n0, a_n0 * chi()), (a_nm1, a_nm1 * chi()), (one(), a_n0)):
-        resid = block_factorization_residual(MatchingPair(a, b), GRID, CFG)
+        resid = block_factorization_residual(MatchingPair(a, b), GRID)
         assert resid < 1e-5
 
 
@@ -409,7 +481,7 @@ def test_multiple_pole_generators_across_h(h):
     thetas = np.array([-2.5, -0.7, 0.3, 1.0, 2.9])
     for text in KERNEL_SYMBOLS + OTHER_SYMBOLS:
         sym = parse_symbol(text)
-        gen = _symbol_gen(sym, grid, CFG, m)
+        gen = _symbol_gen(sym, grid, m)
         resummed = np.exp(1j * np.outer(thetas, m)) @ gen
         exact = sym.eval(2.0 / h * np.tan(thetas / 2))
         assert np.max(np.abs(resummed - exact)) < 1e-10, text
@@ -441,11 +513,11 @@ def test_values_only_estimate_matches_full_svd(a_n0, a_nm1, monkeypatch):
     cfg = OracleConfig(stability=True)
     ops = _values_only_ops(a_n0, a_nm1, cfg)
     catalog_op, block_op, complex_op = ops[-3:]
-    for op in ops:
+    for i, op in enumerate(ops):
         for estimate in (kernel_estimate, coker_estimate):
             full = estimate(op, cfg)
             dims = estimate(op, cfg, with_basis=False)
-            assert (dims.dim, dims.stable) == (full.dim, full.stable), op.description
+            assert (dims.dim, dims.stable) == (full.dim, full.stable), i
             assert len(full.basis) == full.dim
             assert dims.basis == () and dims.residuals == ()
 
@@ -464,7 +536,7 @@ def test_values_only_estimate_matches_full_svd(a_n0, a_nm1, monkeypatch):
 
     def interior_shapes(op):
         out = []
-        for grid in (op.grid, op.grid.longer()):
+        for grid in (op.grid, op.longer.grid):
             n, w = grid.n, round(BOUNDARY_FRAC * grid.n)
             out.append((op.components * n, op.components * (n - w)))
         return out
@@ -476,13 +548,14 @@ def test_values_only_estimate_matches_full_svd(a_n0, a_nm1, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     dims = {}
-    for op, kind in ((complex_op, "c"), (catalog_op, "f"), (block_op, "f")):
+    cases = ((complex_op, "c"), (catalog_op, "f"), (block_op, "f"))
+    for i, (op, kind) in enumerate(cases):
         for estimate in (kernel_estimate, coker_estimate):
             est = recorded(estimate, op, with_basis=False)
-            assert kinds == [(kind, False)], op.description
-            assert shapes == interior_shapes(op)[:1], op.description
+            assert kinds == [(kind, False)], i
+            assert shapes == interior_shapes(op)[:1], i
             assert est.stable
-            dims[op.description, estimate] = est.dim
+            dims[i, estimate] = est.dim
     assert 0 in dims.values() and max(dims.values()) >= 1
     recorded(kernel_estimate, catalog_op)
     assert kinds == [("c", True)]
@@ -490,12 +563,12 @@ def test_values_only_estimate_matches_full_svd(a_n0, a_nm1, monkeypatch):
 
     # with the certificate failing, the longer-grid SVD runs after every count
     monkeypatch.setattr(oracle, "_cholesky_certifies", lambda *args: False)
-    for op, kind in ((complex_op, "c"), (catalog_op, "f"), (block_op, "f")):
+    for i, (op, kind) in enumerate(cases):
         for estimate in (kernel_estimate, coker_estimate):
             est = recorded(estimate, op, with_basis=False)
-            assert kinds == [(kind, False)] * 2, op.description
-            assert shapes == interior_shapes(op), op.description
-            assert (est.dim, est.stable) == (dims[op.description, estimate], True)
+            assert kinds == [(kind, False)] * 2, i
+            assert shapes == interior_shapes(op), i
+            assert (est.dim, est.stable) == (dims[i, estimate], True)
     recorded(kernel_estimate, catalog_op)
     assert kinds == [("c", True), ("f", False)]
     assert shapes == interior_shapes(catalog_op)
@@ -511,10 +584,10 @@ def test_certified_refined_count_equals_svd_count(a_n0, a_nm1):
             ops += [wh_plus_hankel(a, b, sign, GRID, cfg) for sign in (+1, -1)]
     assert len(ops) == 13
     counts = []
-    for op in ops:
-        longer = op.rebuild(op.grid.longer())
+    for i, op in enumerate(ops):
+        longer = op.longer
         for coker in (False, True):     # kernel, then cokernel
-            side = (op.description, coker)
+            side = (i, coker)
             dim, _, s, _ = oracle._estimate_once(longer, cfg.rank_tol, with_basis=False,
                                                  coker=coker)
             counts.append(dim)
@@ -531,10 +604,10 @@ def test_certified_refined_count_equals_svd_count(a_n0, a_nm1):
     assert 0 in counts and 1 in counts and 2 in counts
 
 
-def _synthetic_op(factors, complex_, tol, seed=0, fine=None):
+def _synthetic_op(factors, complex_, tol, seed=0, longer=None):
     """Operator whose 32 interior columns are U diag(sigma) V^H, 40 x 32,
     whose smallest singular values are factors * tol * norm_est(op), and
-    whose 8 outer columns are 0; rebuilding it on any grid gives fine, or the
+    whose 8 outer columns are 0; its longer operator is longer, or the
     operator itself."""
     rng = np.random.default_rng(seed)
 
@@ -551,8 +624,8 @@ def _synthetic_op(factors, complex_, tol, seed=0, fine=None):
         matrix[:, :32] = (u * sigma) @ v.conj().T
         sigma[32 - len(small):] = small * tol * norm_est(matrix)
     matrix[:, :32] = (u * sigma) @ v.conj().T
-    op = oracle.DiscretizedOp(matrix, Grid(T=4.0, h=0.1), f"synthetic {factors}")
-    op.rebuild = lambda g: op if fine is None else fine
+    op = oracle.DiscretizedOp(matrix, Grid(T=4.0, h=0.1))
+    op.longer = op if longer is None else longer
     return op
 
 
@@ -616,7 +689,7 @@ def test_certificate_falls_back_when_the_fine_count_differs(complex_, monkeypatc
         out = []
         for fine_factors in ((0.5, 0.5), (1.5,)):
             fine = _synthetic_op(fine_factors, complex_, cfg.rank_tol, seed=1)
-            op = _synthetic_op((0.5,), complex_, cfg.rank_tol, fine=fine)
+            op = _synthetic_op((0.5,), complex_, cfg.rank_tol, longer=fine)
             a = fine.matrix[:, oracle._interior_columns(fine)]
             cut = cfg.rank_tol * norm_est(fine.matrix)
             assert not oracle._cholesky_certifies(a, cut, 1)
@@ -754,12 +827,12 @@ def test_basis_vectors_vanish_on_outer_window(a_nm1):
         (wh_matrix(chi(), GRID, CFG), coker_estimate, 1),
         (block, kernel_estimate, 2),
     ]
-    for op, estimate, dim in cases:
+    for i, (op, estimate, dim) in enumerate(cases):
         est = estimate(op, CFG)
-        assert est.dim == dim, op.description
+        assert est.dim == dim, i
         outer = _outer_window(op, CFG)
         for v, resid in zip(est.basis, est.residuals):
-            assert np.all(v[outer] == 0), op.description
+            assert np.all(v[outer] == 0), i
             assert abs(np.linalg.norm(v) - 1) < 1e-12
             assert resid < CFG.residual_tol
     # the block kernel vectors live in both components
