@@ -79,13 +79,13 @@ def factorize(g: GSymbol) -> WHFactorization:
         raise NotInvertible("zero symbol")
     if not g.ap:
         raise NotInvertible("symbol vanishes at infinity")
-    form = symbols._exp_rational_form(g)
+    form = g._exp_form
     if form is None:
         raise NotFactorizable(
             "not a single exponential sharing its shift with the rational "
             "part; no algorithm for genuinely almost-periodic symbols"
         )
-    zeros = list(poly.proots(form.N))
+    zeros = list(form.roots)
     if symbols._real_zero(g, zeros):
         raise NotInvertible("symbol vanishes on the real axis")
     z_up = [z for z in zeros if z.imag > 0]

@@ -9,6 +9,10 @@ a pole the numerator shares, so the ring arithmetic finds no roots.  Roots
 are sought (``proots``, through the companion matrix) only for polynomials
 whose roots are unknown; `root_clusters` fuses the scatter of multiple roots
 and polishes simple ones.
+
+`padd`, `pmul` and `pfromroots` strip trailing exact zeros and add or
+``np.convolve`` in ``numpy.polynomial``'s order, so each result is bit for bit
+that of ``npp.polyadd``, ``npp.polymul`` or ``npp.polyfromroots``.
 """
 
 from __future__ import annotations
@@ -28,40 +32,65 @@ CLUSTER_TOL = 2e-4
 
 
 def as_poly(c) -> np.ndarray:
-    a = np.atleast_1d(np.asarray(c, dtype=complex))
-    return a
+    if type(c) is np.ndarray and c.ndim == 1 and c.dtype == complex:
+        return c
+    return np.atleast_1d(np.asarray(c, dtype=complex))
 
 
 def trim(c) -> np.ndarray:
     """Drop trailing coefficients that are negligible relative to the largest."""
     a = as_poly(c)
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    if scale == 0.0:
-        return np.zeros(1, dtype=complex)
-    cut = COEFF_PRUNE * max(1.0, scale)
-    keep = np.nonzero(np.abs(a) > cut)[0]
+    mag = np.abs(a)
+    cut = COEFF_PRUNE * max(1.0, mag.max(initial=0.0))
+    keep = (mag > cut).nonzero()[0]
     if keep.size == 0:
         return np.zeros(1, dtype=complex)
-    a = a[: keep[-1] + 1].copy()
-    a[np.abs(a) <= cut] = 0.0
-    return a
+    return np.where(mag <= cut, 0, a)[: keep[-1] + 1]
 
 
 def degree(c) -> int:
     a = trim(c)
-    return len(a) - 1 if np.any(a != 0) else -1
+    return len(a) - 1 if a[-1] != 0 else -1
 
 
 def is_zero(c) -> bool:
     return degree(c) < 0
 
 
+def _strip(a):
+    """a without its trailing exact zeros, keeping one coefficient."""
+    n = len(a)
+    while n > 1 and a[n - 1] == 0:
+        n -= 1
+    return a[:n]
+
+
+def _mul(a, b):
+    """``npp.polymul`` of two complex arrays."""
+    return _strip(np.convolve(_strip(a), _strip(b)))
+
+
+def _fromroots(roots):
+    """``npp.polyfromroots``: the sorted linear factors, multiplied in pairs."""
+    p = [np.array([-z, 1]) for z in np.sort(np.array(roots, dtype=complex))]
+    while len(p) > 1:
+        m, odd = divmod(len(p), 2)
+        tmp = [np.convolve(p[i], p[i + m]) for i in range(m)]
+        if odd:
+            tmp[0] = np.convolve(tmp[0], p[-1])
+        p = tmp
+    return p[0]
+
+
 def padd(a, b):
-    return trim(npp.polyadd(as_poly(a), as_poly(b)))
+    short, long = sorted((_strip(as_poly(a)), _strip(as_poly(b))), key=len)
+    out = long.copy()
+    out[: len(short)] += short
+    return trim(out)
 
 
 def pmul(a, b):
-    return trim(npp.polymul(as_poly(a), as_poly(b)))
+    return trim(_mul(as_poly(a), as_poly(b)))
 
 
 def pscale(a, s):
@@ -89,7 +118,7 @@ def pfromroots(roots, lead=1.0) -> np.ndarray:
     roots = sorted(np.asarray(roots, dtype=complex), key=lambda z: (z.real, z.imag))
     if not len(roots):
         return np.array([complex(lead)])
-    return trim(npp.polyfromroots(roots) * complex(lead))
+    return trim(_fromroots(roots) * complex(lead))
 
 
 def sort_roots(roots) -> list[complex]:
@@ -236,7 +265,7 @@ def rational_sum(parts):
             for _ in range(mu - sum(m for p, m in poles if _near(p, u)))
         ]
         num = as_poly(num)
-        terms.append(npp.polymul(num, npp.polyfromroots(missing)) if missing else num)
+        terms.append(_mul(num, _fromroots(missing)) if missing else num)
     return cancel(terms, union)
 
 

@@ -12,6 +12,11 @@ smallest class closed under products, reflection t -> -t, conjugation and
 (where representable) inversion that still supports exact Wiener-Hopf
 factorization.  Pointwise it is the Fourier transform of a summable
 discrete-plus-L1 time kernel, which `time_kernel` recovers explicitly.
+
+A symbol is immutable, so its exact data is computed once and kept on the
+object, as ``cached_property`` keeps `RationalPart.den`: the form e^(i delta t)
+N/den (`_exp_rational_form`) with the roots of N and the mirror products
+N(t)N(-t) and den(t)den(-t), and `winding_n`.
 """
 
 from __future__ import annotations
@@ -128,6 +133,18 @@ class GSymbol:
 
     __rmul__ = __mul__
 
+    def __reduce__(self):
+        # what is kept on the symbol is not part of its value
+        return GSymbol, (self.ap, self.l0)
+
+    @cached_property
+    def _exp_form(self):
+        return _exp_rational_form(self)
+
+    @cached_property
+    def _winding(self):
+        return _winding_n(self)
+
     # -- structure -------------------------------------------------------
 
     def is_zero(self):
@@ -151,7 +168,7 @@ class GSymbol:
         other symbols compare their difference, sampled around every pole.
         """
         other = _coerce(other)
-        fa, fb = _exp_rational_form(self), _exp_rational_form(other)
+        fa, fb = self._exp_form, other._exp_form
         if fa is not None and fb is not None:
             if abs(fa.delta - fb.delta) > FREQ_TOL:
                 return False
@@ -239,11 +256,11 @@ def _sup_scale(a):
 def _canon_rational(parts):
     """RationalPart of the sum of (num, poles) parts, or None when it vanishes."""
     num, poles = poly.rational_sum(parts)
-    if poly.is_zero(num):
+    deg, deg_den = poly.degree(num), sum(m for _, m in poles)
+    if deg < 0:
         return None
-    deg_den = sum(m for _, m in poles)
-    if poly.degree(num) >= deg_den:
-        raise ImproperRational(poly.degree(num), deg_den)
+    if deg >= deg_den:
+        raise ImproperRational(deg, deg_den)
     for p, _ in poles:
         if abs(p.imag) <= REAL_AXIS_TOL:
             raise RealPoleError(p)
@@ -486,9 +503,9 @@ def is_invertible(a: GSymbol):
     `_real_zero`.  Other symbols get `_sampled_invertible`."""
     if a.is_zero():
         return False
-    form = _exp_rational_form(a)
+    form = a._exp_form
     if form is not None:
-        return not _real_zero(a, poly.proots(form.N))
+        return not _real_zero(a, form.roots)
     return _sampled_invertible(a)
 
 
@@ -547,6 +564,18 @@ class _ExpRational:
     den: np.ndarray
     N: np.ndarray  # amp*den + num; deg N = deg den, den monic with no real root
 
+    @cached_property
+    def roots(self):
+        return poly.proots(self.N)
+
+    @cached_property
+    def mirror_N(self):
+        return poly.pmul(self.N, _reflect(self.N))
+
+    @cached_property
+    def mirror_den(self):
+        return poly.pmul(self.den, _reflect(self.den))
+
 
 def _exp_rational_form(a):
     """The single-exponential form of ``a``: one AP term of nonzero amplitude
@@ -599,11 +628,12 @@ def _require_no_real_zero(a, roots):
 
 def _poly_identity(p, q, tol):
     """p = q coefficientwise, within ``tol`` of the largest coefficient."""
-    n = max(len(p), len(q))
-    p = np.pad(p, (0, n - len(p)))
-    q = np.pad(q, (0, n - len(q)))
-    scale = max(np.max(np.abs(p)), np.max(np.abs(q)))
-    return bool(np.max(np.abs(p - q)) <= tol * scale)
+    if len(p) < len(q):
+        p, q = q, p
+    diff = p.copy()
+    diff[: len(q)] -= q
+    scale = max(np.abs(p).max(), np.abs(q).max())
+    return bool(np.abs(diff).max() <= tol * scale)
 
 
 def _same_mirror_product(a, b, tol=1e-10):
@@ -613,15 +643,11 @@ def _same_mirror_product(a, b, tol=1e-10):
     N_a(t)N_a(-t) D_b(t)D_b(-t) = N_b(t)N_b(-t) D_a(t)D_a(-t) (the
     exponentials cancel).  Other symbols compare the two products, by
     `GSymbol.isclose` within 1e-12 and then on 2001 samples of [-50, 50]."""
-    fa, fb = _exp_rational_form(a), _exp_rational_form(b)
+    fa, fb = a._exp_form, b._exp_form
     if fa is not None and fb is not None:
-
-        def mirror(p):
-            return poly.pmul(p, _reflect(p))
-
         return _poly_identity(
-            poly.pmul(mirror(fa.N), mirror(fb.den)),
-            poly.pmul(mirror(fb.N), mirror(fa.den)),
+            poly.pmul(fa.mirror_N, fb.mirror_den),
+            poly.pmul(fb.mirror_N, fa.mirror_den),
             tol,
         )
     lhs = a * tilde(a)
@@ -642,7 +668,7 @@ def inverse(a: GSymbol) -> GSymbol:
         raise NotInvertible("zero symbol")
     if not a.ap:
         raise NotInvertible("symbol vanishes at infinity (no almost-periodic part)")
-    form = _exp_rational_form(a)
+    form = a._exp_form
     if form is None:
         try:
             ok = is_invertible(a)
@@ -653,8 +679,7 @@ def inverse(a: GSymbol) -> GSymbol:
         raise NotRepresentable(
             "inverse leaves the finite representation (nonconstant almost-periodic part)"
         )
-    roots = poly.proots(form.N)
-    _require_no_real_zero(a, roots)
+    _require_no_real_zero(a, form.roots)
     # d/(A d + n) = 1/A - (n/A) / (A d + n): the zeros of N become the poles
     delta, amp, num = form.delta, form.amp, form.num
     inv_terms_ap = [(-delta, 1.0 / amp)]
@@ -664,7 +689,7 @@ def inverse(a: GSymbol) -> GSymbol:
             (
                 -delta,
                 poly.pscale(num, -1.0 / (amp * form.N[-1])),
-                poly.root_clusters(form.N, roots),
+                poly.root_clusters(form.N, form.roots),
             )
         )
     return make_symbol(inv_terms_ap, inv_terms_l0)
@@ -706,17 +731,20 @@ def winding_n(a: GSymbol):
 
     Exact zero/pole counting when b is a single exponential sharing its shift
     with the rational part; numerical unwrapping with endpoint asymptotics
-    otherwise.  Always an integer.
+    otherwise.  Always an integer, kept on the symbol (an error is not).
     """
+    return a._winding
+
+
+def _winding_n(a):
     if not a.ap:
         raise NotInvertible("winding undefined: almost-periodic part vanishes")
-    form = _exp_rational_form(a)
+    form = a._exp_form
     if form is not None:
         if poly.is_zero(poly.trim(form.num)):
             return 0
-        roots = poly.proots(form.N)
-        _require_no_real_zero(a, roots)
-        upper_zeros = int(sum(z.imag > REAL_AXIS_TOL for z in roots))
+        _require_no_real_zero(a, form.roots)
+        upper_zeros = int(sum(z.imag > REAL_AXIS_TOL for z in form.roots))
         return upper_zeros - sum(m for p, m in form.poles if p.imag > 0)
     # numerical route: w(t) = a(t)/b(t) - 1 = b^(-1) k
     ap_only = GSymbol(a.ap, ())
@@ -752,7 +780,10 @@ def winding_n(a: GSymbol):
 
 
 def is_matching(g: GSymbol) -> bool:
-    """g(t) g(-t) = 1, decided by `_same_mirror_product`."""
+    """g(t) g(-t) = 1, decided by `_same_mirror_product` with b = 1."""
+    form = g._exp_form
+    if form is not None:
+        return _poly_identity(form.mirror_N, form.mirror_den, 1e-10)
     return _same_mirror_product(g, one())
 
 

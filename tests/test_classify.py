@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -280,3 +283,15 @@ def test_dim_arithmetic():
     assert (Dim.unknown() + Dim.unknown()).describe() == "?"
     assert (Dim.infinite() + Dim.exact(4)).describe() == "inf"
     assert Dim.at_least(0).describe() == "?"
+
+
+SWEEP_REPORTS = Path(__file__).parent / "data" / "sweep_reports.json"
+
+
+def test_sweep_reports_match_golden_file():
+    # generated matching pairs (the first 25 in perfbench's sweep_pairs(1)
+    # order) classified without a kappa tester, compared as canonical JSON
+    for row in json.loads(SWEEP_REPORTS.read_text(encoding="utf-8")):
+        pair = MatchingPair(parse_symbol(row["a"]), parse_symbol(row["b"]))
+        got = json.dumps(classify(pair).to_dict(), sort_keys=True)
+        assert got == json.dumps(row["report"], sort_keys=True), row["a"]

@@ -111,25 +111,16 @@ def test_missing_catalog_file(capsys):
     assert main(["catalog", "/nonexistent/cat.txt", *FAST]) == 2
 
 
-def test_import_does_not_load_scipy():
-    # scipy is a test-only dependency; the package must import without it
+@pytest.mark.parametrize("module", ["scipy", "multiprocessing", "numpy.random", "numpy.fft"])
+def test_import_does_not_load(module):
+    # scipy is a test-only dependency; multiprocessing (the catalog's pool) and
+    # numpy.random (the oracle's certificates) load when first used, and
+    # numpy.fft is not used: what the import leaves out keeps the start-up
+    # time of every command down
     src = str(Path(whhankel.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, whhankel; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
-
-
-def test_import_does_not_load_multiprocessing():
-    # the catalog's process pool is imported only when it starts, which keeps
-    # the start-up time of every command down
-    src = str(Path(whhankel.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, whhankel.catalog, whhankel.cli; "
-            "print('multiprocessing' in sys.modules)")
+    code = f"import sys, whhankel.catalog, whhankel.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"

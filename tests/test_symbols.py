@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
@@ -295,6 +297,34 @@ def test_matching_outside_single_exponentials():
 def test_matching_windings_cancel(a_n0):
     for g in (chi(), chi(-2), a_n0, constant(-1.0) * chi()):
         assert winding_n(g) + winding_n(tilde(g)) == 0
+
+
+def test_symbol_decides_once(monkeypatch):
+    from whhankel import poly
+
+    expr = "(t-2i)*(t+1i)/((t+2i)*(t-1i))"
+    g = parse_symbol(expr)
+    calls = []
+    proots = poly.proots
+    monkeypatch.setattr(poly, "proots", lambda c: calls.append(1) or proots(c))
+    assert winding_n(g) == winding_n(g) == 0
+    assert len(calls) == 1
+    assert is_matching(g)
+    inverse(g)
+    # what is kept on g is not part of its value
+    g2 = parse_symbol(expr)
+    assert g == g2 and hash(g) == hash(g2)
+    assert repr(g) == repr(g2)
+    assert g.to_dict() == g2.to_dict()
+    assert pickle.dumps(g) == pickle.dumps(g2)
+    assert pickle.loads(pickle.dumps(g)) == g2
+
+
+def test_winding_error_is_raised_again():
+    g = parse_symbol("(t-1)/(t+1i)")  # N vanishes at t = 1
+    for _ in range(2):
+        with pytest.raises(NotInvertible):
+            winding_n(g)
 
 
 # --- serialization ------------------------------------------------------------------
