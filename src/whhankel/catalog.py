@@ -77,11 +77,6 @@ def parse_catalog(text) -> list[CatalogEntry]:
     return entries
 
 
-def load_catalog(path) -> list[CatalogEntry]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_catalog(fh.read())
-
-
 def shipped_catalog_path(name="catalog.txt"):
     from importlib.resources import files
 

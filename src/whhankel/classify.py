@@ -121,8 +121,8 @@ class ClassificationReport:
             "notes": list(self.notes),
         }
 
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
+    def to_json(self):
+        return json.dumps(self.to_dict())
 
 
 # --- pairs --------------------------------------------------------------------
@@ -192,14 +192,11 @@ def subordinated(pair: MatchingPair) -> SubordinatedPair:
     )
 
 
-def v_symbol(pair: MatchingPair, matching=True):
-    """2x2 symbol [[0, d], [-c, a~^(-1)]]; with matching=False the top-left
-    entry is the general a - b b~ a~^(-1)."""
+def v_symbol(pair: MatchingPair):
+    """2x2 symbol [[0, d], [-c, a~^(-1)]]; the top-left entry, in general
+    a - b b~ a~^(-1), is zero for a matching pair."""
     sub = subordinated(pair)
-    corner = symbols.zero()
-    if not matching:
-        corner = pair.a - pair.b * tilde(pair.b) * sub.at_inv
-    return ((corner, sub.d), (-sub.c, sub.at_inv))
+    return ((symbols.zero(), sub.d), (-sub.c, sub.at_inv))
 
 
 def adjoint_pair(pair: MatchingPair) -> MatchingPair:

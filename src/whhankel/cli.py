@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import catalog as cat
 from . import dsl, factorization, kernels, oracle, symbols
@@ -33,31 +34,19 @@ def _grid_args(p):
     p.add_argument("--h", type=float, default=0.05, help="grid step")
     p.add_argument("--rank-tol", type=float, default=1e-8,
                    help="relative singular value cutoff for rank decisions")
-    p.add_argument("--residual-tol", type=float, default=1e-5,
-                   help="relative 'numerically in kernel' threshold")
-    p.add_argument("--membership-tol", type=float, default=1e-4,
-                   help="relative image-membership threshold")
     p.add_argument("--no-stability", action="store_true",
                    help="skip the two-grid stability re-run")
 
 
 def _mk_grid_cfg(args):
     grid = oracle.Grid(T=args.T, h=args.h)
-    cfg = oracle.OracleConfig(
-        rank_tol=args.rank_tol,
-        residual_tol=args.residual_tol,
-        membership_tol=args.membership_tol,
-        stability=not args.no_stability,
-    )
+    cfg = oracle.OracleConfig(rank_tol=args.rank_tol, stability=not args.no_stability)
     return grid, cfg
 
 
 def _emit(args, payload, text):
-    if getattr(args, "json", False):
-        out = json.dumps(payload, indent=2)
-    else:
-        out = text
-    if getattr(args, "out", None):
+    out = json.dumps(payload, indent=2) if args.json else text
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out + "\n")
     else:
@@ -120,10 +109,7 @@ def _classify_pair(args):
     b = dsl.parse_symbol(args.b_expr)
     pair = MatchingPair(a, b)
     grid, cfg = _mk_grid_cfg(args)
-    tester = None if getattr(args, "no_kappa", False) else kernels.make_kappa_tester(
-        grid, cfg
-    )
-    report = run_classify(pair, kappa_tester=tester)
+    report = run_classify(pair, kappa_tester=kernels.make_kappa_tester(grid, cfg))
     return pair, report, grid, cfg
 
 
@@ -168,8 +154,8 @@ def cmd_kernel_basis(args):
         "stable": est.stable,
         "basis": [kernels.GridFunction(grid, vec).to_triples() for vec in est.basis],
     }
-    args.json = True  # the basis is structured data; always emit JSON
-    _emit(args, payload, "")
+    # the basis is structured data; always emit JSON
+    _emit(args, payload, json.dumps(payload, indent=2))
     if args.out:
         print(f"kernel dim {est.dim} (stable: {est.stable}); basis written to {args.out}")
     return 0
@@ -180,11 +166,10 @@ BUNDLED = {"shipped": "catalog.txt", "negative-controls": "negative_controls.txt
 
 
 def cmd_catalog(args):
+    path = Path(args.path)
     if args.path in BUNDLED:
         path = cat.shipped_catalog_path(BUNDLED[args.path])
-        entries = cat.parse_catalog(path.read_text(encoding="utf-8"))
-    else:
-        entries = cat.load_catalog(args.path)
+    entries = cat.parse_catalog(path.read_text(encoding="utf-8"))
     grid, cfg = _mk_grid_cfg(args)
     results = cat.run_catalog(entries, grid, cfg, workers=args.workers)
     _emit(args, results, cat.summarize(results))
@@ -219,8 +204,6 @@ def build_parser():
     sc = sub.add_parser("classify", help="kernel/cokernel prediction for W(a)+-H(b)")
     sc.add_argument("a_expr")
     sc.add_argument("b_expr")
-    sc.add_argument("--no-kappa", action="store_true",
-                    help="leave the conditional membership branch unresolved")
     sc.add_argument("--json", action="store_true")
     sc.add_argument("--out")
     _grid_args(sc)

@@ -360,23 +360,19 @@ def _lower(node):
     raise TypeError(f"unhandled AST node {node!r}")
 
 
-def lower(expr):
-    """Lower a parsed expression to a canonical GSymbol.
+def parse_symbol(text):
+    """Parse DSL text and lower it to a canonical GSymbol.
 
     Raises RealPoleError / ImproperRational / NotRepresentable / NotInvertible
     when the expression leaves the representable class.
     """
-    return _promote(_lower(expr))
-
-
-def parse_symbol(text):
-    return lower(parse(text))
+    return _promote(_lower(parse(text)))
 
 
 # --- formatting -----------------------------------------------------------------
 
 def format_symbol(a):
-    """Canonical text form; lower(parse(format_symbol(a))) == a."""
+    """Canonical text form; parse_symbol(format_symbol(a)) == a."""
     parts = []
     for u in a.ap:
         c = poly.format_complex(u.coeff)

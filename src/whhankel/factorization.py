@@ -37,9 +37,10 @@ class WHFactorization:
     n: int
     g_plus: GSymbol
 
-    def residual(self, npoints=200, span=40.0):
-        """Max pointwise deviation of g_- e^(i nu t) chi^n g_+ from the input."""
-        t = np.linspace(-span, span, npoints)
+    def residual(self):
+        """Max pointwise deviation of g_- e^(i nu t) chi^n g_+ from the input,
+        on 200 points of [-40, 40]."""
+        t = np.linspace(-40.0, 40.0, 200)
         lhs = self.symbol.eval(t)
         rhs = (
             self.g_minus.eval(t)

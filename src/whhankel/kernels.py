@@ -30,32 +30,32 @@ from .errors import (
 from .oracle import DEFAULT_CONFIG, Grid
 from .symbols import GSymbol, inverse, tilde
 
+#: relative distance from the range of W(chi) below which kappa lies in it
+MEMBERSHIP_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class GridFunction:
+    """Values on the grid's half-line nodes."""
+
     grid: Grid
     values: np.ndarray
-    support: str = "half"  # half | full
 
     def __post_init__(self):
-        expected = self.grid.n if self.support == "half" else 2 * self.grid.n
-        if len(self.values) != expected:
-            raise ValueError("value count does not match grid support")
+        if len(self.values) != self.grid.n:
+            raise ValueError("value count does not match the grid's half-line nodes")
 
     def norm(self):
         return float(np.sqrt(self.grid.h) * np.linalg.norm(self.values))
 
     def normalized(self):
         nrm = self.norm()
-        return GridFunction(self.grid, self.values / nrm, self.support)
+        return GridFunction(self.grid, self.values / nrm)
 
     def to_triples(self):
-        nodes = (
-            self.grid.half_nodes() if self.support == "half" else self.grid.full_nodes()
-        )
         return [
             (float(t), float(v.real), float(v.imag))
-            for t, v in zip(nodes, self.values)
+            for t, v in zip(self.grid.half_nodes(), self.values)
         ]
 
 
@@ -77,20 +77,16 @@ class Workspace:
         """J Q W0(g) P on a half-line vector, computed as H(tilde(g))."""
         return self.hank(tilde(g)) @ v
 
-    def gf(self, values, support="half"):
-        return GridFunction(self.grid, np.asarray(values, dtype=complex), support)
+    def gf(self, values):
+        return GridFunction(self.grid, np.asarray(values, dtype=complex))
 
 
-def psi0(grid, support="half") -> GridFunction:
-    """e^(-t) on the half-line nodes, or its zero extension on the full line."""
-    if support == "half":
-        return GridFunction(grid, np.exp(-grid.half_nodes()).astype(complex), "half")
-    nodes = grid.full_nodes()
-    vals = np.where(nodes > 0, np.exp(-np.maximum(nodes, 0.0)), 0.0).astype(complex)
-    return GridFunction(grid, vals, "full")
+def psi0(grid) -> GridFunction:
+    """e^(-t) on the half-line nodes."""
+    return GridFunction(grid, np.exp(-grid.half_nodes()).astype(complex))
 
 
-def psi0_discrete(grid, support="half") -> GridFunction:
+def psi0_discrete(grid) -> GridFunction:
     """The exact kernel generator of the discretized operator: the geometric
     sequence r^(j+1/2), r = (2-h)/(2+h), which deviates from e^(-t) by an
     O(h^2) exponent error but annihilates the discrete W(chi^(-1)) to
@@ -98,12 +94,7 @@ def psi0_discrete(grid, support="half") -> GridFunction:
     identities hold at near machine precision."""
     r = (2.0 - grid.h) / (2.0 + grid.h)
     j = np.arange(grid.n)
-    half = (r ** (j + 0.5)).astype(complex)
-    if support == "half":
-        return GridFunction(grid, half, "half")
-    vals = np.zeros(2 * grid.n, dtype=complex)
-    vals[grid.n :] = half
-    return GridFunction(grid, vals, "full")
+    return GridFunction(grid, (r ** (j + 0.5)).astype(complex))
 
 
 def kernel_basis_scalar(g: GSymbol, ws: Workspace):
@@ -263,14 +254,13 @@ def _two_grid_membership(compute, ws, stage):
     grid; with ws.cfg.stability it is stable when the membership decision is
     the same on Grid.longer(), recomputed there since products of truncated
     matrices do not nest, else stable without running it."""
-    cfg = ws.cfg
     kappa, res, diag = _on_grid(compute, ws, "shorter", stage)
-    in_img = res < cfg.membership_tol
+    in_img = res < MEMBERSHIP_TOL
     stable = True
-    if cfg.stability:
-        long_ws = Workspace(ws.grid.longer(), cfg)
+    if ws.cfg.stability:
+        long_ws = Workspace(ws.grid.longer(), ws.cfg)
         _, res2, _ = _on_grid(compute, long_ws, "longer", stage)
-        stable = (res2 < cfg.membership_tol) == in_img
+        stable = (res2 < MEMBERSHIP_TOL) == in_img
     return KappaResult(
         kappa=ws.gf(kappa),
         in_image=in_img,

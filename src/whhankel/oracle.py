@@ -121,11 +121,10 @@ SNAP_TOL = 0.1
 @dataclass(frozen=True)
 class OracleConfig:
     rank_tol: float = 1e-8          # sigma < rank_tol * norm_est(M) counts as null
-    residual_tol: float = 1e-5      # "numerically in kernel" threshold (relative)
-    membership_tol: float = 1e-4    # image-membership threshold (relative)
     stability: bool = True          # assemble on Grid.longer(), re-run ranks there
-    # fixed, not settable: the outer BOUNDARY_FRAC window of rank decisions
-    # and the SNAP_TOL of shifts
+    # fixed, not settable: the "numerically in kernel" threshold (relative),
+    # the outer BOUNDARY_FRAC window of rank decisions and the SNAP_TOL of shifts
+    residual_tol = 1e-5
 
 
 DEFAULT_CONFIG = OracleConfig()

@@ -49,11 +49,13 @@ def trim(c) -> np.ndarray:
 
 
 def degree(c) -> int:
-    a = trim(c)
-    return len(a) - 1 if a[-1] != 0 else -1
+    """Degree of an already trimmed array (see `trim`), read as it is; -1 for
+    the zero polynomial."""
+    return len(c) - 1 if c[-1] != 0 else -1
 
 
 def is_zero(c) -> bool:
+    """Whether an already trimmed array is the zero polynomial."""
     return degree(c) < 0
 
 

@@ -219,8 +219,8 @@ class GSymbol:
             ],
         }
 
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
+    def to_json(self):
+        return json.dumps(self.to_dict())
 
     @staticmethod
     def from_dict(d):
@@ -327,9 +327,9 @@ def pole_symbol(num, poles, shift=0.0):
     strictly proper."""
     num = poly.trim(num)
     poles = poly.merge_poles(poles)
-    deg_den = sum(m for _, m in poles)
-    if poly.degree(num) > deg_den:
-        raise ImproperRational(poly.degree(num), deg_den)
+    deg, deg_den = poly.degree(num), sum(m for _, m in poles)
+    if deg > deg_den:
+        raise ImproperRational(deg, deg_den)
     q, r = poly.pdivmod(num, poly.from_poles(poles))
     ap_terms = []
     l0_terms = []
@@ -636,26 +636,27 @@ def _poly_identity(p, q, tol):
     return bool(np.abs(diff).max() <= tol * scale)
 
 
-def _same_mirror_product(a, b, tol=1e-10):
+def _same_mirror_product(a, b):
     """a(t)a(-t) = b(t)b(-t), the one matching decision.
 
     For two single exponentials it is the polynomial identity
     N_a(t)N_a(-t) D_b(t)D_b(-t) = N_b(t)N_b(-t) D_a(t)D_a(-t) (the
-    exponentials cancel).  Other symbols compare the two products, by
-    `GSymbol.isclose` within 1e-12 and then on 2001 samples of [-50, 50]."""
+    exponentials cancel), within 1e-10 of the largest coefficient.  Other
+    symbols compare the two products, by `GSymbol.isclose` within 1e-12 and
+    then on 2001 samples of [-50, 50], within 1e-10."""
     fa, fb = a._exp_form, b._exp_form
     if fa is not None and fb is not None:
         return _poly_identity(
             poly.pmul(fa.mirror_N, fb.mirror_den),
             poly.pmul(fb.mirror_N, fa.mirror_den),
-            tol,
+            1e-10,
         )
     lhs = a * tilde(a)
     rhs = b * tilde(b)
     if lhs.isclose(rhs, 1e-12):
         return True
     t = np.linspace(-50.0, 50.0, 2001)
-    return bool(np.max(np.abs(lhs.eval(t) - rhs.eval(t))) <= tol)
+    return bool(np.max(np.abs(lhs.eval(t) - rhs.eval(t))) <= 1e-10)
 
 
 def inverse(a: GSymbol) -> GSymbol:
@@ -684,7 +685,7 @@ def inverse(a: GSymbol) -> GSymbol:
     delta, amp, num = form.delta, form.amp, form.num
     inv_terms_ap = [(-delta, 1.0 / amp)]
     inv_terms_l0 = []
-    if not poly.is_zero(poly.trim(num)):
+    if not poly.is_zero(num):
         inv_terms_l0.append(
             (
                 -delta,
@@ -741,7 +742,7 @@ def _winding_n(a):
         raise NotInvertible("winding undefined: almost-periodic part vanishes")
     form = a._exp_form
     if form is not None:
-        if poly.is_zero(poly.trim(form.num)):
+        if poly.is_zero(form.num):
             return 0
         _require_no_real_zero(a, form.roots)
         upper_zeros = int(sum(z.imag > REAL_AXIS_TOL for z in form.roots))

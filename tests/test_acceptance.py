@@ -223,7 +223,7 @@ def test_criterion_05_factorization_reconstruction():
     ok = True
     for g in symbols:
         f = factorize(g)
-        worst = max(worst, f.residual(npoints=200))
+        worst = max(worst, f.residual())
         if abs(f.nu) < 1e-9:
             ok = ok and f.n == winding_n(g)
     m1 = parse_symbol("(t-2i)*(t+1i)/((t+2i)*(t-1i))")

@@ -97,9 +97,10 @@ def test_v_symbol_entries(a_n0):
 
 
 def test_v_symbol_general_corner(a_n0):
-    v = v_symbol(MatchingPair(a_n0, a_n0 * chi()), matching=False)
-    # matching pairs collapse the corner to zero even in the general form
-    assert v[0][0].isclose(parse_symbol("0"), 1e-9)
+    # matching pairs collapse the general corner a - b b~ a~^(-1) to zero
+    a, b = a_n0, a_n0 * chi()
+    corner = a - b * tilde(b) * subordinated(MatchingPair(a, b)).at_inv
+    assert corner.isclose(parse_symbol("0"), 1e-9)
 
 
 def test_adjoint_pair_subordination(a_n0):

@@ -58,15 +58,20 @@ def test_verify_command_passes(capsys):
     assert "pass" in out and "fail" not in out
 
 
-def test_kernel_basis_export(tmp_path, capsys):
+@pytest.mark.parametrize("rank_tol, dim", [("1e-8", 1), ("1e-12", 0)])
+def test_kernel_basis_export(tmp_path, capsys, rank_tol, dim):
+    # --rank-tol reaches the oracle: a cut of 1e-12 lies below the kernel
+    # vector's singular value on this grid
     out = tmp_path / "basis.json"
-    rc = main(["kernel-basis", "chi^-1", "0", "--sign", "plus", "--out", str(out), *FAST])
+    rc = main(["kernel-basis", "chi^-1", "0", "--sign", "plus", "--out", str(out),
+               "--rank-tol", rank_tol, *FAST])
     assert rc == 0
     payload = json.loads(out.read_text())
-    assert payload["dim"] == 1
-    assert len(payload["basis"]) == 1
-    node, re, im = payload["basis"][0][0]
-    assert abs(node - 0.05) < 1e-12
+    assert payload["dim"] == dim
+    assert len(payload["basis"]) == dim
+    if dim:
+        node, re, im = payload["basis"][0][0]
+        assert abs(node - 0.05) < 1e-12
 
 
 def test_catalog_roundtrip(tmp_path, capsys):
