@@ -13,7 +13,8 @@ it, so oracle disagreements are attributable.
 
 Cokernels of in-scope operators are obtained by classifying the adjoint pair
 (conj a, conj b~), whose subordinated pair is (conj d, conj c): kernel rules
-applied there yield cokernel dimensions here.
+applied there yield cokernel dimensions here.  That pair, like the (-c, -d)
+of the sign flip b -> -b, is derived from (c, d), not computed again.
 
 One branch is genuinely conditional: n(c) = +1 with dim ker W(d) = 1, where
 invertibility of the minus operator hinges on whether a transported kernel
@@ -23,8 +24,7 @@ by an injected tester (see kernel_structure), never symbolically.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import symbols
 from .errors import (
@@ -121,9 +121,6 @@ class ClassificationReport:
             "notes": list(self.notes),
         }
 
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
 
 # --- pairs --------------------------------------------------------------------
 
@@ -178,18 +175,45 @@ def _indices(g):
     return nu_g, n_g, xi_g
 
 
-def subordinated(pair: MatchingPair) -> SubordinatedPair:
-    """c = b~ a~^(-1), d = b a~^(-1), with indices attached."""
-    at_inv = inverse(tilde(pair.a))
-    c, d = tilde(pair.b) * at_inv, pair.b * at_inv
-    if not (is_matching(c) and is_matching(d)):
-        raise NotMatching("subordinated functions fail g(t)g(-t) = 1")
+def _subordinated(c, d, at_inv):
+    """SubordinatedPair of c, d and a~^(-1), indices attached, once c and d
+    pass the matching gate."""
+    _require_matching(c, d)
     nu_c, n_c, xi_c = _indices(c)
     nu_d, n_d, xi_d = _indices(d)
     return SubordinatedPair(
         c=c, d=d, at_inv=at_inv,
         nu_c=nu_c, nu_d=nu_d, n_c=n_c, n_d=n_d, xi_c=xi_c, xi_d=xi_d,
     )
+
+
+def _require_matching(c, d):
+    if not (is_matching(c) and is_matching(d)):
+        raise NotMatching("subordinated functions fail g(t)g(-t) = 1")
+
+
+def subordinated(pair: MatchingPair) -> SubordinatedPair:
+    """c = b~ a~^(-1), d = b a~^(-1), with indices attached."""
+    at_inv = inverse(tilde(pair.a))
+    return _subordinated(tilde(pair.b) * at_inv, pair.b * at_inv, at_inv)
+
+
+def _sign_flipped(sub: SubordinatedPair) -> SubordinatedPair:
+    """The subordinated pair of (a, -b), derived from that of (a, b): c and d
+    change sign, and so does xi = (-1)^n g(0), while nu and n do not."""
+    c, d = -sub.c, -sub.d
+    _require_matching(c, d)
+    return replace(
+        sub, c=c, d=d,
+        xi_c=None if sub.xi_c is None else -sub.xi_c,
+        xi_d=None if sub.xi_d is None else -sub.xi_d,
+    )
+
+
+def _adjoint(sub: SubordinatedPair) -> SubordinatedPair:
+    """The subordinated pair of adjoint_pair((a, b)), derived from that of
+    (a, b): (conj d, conj c), with a~^(-1) conjugated."""
+    return _subordinated(conj(sub.d), conj(sub.c), conj(sub.at_inv))
 
 
 def v_symbol(pair: MatchingPair):
@@ -301,29 +325,37 @@ def _family_tag(c):
     return None
 
 
-def classify(pair: MatchingPair, kappa_tester=None,
-             _kernels_only=False) -> ClassificationReport:
+def _require_invertible(a):
+    """NotInvertible when a has a real zero; an inconclusive decision passes."""
+    try:
+        if not symbols.is_invertible(a):
+            raise NotInvertible("a is not invertible; operators not semi-Fredholm")
+    except Inconclusive:
+        pass  # treat as invertible; downstream indices will object if not
+
+
+def classify(pair: MatchingPair, kappa_tester=None) -> ClassificationReport:
     """Predict kernel/cokernel dimensions and invertibility of W(a) +- H(b).
 
     kappa_tester (optional) resolves the conditional membership branch; it is
     called with the pair and must return an object with ``in_image``,
     ``residual`` and ``stable`` attributes (or None to leave it open).
     """
-    a = pair.a
-    try:
-        if not symbols.is_invertible(a):
-            raise NotInvertible("a is not invertible; operators not semi-Fredholm")
-    except Inconclusive:
-        pass  # treat as invertible; downstream indices will object if not
-    sub = subordinated(pair)
+    _require_invertible(pair.a)
+    return _classify(pair, subordinated(pair), kappa_tester, kernels_only=False)
+
+
+def _classify(pair, sub, kappa_tester, kernels_only) -> ClassificationReport:
+    """classify() of a pair whose subordinated pair is sub.  The sign flip
+    and the adjoint route recurse with subordinated pairs derived from sub;
+    kernels_only leaves the cokernels and the index check out."""
     notes = []
 
     # reduce xi(c) = -1 by flipping the sign of b, which swaps +- reports
     if sub.xi_c == -1:
-        flipped = classify(
-            MatchingPair(a=a, b=-pair.b),
-            kappa_tester=kappa_tester,
-            _kernels_only=_kernels_only,
+        flipped = _classify(
+            MatchingPair(a=pair.a, b=-pair.b), _sign_flipped(sub),
+            kappa_tester, kernels_only,
         )
         notes.append("sign-flip: reduced xi(c) = -1 to +1 via b -> -b")
         return ClassificationReport(
@@ -438,15 +470,13 @@ def classify(pair: MatchingPair, kappa_tester=None,
             if rhs is not None:
                 coker_minus = Dim.exact(ker_minus.value - rhs)
                 cert_minus.append("index-balance")
-    elif not _kernels_only:
+    elif not kernels_only:
         # trivial ker W(d): cokernels are the kernels of the adjoint pair,
         # whose subordinated pair is (conj d, conj c)
         try:
-            adj = classify(
-                adjoint_pair(pair),
-                kappa_tester=kappa_tester,
-                _kernels_only=True,
-            )
+            adj_pair = adjoint_pair(pair)
+            _require_invertible(adj_pair.a)
+            adj = _classify(adj_pair, _adjoint(sub), kappa_tester, kernels_only=True)
             coker_plus = adj.plus.ker
             coker_minus = adj.minus.ker
             cert_plus.append(f"adjoint({adj.plus.certificate})")
@@ -460,7 +490,7 @@ def classify(pair: MatchingPair, kappa_tester=None,
         cert_minus.insert(0, f"family:{tag}")
 
     index_check = None
-    if not _kernels_only and sub.n_d is not None and abs(sub.nu_d) <= NU_TOL:
+    if not kernels_only and sub.n_d is not None and abs(sub.nu_d) <= NU_TOL:
         rhs = -(n_c + sub.n_d)
         lhs = None
         if all(

@@ -2,7 +2,8 @@
 
 Subcommands: parse | factorize | classify | verify | kernel-basis | catalog.
 Grid and tolerance flags mirror the oracle configuration; --json switches
-machine output.  Typed failures map to distinct exit codes:
+machine output (kernel-basis always writes JSON and takes no --json).  Typed
+failures map to distinct exit codes:
 
     2  syntax error in a symbol expression
     3  not representable / real pole / improper rational
@@ -45,7 +46,10 @@ def _mk_grid_cfg(args):
 
 
 def _emit(args, payload, text):
-    out = json.dumps(payload, indent=2) if args.json else text
+    _write(args, json.dumps(payload, indent=2) if args.json else text)
+
+
+def _write(args, out):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out + "\n")
@@ -155,7 +159,7 @@ def cmd_kernel_basis(args):
         "basis": [kernels.GridFunction(grid, vec).to_triples() for vec in est.basis],
     }
     # the basis is structured data; always emit JSON
-    _emit(args, payload, json.dumps(payload, indent=2))
+    _write(args, json.dumps(payload, indent=2))
     if args.out:
         print(f"kernel dim {est.dim} (stable: {est.stable}); basis written to {args.out}")
     return 0
@@ -221,7 +225,6 @@ def build_parser():
     sk.add_argument("a_expr")
     sk.add_argument("b_expr")
     sk.add_argument("--sign", choices=("plus", "minus"), required=True)
-    sk.add_argument("--json", action="store_true")
     sk.add_argument("--out")
     _grid_args(sk)
     sk.set_defaults(func=cmd_kernel_basis)

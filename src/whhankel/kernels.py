@@ -3,8 +3,12 @@
 Everything here reduces whole-line compositions like J Q W0(g) P to half-line
 Hankel applications: on the mirrored midpoint grid the discrete operators
 satisfy J Q W0(g) P = H(tilde(g)) exactly, so the maps below run on N x N
-Toeplitz/Hankel matrices.  A Workspace assembles a matrix on every request
-and keeps none, so each one lives only as long as the expression using it.
+Toeplitz/Hankel operators.  A Workspace assembles a matrix on every request
+and keeps none, so each one lives only as long as the expression using it;
+the flip map, recipes, kernel bases, phi_+- and the kappa tester apply their
+factors as convolutions of the generator instead (`oracle._toeplitz_apply`,
+`oracle._hankel_apply`), and phi_+- checks its input against W(d) from the
+generator too, so the kappa tester assembles no matrix.
 
 Contents: the exponential kernel generator psi0, scalar kernel bases
 W(g_+^(-1)) psi0, the involutive projections (f +- J Q W0(g) P f)/2 on
@@ -61,7 +65,8 @@ class GridFunction:
 
 class Workspace:
     """A grid and its oracle settings; wh and hank assemble a matrix on every
-    call and keep none, since most matrices are read once."""
+    call and keep none, since most matrices are read once; flip_apply
+    applies its Hankel operator without one."""
 
     def __init__(self, grid, cfg=DEFAULT_CONFIG):
         self.grid = grid
@@ -75,7 +80,7 @@ class Workspace:
 
     def flip_apply(self, g, v):
         """J Q W0(g) P on a half-line vector, computed as H(tilde(g))."""
-        return self.hank(tilde(g)) @ v
+        return oracle._hankel_apply(tilde(g), self.grid, v)
 
     def gf(self, values):
         return GridFunction(self.grid, np.asarray(values, dtype=complex))
@@ -102,7 +107,7 @@ def kernel_basis_scalar(g: GSymbol, ws: Workspace):
     g_plus, n, _ = factorization.matching_factorization(g)
     if n != -1:
         raise WrongIndex(f"kernel basis formula requires n = -1, got n = {n}")
-    v = ws.wh(inverse(g_plus)) @ psi0_discrete(ws.grid).values
+    v = oracle._toeplitz_apply(inverse(g_plus), ws.grid, psi0_discrete(ws.grid).values)
     return [ws.gf(v).normalized()]
 
 
@@ -112,7 +117,26 @@ def _require_in_kernel(ws, mat, v, what, scale=None):
     nv = np.linalg.norm(v)
     if nv == 0.0 or (scale is not None and nv <= 1e-6 * scale):
         return 0.0
-    res = float(np.linalg.norm(mat @ v) / (oracle.norm_est(mat) * nv))
+    return _gate(ws, np.linalg.norm(mat @ v) / (oracle.norm_est(mat) * nv), what)
+
+
+def _require_in_wh_kernel(ws, sym, v, what):
+    """_require_in_kernel of W(sym) without its matrix: W(sym) v is a
+    convolution of the generator, and norm_est(W(sym)) is the largest sum of
+    n consecutive |generator| entries, the sum of every row and column of a
+    Toeplitz matrix at one offset."""
+    nv = np.linalg.norm(v)
+    if nv == 0.0:
+        return 0.0
+    n = len(v)
+    gen = oracle._symbol_gen(sym, ws.grid, np.arange(-(n - 1), n))
+    scale = np.convolve(np.abs(gen), np.ones(n), "valid").max()
+    return _gate(ws, np.linalg.norm(np.convolve(gen, v, "valid")) / (scale * nv), what)
+
+
+def _gate(ws, res, what):
+    """The relative residual res, or NotInKernel above ws.cfg.residual_tol."""
+    res = float(res)
     if res > ws.cfg.residual_tol:
         raise NotInKernel(f"{what}: relative residual {res:.2e}")
     return res
@@ -186,13 +210,17 @@ def e2_map(pair: MatchingPair, big_phi: GridFunction, big_psi: GridFunction,
     return ws.gf(s), ws.gf(second)
 
 
-def right_inverse_apply(c: GSymbol, v, ws: Workspace):
-    """W_r^(-1)(c) v through the factorization recipe [c_+^(-1), chi^(-n), c_-^(-1)]."""
+def _right_inverse_recipe(c: GSymbol):
+    """The factorization recipe [c_+^(-1), chi^(-n), c_-^(-1)] of W_r^(-1)(c)."""
     f = factorization.factorize(c)
     if f.n > 0 or abs(f.nu) > 1e-9:
         raise NoRightInverse(f"W(c) with nu = {f.nu:g}, n = {f.n} is not right-invertible")
-    recipe = factorization.one_sided_inverse_recipe(f, "right")
-    return oracle.apply_recipe(recipe, v, ws.grid)
+    return factorization.one_sided_inverse_recipe(f, "right")
+
+
+def right_inverse_apply(c: GSymbol, v, ws: Workspace):
+    """W_r^(-1)(c) v through the factorization recipe [c_+^(-1), chi^(-n), c_-^(-1)]."""
+    return oracle.apply_recipe(_right_inverse_recipe(c), v, ws.grid)
 
 
 def phi_pm(sub: SubordinatedPair, s: GridFunction, sign: str, ws: Workspace):
@@ -204,15 +232,18 @@ def phi_pm(sub: SubordinatedPair, s: GridFunction, sign: str, ws: Workspace):
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    _require_in_kernel(ws, ws.wh(sub.d), s.values, "phi input (ker W(d))")
-    y = right_inverse_apply(sub.c, ws.wh(sub.at_inv) @ s.values, ws)
+    return ws.gf(_phi(sub, _right_inverse_recipe(sub.c), s.values, sign, ws))
+
+
+def _phi(sub, recipe, s, sign, ws):
+    """phi_+-(s) values (see phi_pm), with W_r^(-1)(c) given as its recipe."""
+    _require_in_wh_kernel(ws, sub.d, s, "phi input (ker W(d))")
+    y = oracle.apply_recipe(recipe, oracle._toeplitz_apply(sub.at_inv, ws.grid, s), ws.grid)
     jy = ws.flip_apply(sub.c, y)
-    js = ws.flip_apply(sub.at_inv, s.values)
+    js = ws.flip_apply(sub.at_inv, s)
     if sign == "+":
-        out = 0.5 * (y - jy + js)
-    else:
-        out = 0.5 * (y + jy - js)
-    return ws.gf(out)
+        return 0.5 * (y - jy + js)
+    return 0.5 * (y + jy - js)
 
 
 # --- the conditional membership element ----------------------------------------
@@ -229,11 +260,10 @@ class KappaResult:
         raise TypeError("inspect .in_image explicitly")
 
 
-def _membership_residual(x, ws):
+def _membership_residual(x, grid, chis):
     """Relative distance of x from its projection W(chi) W(chi^(-1)) x onto
-    the range of W(chi), applied as two mat-vecs, one matrix at a time."""
-    q0x = ws.wh(symbols.chi(-1)) @ x
-    q0x = ws.wh(symbols.chi(1)) @ q0x
+    the range of W(chi), chis = (chi^(-1), chi), applied as two convolutions."""
+    q0x = oracle._toeplitz_apply(chis[1], grid, oracle._toeplitz_apply(chis[0], grid, x))
     nx = np.linalg.norm(x)
     if nx == 0:
         return 0.0
@@ -292,21 +322,23 @@ def kappa_element(a: GSymbol, ws: Workspace) -> KappaResult:
     if symbols.winding_n(d) != -1:
         raise WrongCase("index bookkeeping failed: n(d) != -1")
 
+    alpha_t_inv = inverse(tilde(alpha))
+    d_plus_inv = inverse(factorization.matching_factorization(d)[0])
+    chis = (symbols.chi(-1), symbols.chi(1))
+
     def compute(w):
-        alpha_t_inv = inverse(tilde(alpha))
-        d_plus, _, _ = factorization.matching_factorization(d)
-        s = w.wh(inverse(d_plus)) @ psi0_discrete(w.grid).values
-        z = w.wh(alpha_t_inv) @ s
-        t1 = w.wh(symbols.chi(1)) @ z
-        t2 = w.flip_apply(symbols.chi(-1), t1)
+        s = oracle._toeplitz_apply(d_plus_inv, w.grid, psi0_discrete(w.grid).values)
+        z = oracle._toeplitz_apply(alpha_t_inv, w.grid, s)
+        t1 = oracle._toeplitz_apply(chis[1], w.grid, z)
+        t2 = w.flip_apply(chis[0], t1)
         t3 = w.flip_apply(alpha_t_inv, s)
         kappa = t1 + t2 - t3
         scale = max(np.linalg.norm(s), 1e-30)
         diag = {
             "middle_term_norm": float(np.linalg.norm(t2) / scale),
-            "first_term_membership": _membership_residual(t1, w),
+            "first_term_membership": _membership_residual(t1, w.grid, chis),
         }
-        return kappa, _membership_residual(t3, w), diag
+        return kappa, _membership_residual(t3, w.grid, chis), diag
 
     return _two_grid_membership(compute, ws, "kappa element")
 
@@ -317,15 +349,21 @@ def kappa_for_pair(pair: MatchingPair, ws: Workspace) -> KappaResult:
     Reduces (a, b) to (a chi^(-1), b chi), transports the kernel of W(d)
     through phi_-, and tests whether the transported element meets the range
     of W(chi).  With ws.cfg.stability the verdict must agree on both grids.
+
+    The symbols are computed once per call, not per grid: the reduced
+    subordinated pair, the right-inverse recipe of c and chi^(+-1).  Each
+    grid applies its factors as convolutions and assembles no matrix.
     """
     sub = subordinated(
         MatchingPair(a=pair.a * symbols.chi(-1), b=pair.b * symbols.chi(1))
     )
+    recipe = _right_inverse_recipe(sub.c)
+    chis = (symbols.chi(-1), symbols.chi(1))
 
     def compute(w):
         basis = kernel_basis_scalar(sub.d, w)
-        kappa = 2.0 * phi_pm(sub, basis[0], "-", w).values
-        return kappa, _membership_residual(kappa, w), {}
+        kappa = 2.0 * _phi(sub, recipe, basis[0].values, "-", w)
+        return kappa, _membership_residual(kappa, w.grid, chis), {}
 
     return _two_grid_membership(compute, ws, "kappa tester")
 
@@ -333,8 +371,7 @@ def kappa_for_pair(pair: MatchingPair, ws: Workspace) -> KappaResult:
 def make_kappa_tester(grid, cfg=DEFAULT_CONFIG):
     """classify()-compatible tester resolving the conditional branch on a grid.
 
-    Each call assembles its matrices as it reads them and keeps none, so a
-    call holds a few matrices of one grid at a time."""
+    A call assembles no matrix: it applies every factor as a convolution."""
     ws = Workspace(grid, cfg)
 
     def tester(pair: MatchingPair):

@@ -275,6 +275,20 @@ def _hankel(sym, grid, n):
     return sliding_window_view(_symbol_gen(sym, grid, np.arange(1, 2 * n)), n).copy()
 
 
+def _toeplitz_apply(sym, grid, v):
+    """_toeplitz(sym, grid, len(v)) @ v without the matrix: the valid part of
+    the convolution of the generator at -(n-1)..n-1 with v."""
+    n = len(v)
+    return np.convolve(_symbol_gen(sym, grid, np.arange(-(n - 1), n)), v, "valid")
+
+
+def _hankel_apply(sym, grid, v):
+    """_hankel(sym, grid, len(v)) @ v without the matrix: the valid part of
+    the convolution of the generator at 1..2n-1 with v reversed."""
+    n = len(v)
+    return np.convolve(_symbol_gen(sym, grid, np.arange(1, 2 * n)), v[::-1], "valid")
+
+
 def _block_v(sub, grid, n):
     """2n x 2n matrix of [[0, W(d)], [-W(c), W(tilde(a)^(-1))]], sub the
     subordinated pair of (a, b)."""
@@ -581,10 +595,11 @@ def coker_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG,
 # --- recipes --------------------------------------------------------------------
 
 def apply_recipe(recipe, v, grid):
-    """Apply W(f1) W(f2) ... W(fk) to a half-line vector (rightmost first)."""
+    """Apply W(f1) W(f2) ... W(fk) to a half-line vector (rightmost first),
+    each factor as a convolution (`_toeplitz_apply`)."""
     out = np.asarray(v, dtype=complex)
     for f in reversed(recipe.factors):
-        out = _toeplitz(f, grid, grid.n) @ out
+        out = _toeplitz_apply(f, grid, out)
     return out
 
 

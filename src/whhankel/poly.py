@@ -38,14 +38,21 @@ def as_poly(c) -> np.ndarray:
 
 
 def trim(c) -> np.ndarray:
-    """Drop trailing coefficients that are negligible relative to the largest."""
+    """Zero the coefficients that are negligible relative to the largest and
+    drop the trailing ones.  An array with none is returned as it is (no
+    caller writes into the result)."""
     a = as_poly(c)
-    mag = np.abs(a)
-    cut = COEFF_PRUNE * max(1.0, mag.max(initial=0.0))
-    keep = (mag > cut).nonzero()[0]
+    # the common case, nothing to prune, decided on a list: numpy's
+    # reductions cost more than the arithmetic on arrays this short
+    mags = np.abs(a).tolist()
+    cut = COEFF_PRUNE * max(1.0, max(mags, default=0.0))
+    if mags and min(mags) > cut:
+        return a
+    small = np.abs(a) <= cut
+    keep = (~small).nonzero()[0]
     if keep.size == 0:
         return np.zeros(1, dtype=complex)
-    return np.where(mag <= cut, 0, a)[: keep[-1] + 1]
+    return np.where(small, 0, a)[: keep[-1] + 1]
 
 
 def degree(c) -> int:
@@ -108,9 +115,10 @@ def pval(c, t):
     return npp.polyval(np.asarray(t), as_poly(c))
 
 
-def proots(c) -> np.ndarray:
-    """Companion-matrix roots; real coefficients give exact conjugate pairs."""
-    a = trim(c)
+def proots(a) -> np.ndarray:
+    """Companion-matrix roots of an already trimmed array (see `trim`), read
+    as it is: its callers pass N of `padd` and `trim(c)`.  Real coefficients
+    give exact conjugate pairs."""
     if len(a) <= 1:
         return np.zeros(0, dtype=complex)
     return np.asarray(npp.polyroots(a if np.any(a.imag) else a.real), dtype=complex)
@@ -148,7 +156,8 @@ def cluster_roots(roots):
 
 # --- poles with multiplicities ------------------------------------------------
 
-def _pole_key(pole):
+def pole_key(pole):
+    """Sort key of a (pole, multiplicity) pair: real, then imaginary part."""
     return (pole[0].real, pole[0].imag)
 
 
@@ -169,7 +178,7 @@ def _union(pole_lists, combine):
                 reps.append([complex(p), int(m)])
             else:
                 rep[1] = combine(rep[1], int(m))
-    return tuple(sorted(((p, m) for p, m in reps if m), key=_pole_key))
+    return tuple(sorted(((p, m) for p, m in reps if m), key=pole_key))
 
 
 def merge_poles(*pole_lists):
@@ -222,6 +231,29 @@ def _deflate(c, p):
     return q, acc * p + c[..., 0]
 
 
+def _stack(terms):
+    """The coefficient arrays ``terms`` as the rows of one zero-padded array."""
+    T = np.zeros((len(terms), max(len(t) for t in terms)), dtype=complex)
+    for k, t in enumerate(terms):
+        T[k, : len(t)] = t
+    return T
+
+
+def _negligible_sum(T):
+    """Whether the rows of T sum to below COEFF_PRUNE of their largest
+    coefficient: a sum that is rounding noise of its terms."""
+    return np.abs(T.sum(axis=0)).max() <= COEFF_PRUNE * np.abs(T).max()
+
+
+def psum(terms):
+    """Sum of polynomials by `cancel`'s rule with no poles: zero when it is
+    negligible against the terms, else the trimmed sum."""
+    T = _stack(terms)
+    if _negligible_sum(T):
+        return np.zeros(1, dtype=complex)
+    return trim(T.sum(axis=0))
+
+
 def cancel(terms, poles):
     """(num, poles) of sum(terms) / prod (t - p)^m with common factors removed.
 
@@ -232,24 +264,24 @@ def cancel(terms, poles):
     although their summed numerator is rounding noise.  A sum below
     COEFF_PRUNE of the terms is zero, returned as ([0], ()).
     """
-    width = max(len(t) for t in terms)
-    T = np.zeros((len(terms), width), dtype=complex)
-    for k, t in enumerate(terms):
-        T[k, : len(t)] = t
+    T = _stack(terms)
     zero = (np.zeros(1, dtype=complex), ())
-    if np.max(np.abs(T.sum(axis=0))) <= COEFF_PRUNE * np.max(np.abs(T)):
+    if _negligible_sum(T):
         return zero
     kept = []
+    # the summed numerator and its terms' size per degree, until T deflates
+    total, size = T.sum(axis=0), np.abs(T).sum(axis=0)
     for p, m in poles:
         while m and T.shape[1]:
-            scale = np.abs(T).sum(axis=0) @ (abs(p) ** np.arange(T.shape[1]))
-            if abs(npp.polyval(p, T.sum(axis=0))) > CANCEL_TOL * scale:
+            scale = size @ (abs(p) ** np.arange(T.shape[1]))
+            if abs(npp.polyval(p, total)) > CANCEL_TOL * scale:
                 break
             T = _deflate(T, p)[0]
+            total, size = T.sum(axis=0), np.abs(T).sum(axis=0)
             m -= 1
         if m:
             kept.append((p, m))
-    num = trim(T.sum(axis=0))
+    num = trim(total)
     if is_zero(num):
         return zero
     return num, tuple(kept)

@@ -21,7 +21,6 @@ N(t)N(-t) and den(t)den(-t), and `winding_n`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -98,7 +97,11 @@ class GSymbol:
     __radd__ = __add__
 
     def __neg__(self):
-        return self * (-1)
+        # u.coeff * -1 keeps the bits of make_symbol's product with -1
+        return _mapped(
+            [(u.freq, u.coeff * -1) for u in self.ap],
+            [(w.shift, -np.asarray(w.rational.num), w.rational.poles) for w in self.l0],
+        )
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -219,22 +222,6 @@ class GSymbol:
             ],
         }
 
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
-    @staticmethod
-    def from_dict(d):
-        l0 = []
-        for w in d["l0"]:
-            num = np.array([complex(re, im) for re, im in w["num"]])
-            den = np.array([complex(re, im) for re, im in w["den"]])
-            l0.append((w["shift"], *_poles_of(num, den)))
-        return make_symbol([(u["freq"], complex(u["re"], u["im"])) for u in d["ap"]], l0)
-
-    @staticmethod
-    def from_json(s):
-        return GSymbol.from_dict(json.loads(s))
-
 
 def _coerce(x):
     if isinstance(x, GSymbol):
@@ -270,8 +257,10 @@ def _canon_rational(parts):
 def make_symbol(ap_terms, l0_terms):
     """Canonicalizing factory: merge like frequencies/shifts, prune noise.
 
-    ``l0_terms`` are (shift, num, poles) with poles given as (pole,
-    multiplicity) pairs; terms of equal shift are summed over their poles."""
+    ``l0_terms`` are (shift, num, poles) with num already trimmed (see
+    `poly.trim`; every caller passes a numerator that poly arithmetic or a
+    canonical symbol made) and poles given as (pole, multiplicity) pairs;
+    terms of equal shift are summed over their poles."""
     # almost-periodic part
     ap_sorted = sorted(ap_terms, key=lambda fc: fc[0])
     merged_ap = []
@@ -291,7 +280,7 @@ def make_symbol(ap_terms, l0_terms):
     groups = {}
     for shift, num, poles in sorted(l0_terms, key=lambda t: t[0]):
         key = next((k for k in groups if abs(k - shift) < FREQ_TOL), float(shift))
-        groups.setdefault(key, []).append((poly.trim(num), poly.merge_poles(poles)))
+        groups.setdefault(key, []).append((num, poly.merge_poles(poles)))
     l0 = []
     for k, parts in groups.items():
         rat = _canon_rational(parts)
@@ -373,6 +362,29 @@ def _reflect(p):
     return q
 
 
+def _mapped(ap_terms, l0_terms):
+    """The symbol of a canonical symbol's terms under an exact map: ``ap_terms``
+    are its (freq, coeff) pairs and ``l0_terms`` its (shift, num, poles)
+    triples, each mapped on its own.
+
+    A canonical symbol has nothing to merge, cancel or prune, so ordering the
+    terms and poles gives make_symbol's result, bit for bit: a zero frequency
+    or shift is +0.0, and each numerator gets the + 0.0 of make_symbol's sum,
+    which turns its -0.0 parts into +0.0."""
+    return GSymbol(
+        ap=tuple(
+            APTerm(freq or 0.0, coeff)
+            for freq, coeff in sorted(ap_terms, key=lambda fc: fc[0])
+        ),
+        l0=tuple(
+            L0Term(shift or 0.0, RationalPart(
+                tuple(num + 0.0), tuple(sorted(poles, key=poly.pole_key))
+            ))
+            for shift, num, poles in sorted(l0_terms, key=lambda t: t[0])
+        ),
+    )
+
+
 def tilde(a: GSymbol) -> GSymbol:
     """Reflection a(t) -> a(-t): each pole p maps to -p."""
     ap = [(-u.freq, u.coeff) for u in a.ap]
@@ -381,7 +393,7 @@ def tilde(a: GSymbol) -> GSymbol:
         poles = w.rational.poles
         sign = (-1.0) ** sum(m for _, m in poles)
         l0.append((-w.shift, _reflect(w.rational.num) * sign, [(-p, m) for p, m in poles]))
-    return make_symbol(ap, l0)
+    return _mapped(ap, l0)
 
 
 def conj(a: GSymbol) -> GSymbol:
@@ -396,7 +408,7 @@ def conj(a: GSymbol) -> GSymbol:
         )
         for w in a.l0
     ]
-    return make_symbol(ap, l0)
+    return _mapped(ap, l0)
 
 
 # --- time-domain kernel ------------------------------------------------------

@@ -21,7 +21,7 @@ from whhankel import (
     v_symbol,
 )
 from whhankel import symbols
-from whhankel.classify import Dim
+from whhankel.classify import Dim, _adjoint, _sign_flipped
 from whhankel.errors import NotInvertible, NotMatching, OutOfScope, WindingUnresolved
 
 
@@ -272,7 +272,7 @@ def test_report_json_schema(a_n0):
     import json
 
     r = classify(MatchingPair(a_n0, a_n0 * chi()))
-    payload = json.loads(r.to_json())
+    payload = json.loads(json.dumps(r.to_dict()))
     assert set(payload) == {"plus", "minus", "index_check", "subordinated", "notes"}
     for side in ("plus", "minus"):
         assert set(payload[side]) == {"ker", "coker", "status", "certificate"}
@@ -296,3 +296,23 @@ def test_sweep_reports_match_golden_file():
         pair = MatchingPair(parse_symbol(row["a"]), parse_symbol(row["b"]))
         got = json.dumps(classify(pair).to_dict(), sort_keys=True)
         assert got == json.dumps(row["report"], sort_keys=True), row["a"]
+
+
+def _sweep_pairs():
+    for row in json.loads(SWEEP_REPORTS.read_text(encoding="utf-8")):
+        yield MatchingPair(parse_symbol(row["a"]), parse_symbol(row["b"]))
+
+
+def test_derived_subordinated_pairs_match_recomputed_ones():
+    # classify's recursions derive the subordinated pairs of (a, -b) and of
+    # the adjoint pair from that of (a, b) instead of recomputing them
+    for pair in _sweep_pairs():
+        sub = subordinated(pair)
+        assert _sign_flipped(sub) == subordinated(MatchingPair(pair.a, -pair.b))
+        derived, recomputed = _adjoint(sub), subordinated(adjoint_pair(pair))
+        for field in ("c", "d", "at_inv"):
+            assert getattr(derived, field).isclose(getattr(recomputed, field), 1e-12)
+        for field in ("n_c", "n_d", "xi_c", "xi_d"):
+            assert getattr(derived, field) == getattr(recomputed, field)
+        for field in ("nu_c", "nu_d"):
+            assert abs(getattr(derived, field) - getattr(recomputed, field)) <= 1e-12

@@ -74,6 +74,13 @@ def test_kernel_basis_export(tmp_path, capsys, rank_tol, dim):
         assert abs(node - 0.05) < 1e-12
 
 
+def test_kernel_basis_takes_no_json_flag():
+    # kernel-basis always writes JSON, so a --json flag would select nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel-basis", "chi^-1", "0", "--sign", "plus", "--json", *FAST])
+    assert exc.value.code == 2
+
+
 def test_catalog_roundtrip(tmp_path, capsys):
     cat = tmp_path / "cat.txt"
     cat.write_text(

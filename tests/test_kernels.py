@@ -298,6 +298,36 @@ def _catalog_pair(name):
     return MatchingPair(parse_symbol(entry.a_expr), parse_symbol(entry.b_expr))
 
 
+def test_wh_kernel_gate_measures_the_matrix_residual(ws):
+    # the gate on phi's input reads W(d) v and norm_est(W(d)) from the
+    # generator; the matrix gives the same residual
+    from whhankel.kernels import _require_in_kernel, _require_in_wh_kernel
+
+    rng = np.random.default_rng(3)
+    for g in (chi(-1), chi(-1) * parse_symbol("(t+1i)*(t-2i)/((t-1i)*(t+2i))")):
+        for v in (kernel_basis_scalar(g, ws)[0].values, rng.normal(size=ws.grid.n)):
+            try:
+                slow = _require_in_kernel(ws, ws.wh(g), v, "v")
+            except NotInKernel as err:
+                with pytest.raises(NotInKernel, match=str(err)):
+                    _require_in_wh_kernel(ws, g, v, "v")
+            else:
+                assert abs(_require_in_wh_kernel(ws, g, v, "v") - slow) <= 1e-13
+
+
+def test_kappa_tester_assembles_no_matrix(monkeypatch):
+    from whhankel import oracle
+
+    def no_matrix(*args):
+        raise AssertionError("the kappa tester assembled a matrix")
+
+    monkeypatch.setattr(oracle, "_toeplitz", no_matrix)
+    monkeypatch.setattr(oracle, "_hankel", no_matrix)
+    pair = _catalog_pair("pair_chi_inv_shift_n0")
+    res = kappa_for_pair(pair, Workspace(Grid(T=25.0, h=0.1), OracleConfig()))
+    assert res.stable and res.in_image is False
+
+
 def test_kappa_tester_without_stability_runs_one_grid(coarse_grid, monkeypatch):
     pair = _catalog_pair("pair_chi_inv_shift_n0")
     both = make_kappa_tester(coarse_grid, OracleConfig(stability=True))(pair)

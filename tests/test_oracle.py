@@ -228,6 +228,23 @@ def test_constant_pair_block_has_trivial_kernel():
     assert est.dim == 0
 
 
+def test_convolution_products_equal_matrix_products():
+    # recipes, the flip map and the kappa tester apply Toeplitz and Hankel
+    # operators as convolutions of the generator, on the grid and the longer one
+    entries = parse_catalog(shipped_catalog_path().read_text(encoding="utf-8"))
+    exprs = sorted({x for e in entries for x in (e.a_expr, e.b_expr) if x})
+    rng = np.random.default_rng(5)
+    grid = Grid(T=25.0, h=0.05)
+    for g in (grid, grid.longer()):
+        ws = Workspace(g, CFG)
+        v = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
+        for sym in map(parse_symbol, exprs):
+            for fast, mat in ((oracle._toeplitz_apply(sym, g, v), ws.wh(sym)),
+                              (oracle._hankel_apply(sym, g, v), ws.hank(sym))):
+                slow = mat @ v
+                assert np.linalg.norm(fast - slow) <= 1e-13 * np.linalg.norm(slow)
+
+
 def test_apply_recipe_right_inverse():
     rec = one_sided_inverse_recipe(factorize(chi(-1)), "right")
     v = _bump(GRID)

@@ -1,4 +1,6 @@
+import json
 import pickle
+from pathlib import Path
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -28,9 +30,9 @@ from whhankel import (
     xi,
     zero,
 )
-from whhankel.classify import MatchingPair
+from whhankel.classify import MatchingPair, subordinated
 from whhankel.errors import NotInvertible, NotMatching, NotRepresentable
-from whhankel.symbols import L0Term
+from whhankel.symbols import L0Term, _reflect
 
 
 # --- arithmetic -------------------------------------------------------------
@@ -327,24 +329,57 @@ def test_winding_error_is_raised_again():
             winding_n(g)
 
 
-# --- serialization ------------------------------------------------------------------
+# --- exact maps ---------------------------------------------------------------------
 
-def test_json_round_trip(a_n0):
-    for s in (zero(), one(), chi(), a_n0, exp_symbol(1.5, 2j)):
-        assert GSymbol.from_json(s.to_json()) == s
+def _sweep_symbols():
+    """a, b and the subordinated c, d, a~^(-1) of the golden sweep pairs."""
+    path = Path(__file__).parent / "data" / "sweep_reports.json"
+    for row in json.loads(path.read_text(encoding="utf-8")):
+        pair = MatchingPair(parse_symbol(row["a"]), parse_symbol(row["b"]))
+        sub = subordinated(pair)
+        yield from (pair.a, pair.b, sub.c, sub.d, sub.at_inv)
 
 
-def test_json_rejects_zero_denominator():
-    d = chi().to_dict()
-    d["l0"][0]["den"] = [[0.0, 0.0], [0.0, 0.0]]
+def _bits(g):
+    """Every float of the symbol, signed zeros included."""
+    return pickle.dumps(
+        (g.ap, [(w.shift, w.rational.num, w.rational.poles) for w in g.l0])
+    )
+
+
+def _tilde_by_make_symbol(g):
+    l0 = []
+    for w in g.l0:
+        sign = (-1.0) ** sum(m for _, m in w.rational.poles)
+        l0.append((-w.shift, _reflect(w.rational.num) * sign,
+                   [(-p, m) for p, m in w.rational.poles]))
+    return make_symbol([(-u.freq, u.coeff) for u in g.ap], l0)
+
+
+def _conj_by_make_symbol(g):
+    return make_symbol(
+        [(-u.freq, u.coeff.conjugate()) for u in g.ap],
+        [(-w.shift, np.conj(np.asarray(w.rational.num)),
+          [(p.conjugate(), m) for p, m in w.rational.poles]) for w in g.l0],
+    )
+
+
+def test_exact_maps_equal_the_make_symbol_route():
+    # tilde, conj and -g map a canonical symbol term by term and sort; the
+    # result is make_symbol's, bit for bit
+    symbols = [chi(), chi(-2), exp_symbol(1.5, 2j) + chi(), constant(1j), zero(),
+               *_sweep_symbols()]
+    for g in symbols:
+        assert _bits(tilde(g)) == _bits(_tilde_by_make_symbol(g))
+        assert _bits(conj(g)) == _bits(_conj_by_make_symbol(g))
+        assert _bits(-g) == _bits(g * (-1))
+
+
+# --- rational parts from coefficients ---------------------------------------------------
+
+def test_rational_symbol_rejects_zero_denominator():
     with pytest.raises(ZeroDivisionError):
-        GSymbol.from_dict(d)
-
-
-def test_json_field_order_is_deterministic():
-    s = chi()
-    assert s.to_json() == s.to_json()
-    assert s.to_json().index('"ap"') < s.to_json().index('"l0"')
+        rational_symbol(1, 0)
 
 
 def test_norm_estimate_diagnostic():
