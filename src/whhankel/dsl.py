@@ -257,11 +257,9 @@ def _rat_mul(x, y):
 
 
 def _rat_add(x, y, sign=1.0):
-    y_num = poly.pscale(y.num, sign)
-    if not (x.poles or y.poles):
-        # two polynomials: no common denominator to form, no pole to cancel
-        return _rat(poly.psum([x.num, y_num]))
-    return _rat(*poly.rational_sum([(x.num, x.poles), (y_num, y.poles)]))
+    return _rat(*poly.rational_sum(
+        [(x.num, x.poles), (poly.pscale(y.num, sign), y.poles)]
+    ))
 
 
 def _rat_inverse(x):

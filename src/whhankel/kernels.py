@@ -3,12 +3,14 @@
 Everything here reduces whole-line compositions like J Q W0(g) P to half-line
 Hankel applications: on the mirrored midpoint grid the discrete operators
 satisfy J Q W0(g) P = H(tilde(g)) exactly, so the maps below run on N x N
-Toeplitz/Hankel operators.  A Workspace assembles a matrix on every request
-and keeps none, so each one lives only as long as the expression using it;
-the flip map, recipes, kernel bases, phi_+- and the kappa tester apply their
-factors as convolutions of the generator instead (`oracle._toeplitz_apply`,
-`oracle._hankel_apply`), and phi_+- checks its input against W(d) from the
-generator too, so the kappa tester assembles no matrix.
+Toeplitz/Hankel operators.  Only the kernel checks of the transport maps
+against the block operator and W(a) +- H(b) assemble a matrix (a Workspace
+assembles one on every request and keeps none).  Everything else, the flip
+map, projections, recipes, kernel bases, phi_+- and the kappa tester,
+applies its factors as convolutions of the generator
+(`oracle._toeplitz_apply`, `oracle._hankel_apply`), and a check that v lies
+in ker W(g) reads W(g) v from the generator too, so the kappa tester
+assembles no matrix.
 
 Contents: the exponential kernel generator psi0, scalar kernel bases
 W(g_+^(-1)) psi0, the involutive projections (f +- J Q W0(g) P f)/2 on
@@ -65,8 +67,8 @@ class GridFunction:
 
 class Workspace:
     """A grid and its oracle settings; wh and hank assemble a matrix on every
-    call and keep none, since most matrices are read once; flip_apply
-    applies its Hankel operator without one."""
+    call and keep none, since each is read once; flip_apply applies its
+    Hankel operator without one."""
 
     def __init__(self, grid, cfg=DEFAULT_CONFIG):
         self.grid = grid
@@ -112,8 +114,10 @@ def kernel_basis_scalar(g: GSymbol, ws: Workspace):
 
 
 def _require_in_kernel(ws, mat, v, what, scale=None):
-    """Relative kernel residual check; ``scale`` guards vectors that are
-    themselves negligible (the zero vector lies in every kernel)."""
+    """Relative kernel residual check of an assembled matrix (the block and
+    W(a) +- H(b) gates; W(g) alone has `_require_in_wh_kernel`); ``scale``
+    guards vectors that are themselves negligible (the zero vector lies in
+    every kernel)."""
     nv = np.linalg.norm(v)
     if nv == 0.0 or (scale is not None and nv <= 1e-6 * scale):
         return 0.0
@@ -145,7 +149,7 @@ def _gate(ws, res, what):
 def projection_P(g: GSymbol, f: GridFunction, ws: Workspace) -> GridFunction:
     """J Q W0(g) P f for f in ker W(g); an involution on the kernel."""
     v = np.asarray(f.values, dtype=complex)
-    _require_in_kernel(ws, ws.wh(g), v, "projection input")
+    _require_in_wh_kernel(ws, g, v, "projection input")
     return ws.gf(ws.flip_apply(g, v))
 
 
@@ -166,9 +170,8 @@ def projection_image_dims(g, basis, ws):
         return 0, 0
     plus_vecs = []
     minus_vecs = []
-    flip = ws.hank(tilde(g))        # J Q W0(g) P, see Workspace.flip_apply
     for f in basis:
-        pf = flip @ np.asarray(f.values, dtype=complex)
+        pf = ws.flip_apply(g, np.asarray(f.values, dtype=complex))
         plus_vecs.append(0.5 * (f.values + pf))
         minus_vecs.append(0.5 * (f.values - pf))
 
@@ -206,7 +209,7 @@ def e2_map(pair: MatchingPair, big_phi: GridFunction, big_psi: GridFunction,
     _require_in_kernel(ws, wa - hb, big_psi.values, "transport input (minus kernel)", scale)
     s = big_phi.values + big_psi.values
     diff = big_phi.values - big_psi.values
-    second = ws.wh(tilde(b)) @ s + ws.hank(tilde(a)) @ diff
+    second = oracle._toeplitz_apply(tilde(b), ws.grid, s) + ws.flip_apply(a, diff)
     return ws.gf(s), ws.gf(second)
 
 
@@ -232,12 +235,13 @@ def phi_pm(sub: SubordinatedPair, s: GridFunction, sign: str, ws: Workspace):
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
+    _require_in_wh_kernel(ws, sub.d, s.values, "phi input (ker W(d))")
     return ws.gf(_phi(sub, _right_inverse_recipe(sub.c), s.values, sign, ws))
 
 
 def _phi(sub, recipe, s, sign, ws):
-    """phi_+-(s) values (see phi_pm), with W_r^(-1)(c) given as its recipe."""
-    _require_in_wh_kernel(ws, sub.d, s, "phi input (ker W(d))")
+    """phi_+-(s) values (see phi_pm) for s already checked to lie in ker W(d),
+    with W_r^(-1)(c) given as its recipe."""
     y = oracle.apply_recipe(recipe, oracle._toeplitz_apply(sub.at_inv, ws.grid, s), ws.grid)
     jy = ws.flip_apply(sub.c, y)
     js = ws.flip_apply(sub.at_inv, s)
@@ -351,18 +355,24 @@ def kappa_for_pair(pair: MatchingPair, ws: Workspace) -> KappaResult:
     of W(chi).  With ws.cfg.stability the verdict must agree on both grids.
 
     The symbols are computed once per call, not per grid: the reduced
-    subordinated pair, the right-inverse recipe of c and chi^(+-1).  Each
-    grid applies its factors as convolutions and assembles no matrix.
+    subordinated pair, the right-inverse recipe of c and chi^(+-1).  The
+    recipe is built on the first grid, after the kernel basis and the input
+    check, so errors come in phi_pm's order.  Each grid applies its factors
+    as convolutions and assembles no matrix.
     """
     sub = subordinated(
         MatchingPair(a=pair.a * symbols.chi(-1), b=pair.b * symbols.chi(1))
     )
-    recipe = _right_inverse_recipe(sub.c)
     chis = (symbols.chi(-1), symbols.chi(1))
+    recipe = None
 
     def compute(w):
-        basis = kernel_basis_scalar(sub.d, w)
-        kappa = 2.0 * _phi(sub, recipe, basis[0].values, "-", w)
+        nonlocal recipe
+        s = kernel_basis_scalar(sub.d, w)[0].values
+        _require_in_wh_kernel(w, sub.d, s, "phi input (ker W(d))")
+        if recipe is None:
+            recipe = _right_inverse_recipe(sub.c)
+        kappa = 2.0 * _phi(sub, recipe, s, "-", w)
         return kappa, _membership_residual(kappa, w.grid, chis), {}
 
     return _two_grid_membership(compute, ws, "kappa tester")

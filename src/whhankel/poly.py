@@ -231,29 +231,6 @@ def _deflate(c, p):
     return q, acc * p + c[..., 0]
 
 
-def _stack(terms):
-    """The coefficient arrays ``terms`` as the rows of one zero-padded array."""
-    T = np.zeros((len(terms), max(len(t) for t in terms)), dtype=complex)
-    for k, t in enumerate(terms):
-        T[k, : len(t)] = t
-    return T
-
-
-def _negligible_sum(T):
-    """Whether the rows of T sum to below COEFF_PRUNE of their largest
-    coefficient: a sum that is rounding noise of its terms."""
-    return np.abs(T.sum(axis=0)).max() <= COEFF_PRUNE * np.abs(T).max()
-
-
-def psum(terms):
-    """Sum of polynomials by `cancel`'s rule with no poles: zero when it is
-    negligible against the terms, else the trimmed sum."""
-    T = _stack(terms)
-    if _negligible_sum(T):
-        return np.zeros(1, dtype=complex)
-    return trim(T.sum(axis=0))
-
-
 def cancel(terms, poles):
     """(num, poles) of sum(terms) / prod (t - p)^m with common factors removed.
 
@@ -264,9 +241,12 @@ def cancel(terms, poles):
     although their summed numerator is rounding noise.  A sum below
     COEFF_PRUNE of the terms is zero, returned as ([0], ()).
     """
-    T = _stack(terms)
+    width = max(len(t) for t in terms)
+    T = np.zeros((len(terms), width), dtype=complex)
+    for k, t in enumerate(terms):
+        T[k, : len(t)] = t
     zero = (np.zeros(1, dtype=complex), ())
-    if _negligible_sum(T):
+    if np.max(np.abs(T.sum(axis=0))) <= COEFF_PRUNE * np.max(np.abs(T)):
         return zero
     kept = []
     # the summed numerator and its terms' size per degree, until T deflates

@@ -292,6 +292,28 @@ def test_kappa_error_names_grid_and_stage(ws, a_n0, monkeypatch):
         kappa_for_pair(pair, stable_ws)
 
 
+def test_phi_checks_its_input_before_inverting_c(ws, a_n0, monkeypatch):
+    # an input off ker W(d) is reported as such, also when W(c) has no
+    # right inverse, in phi_pm and in the kappa tester alike
+    from whhankel import kernels
+    from whhankel.classify import SubordinatedPair
+    from whhankel.errors import NoRightInverse
+
+    sub = SubordinatedPair(c=chi(1), d=chi(-1), at_inv=one(), nu_c=0.0,
+                           nu_d=0.0, n_c=1, n_d=-1, xi_c=None, xi_d=None)
+    off = ws.gf(np.ones(ws.grid.n))
+    with pytest.raises(NotInKernel, match=r"^phi input"):
+        phi_pm(sub, off, "-", ws)
+
+    def no_right_inverse(c):
+        raise NoRightInverse("W(c) is not right-invertible")
+
+    monkeypatch.setattr(kernels, "_right_inverse_recipe", no_right_inverse)
+    monkeypatch.setattr(kernels, "kernel_basis_scalar", lambda g, w: [w.gf(np.ones(w.grid.n))])
+    with pytest.raises(NotInKernel, match=r"^shorter grid .*, kappa tester: phi input"):
+        kappa_for_pair(MatchingPair(a_n0, a_n0 * chi(-1)), ws)
+
+
 def _catalog_pair(name):
     text = shipped_catalog_path().read_text(encoding="utf-8")
     entry = next(e for e in parse_catalog(text) if e.name == name)
