@@ -11,18 +11,25 @@ Grammar (precedence low to high; binary operators left-associative):
 Numbers may carry an ``i`` suffix for imaginary literals (``2i``, ``3.5i``,
 bare ``i``); scientific notation is accepted.  ``e(d)`` denotes e^(i d t),
 ``chi`` is (t-i)/(t+i), ``^`` takes integer exponents only.
+
+Lowering keeps what it knows in factored form: literals, ``t``, ``chi`` and
+linear sums become factor lists `Factors` (a lead with zero and pole
+lists), products merge the lists and cancel equal zero/pole pairs,
+quotients swap them and powers multiply their multiplicities.  A list is
+expanded once, when it becomes a symbol, which then carries its zeros.  A
+sum that is not linear is kept by coefficients, and dividing by it or
+raising it to a power finds the roots of its numerator.
 """
 
 from __future__ import annotations
 
-import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import poly, symbols
-from .errors import NotInvertible, NotRepresentable, SymbolSyntaxError
+from .errors import ImproperRational, NotInvertible, NotRepresentable, SymbolSyntaxError
 from .symbols import RationalPart
 
 # --- tokens -----------------------------------------------------------------
@@ -238,125 +245,181 @@ def parse(text):
 
 # --- lowering ------------------------------------------------------------------
 
-def _rat(num, poles=()):
-    """A rational function of t, which may be improper mid-expression;
-    make_symbol makes a symbol's parts strictly proper."""
-    return RationalPart(tuple(num), poles)
+@dataclass(frozen=True)
+class Factors:
+    """lead * prod (t - z)^k / prod (t - p)^m with canonical (zero,
+    multiplicity) and (pole, multiplicity) pairs, which may be improper
+    mid-expression: what literals, t, chi, linear sums and their products,
+    quotients and integer powers lower to.  `_expanded` makes the symbol."""
+
+    lead: complex
+    zeros: tuple = ()
+    poles: tuple = ()
+
+
+#: the largest degree a factor list is expanded to: no power above degree 256
+#: passed the value check for roots of modulus 1e-6 to 2 (the expanded
+#: denominator overflows at a check point), so this only spares the expansion
+MAX_DEGREE = 1024
+
+#: real points where an expanded factor list is checked against its factors
+_CHECK_T = np.array([0.3, 1.0, 5.0])
+
+
+def _fac_mul(x, y):
+    return Factors(
+        x.lead * y.lead, *poly.merge_factors((x.zeros, y.zeros), (x.poles, y.poles))
+    )
+
+
+def _fac_inverse(x):
+    if x.lead == 0:
+        raise NotInvertible("division by the zero symbol")
+    return Factors(1.0 / x.lead, x.poles, x.zeros)
+
+
+def _factored(x):
+    """x as a factor list.  For a rational part, a sum that is not linear,
+    the roots of its numerator are found: the one root search of the DSL."""
+    if isinstance(x, Factors):
+        return x
+    num = poly.trim(x.num)
+    return Factors(complex(num[-1]), poly.root_clusters(num), x.poles)
+
+
+def _coeffs(x):
+    """A factor list or a rational part as a rational part (coefficients)."""
+    if isinstance(x, Factors):
+        return RationalPart(tuple(poly.from_poles(x.zeros, x.lead)), x.poles)
+    return x
+
+
+def _line(x):
+    """(c0, c1) of x, a factor list of degree at most 1 without poles, or None."""
+    if not isinstance(x, Factors) or x.poles or sum(k for _, k in x.zeros) > 1:
+        return None
+    return (-x.zeros[0][0] * x.lead, x.lead) if x.zeros else (x.lead, 0j)
+
+
+def _sum(x, y, sign):
+    """x + sign * y, by coefficients; a linear result is a factor list."""
+    lx, ly = _line(x), _line(y)
+    if lx and ly:  # two linear polynomials: nothing to cancel
+        num = poly.trim(np.array([lx[0] + ly[0] * sign, lx[1] + ly[1] * sign]))
+    else:
+        x, y = _coeffs(x), _coeffs(y)
+        num, poles = poly.rational_sum([(x.num, x.poles), (poly.pscale(y.num, sign), y.poles)])
+        if poles or len(num) > 2:
+            return RationalPart(tuple(num), poles)
+    if len(num) == 1:
+        return Factors(complex(num[0]))
+    c = num if np.any(num.imag) else num.real  # the root proots would give
+    return Factors(complex(num[1]), ((complex(-c[0] / c[1]), 1),))
+
+
+def _rat_mul(x, y):
+    return RationalPart(*poly.cancel(
+        [poly.pmul(x.num, y.num)], poly.merge_poles(x.poles, y.poles)
+    ))
 
 
 def _promote(val):
     if isinstance(val, symbols.GSymbol):
         return val
-    return symbols.pole_symbol(val.num, val.poles)
+    if isinstance(val, RationalPart):
+        return symbols.pole_symbol(val.num, val.poles)
+    return _expanded(val)
 
 
-def _rat_mul(x, y):
-    return _rat(*poly.cancel(
-        [poly.pmul(x.num, y.num)], poly.merge_poles(x.poles, y.poles)
-    ))
+def _expanded(f):
+    """The symbol of a factor list, its products expanded once.
 
-
-def _rat_add(x, y, sign=1.0):
-    return _rat(*poly.rational_sum(
-        [(x.num, x.poles), (poly.pscale(y.num, sign), y.poles)]
-    ))
-
-
-def _rat_inverse(x):
-    """1/x: division by a polynomial, the one place where the DSL seeks roots."""
-    num = poly.trim(x.num)
-    if poly.is_zero(num):
-        raise NotInvertible("division by the zero symbol")
-    return _rat(*poly.cancel(
-        [poly.as_poly(x.den) / num[-1]], poly.root_clusters(num)
-    ))
-
-
-#: real points where a power of a rational function is checked
-_POWER_CHECK_T = np.array([0.3, 1.0, 5.0])
-
-
-def _check_power(power, want, at, k):
-    """Raise NotRepresentable unless power, a lowered rational power, agrees
-    with want, the base's values raised to the same power, at the points at
-    (those where the base is finite): within 1e-8 of the largest value, or
-    of 1 if that is smaller, as coefficients are pruned (poly.trim)."""
+    Raises NotRepresentable unless the expanded coefficients give the
+    factors' values at _CHECK_T, within 1e-8 of the largest value, or of 1
+    if that is smaller: coefficients are pruned (poly.trim), and those of a
+    high power lose accuracy."""
+    if f.lead == 0:
+        return symbols.zero()
+    deg, deg_den = sum(k for _, k in f.zeros), sum(m for _, m in f.poles)
+    if deg > deg_den:
+        raise ImproperRational(deg, deg_den)
+    if deg_den > MAX_DEGREE:
+        raise NotRepresentable(f"a rational function of degree {deg_den} > {MAX_DEGREE}")
     with np.errstate(all="ignore"):
-        err = np.max(np.abs(power.eval(_POWER_CHECK_T) - want)[at], initial=0.0)
-        scale = np.max(np.abs(want[at]), initial=1.0)
-        if not (err <= 1e-8 * scale and np.isfinite(scale)):
-            raise NotRepresentable(
-                f"power {k} of a rational function: its expanded coefficients "
-                f"are off by {err:.3g} at t in {_POWER_CHECK_T.tolist()}"
-            )
+        if deg < deg_den or abs(f.lead) <= poly.COEFF_PRUNE:
+            sym = symbols.pole_symbol(poly.from_poles(f.zeros, f.lead), f.poles)
+        else:
+            sym = symbols._from_factors(0.0, f.lead, f.zeros, f.poles)
+        want = np.full(_CHECK_T.shape, f.lead)
+        for z, k in f.zeros:
+            want = want * (_CHECK_T - z) ** k
+        for p, m in f.poles:
+            want = want / (_CHECK_T - p) ** m
+        err = np.max(np.abs(sym.eval(_CHECK_T) - want))
+        scale = max(np.max(np.abs(want)), 1.0)
+    if not (err <= 1e-8 * scale and np.isfinite(scale)):
+        raise NotRepresentable(
+            f"a rational function of degree {deg_den}: its expanded coefficients "
+            f"are off by {err:.3g} at t in {_CHECK_T.tolist()}"
+        )
+    return sym
 
 
 def _lower(node):
     if isinstance(node, Lit):
-        return _rat((node.value,))
+        return Factors(node.value)
     if isinstance(node, Var):
-        return _rat((0.0, 1.0))
+        return Factors(1.0, ((0j, 1),))
     if isinstance(node, Chi):
-        return _rat((-1j, 1.0), ((-1j, 1),))
+        return Factors(1.0, ((1j, 1),), ((-1j, 1),))
     if isinstance(node, EFunc):
         return symbols.exp_symbol(node.delta)
     if isinstance(node, Neg):
         val = _lower(node.operand)
+        if isinstance(val, Factors):
+            return replace(val, lead=val.lead * -1)
         if isinstance(val, RationalPart):
-            return _rat(poly.pscale(val.num, -1.0), val.poles)
+            return RationalPart(tuple(poly.pscale(val.num, -1.0)), val.poles)
         return -val
     if isinstance(node, Pow):
-        base = _lower(node.base)
-        k = node.exponent
+        base, k = _lower(node.base), node.exponent
         if k == 0:
-            return _rat((1.0,))
+            return Factors(1.0)
+        if not isinstance(base, symbols.GSymbol):  # the multiplicities multiply
+            base = _factored(base)
+            base, k = (_fac_inverse(base), -k) if k < 0 else (base, k)
+            with np.errstate(all="ignore"):
+                lead = complex(np.complex128(base.lead) ** k)
+            zeros, poles = (tuple((r, m * k) for r, m in rs) for rs in (base.zeros, base.poles))
+            return Factors(lead, zeros, poles)
         if k < 0:
-            base = (
-                _rat_inverse(base)
-                if isinstance(base, RationalPart)
-                else symbols.inverse(base)
-            )
-            k = -k
+            base, k = symbols.inverse(base), -k
         # left-to-right repeated squaring: k = 2 and 3 multiply as
-        # base * base and (base * base) * base.  The expanded coefficients
-        # of a rational power lose accuracy as k grows, so each power is
-        # checked against the base's values raised to it
-        rational = isinstance(base, RationalPart)
-        mul = _rat_mul if rational else operator.mul
+        # base * base and (base * base) * base
         out = base
-        with np.errstate(all="ignore"):
-            want = value = base.eval(_POWER_CHECK_T) if rational else None
         for bit in bin(k)[3:]:
-            out = mul(out, out)
+            out = out * out
             if bit == "1":
-                out = mul(out, base)
-            if rational:
-                with np.errstate(all="ignore"):
-                    want = want * want * (value if bit == "1" else 1.0)
-                _check_power(out, want, np.isfinite(value), k)
+                out = out * base
         return out
     if isinstance(node, BinOp):
-        left = _lower(node.left)
-        right = _lower(node.right)
-        both_rational = isinstance(left, RationalPart) and isinstance(right, RationalPart)
-        if node.op == "+":
-            return _rat_add(left, right) if both_rational else _promote(left) + _promote(right)
-        if node.op == "-":
-            return (
-                _rat_add(left, right, -1.0)
-                if both_rational
-                else _promote(left) - _promote(right)
-            )
-        if node.op == "*":
-            return _rat_mul(left, right) if both_rational else _promote(left) * _promote(right)
-        if node.op == "/":
-            if both_rational:
-                return _rat_mul(left, _rat_inverse(right))
-            if isinstance(right, RationalPart):
-                # invert rationally first: the divisor may be improper even
-                # though its reciprocal is a perfectly good symbol
-                return _promote(left) * _promote(_rat_inverse(right))
-            return _promote(left) * symbols.inverse(_promote(right))
+        left, right, op = _lower(node.left), _lower(node.right), node.op
+        if op == "/":
+            # invert first: the divisor may be improper although its
+            # reciprocal is a perfectly good symbol
+            if isinstance(right, symbols.GSymbol):
+                right = symbols.inverse(right)
+            else:
+                right = _fac_inverse(_factored(right))
+            op = "*"
+        if isinstance(left, symbols.GSymbol) or isinstance(right, symbols.GSymbol):
+            left, right = _promote(left), _promote(right)
+            return left * right if op == "*" else left + right if op == "+" else left - right
+        if op != "*":
+            return _sum(left, right, 1.0 if op == "+" else -1.0)
+        if isinstance(left, Factors) and isinstance(right, Factors):
+            return _fac_mul(left, right)
+        return _rat_mul(_coeffs(left), _coeffs(right))
     raise TypeError(f"unhandled AST node {node!r}")
 
 

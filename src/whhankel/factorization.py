@@ -72,9 +72,11 @@ def factorize(g: GSymbol) -> WHFactorization:
 
     nu is the exponential frequency; n counts upper-half-plane zeros minus
     upper-half-plane poles.  The poles are the symbol's own, the zeros are
-    the roots of N = amp*den + num, and a zero on the real axis (decided by
+    those of N = amp*den + num (carried, or found as its roots; see
+    `symbols._ExpRational.roots`), and a zero on the real axis (decided by
     `symbols._real_zero`, which may raise Inconclusive) aborts: the
-    half-plane assignment is the entire correctness burden here.
+    half-plane assignment is the entire correctness burden here.  Both
+    factors carry their zeros.
     """
     if g.is_zero():
         raise NotInvertible("zero symbol")
@@ -86,23 +88,22 @@ def factorize(g: GSymbol) -> WHFactorization:
             "not a single exponential sharing its shift with the rational "
             "part; no algorithm for genuinely almost-periodic symbols"
         )
-    zeros = list(form.roots)
-    if symbols._real_zero(g, zeros):
+    if symbols._real_zero(g, form):
         raise NotInvertible("symbol vanishes on the real axis")
-    z_up = [z for z in zeros if z.imag > 0]
-    z_dn = [z for z in zeros if z.imag < 0]
+    zeros = poly.merge_poles([(z, 1) for z in form.roots])
+    z_up = [(z, k) for z, k in zeros if z.imag > 0]
+    z_dn = [(z, k) for z, k in zeros if z.imag < 0]
     p_up = [(p, m) for p, m in form.poles if p.imag > 0]
     p_dn = [(p, m) for p, m in form.poles if p.imag < 0]
-    n = len(z_up) - sum(m for _, m in p_up)
+    n = sum(k for _, k in z_up) - sum(m for _, m in p_up)
 
     # g_-: upper zeros/poles, balanced by (t-i); g_+: lower ones, by (t+i)
-    g_minus = symbols.pole_symbol(
-        poly.pfromroots(z_up + [1j] * max(0, -n)), p_up + [(1j, max(0, n))]
-    )
-    g_plus = symbols.pole_symbol(
-        poly.pfromroots(z_dn + [-1j] * max(0, n), lead=form.amp),
-        p_dn + [(-1j, max(0, -n))],
-    )
+    g_minus = symbols._from_factors(0.0, 1.0, *poly.merge_factors(
+        (z_up, [(1j, max(0, -n))]), (p_up, [(1j, max(0, n))])
+    ))
+    g_plus = symbols._from_factors(0.0, form.amp, *poly.merge_factors(
+        (z_dn, [(-1j, max(0, n))]), (p_dn, [(-1j, max(0, -n))])
+    ))
 
     w = complex(g_minus.eval(0.0))
     if abs(w) < 1e-14:

@@ -3,12 +3,14 @@
 Coefficient arrays are ascending-degree tuples/arrays, the convention of
 ``numpy.polynomial.polynomial``.  A rational function is a numerator over
 canonically ordered (pole, multiplicity) pairs, the denominator being
-prod (t - p)^m.  Products concatenate pole lists (`merge_poles`), sums fold
-over their union (`rational_sum`), and `cancel` is the one rule that removes
-a pole the numerator shares, so the ring arithmetic finds no roots.  Roots
-are sought (``proots``, through the companion matrix) only for polynomials
-whose roots are unknown; `root_clusters` fuses the scatter of multiple roots
-and polishes simple ones.
+prod (t - p)^m.  Zeros are carried the same way wherever they are known: a
+product concatenates the lists, and a zero and a pole that agree to
+rounding level (`_near`) cancel (`merge_factors`).  Sums fold over their
+union of poles (`rational_sum`), and `cancel` removes a pole the summed
+numerator shares.  Roots are sought (``proots``, through the companion
+matrix) only for polynomials whose roots are unknown, the numerators of
+sums; `root_clusters` fuses the scatter of multiple roots and polishes
+simple ones.
 
 `padd`, `pmul` and `pfromroots` strip trailing exact zeros and add or
 ``np.convolve`` in ``numpy.polynomial``'s order, so each result is bit for bit
@@ -182,14 +184,25 @@ def _union(pole_lists, combine):
 
 
 def merge_poles(*pole_lists):
-    """Poles of a product: multiplicities add; ordered by real, then
-    imaginary part."""
+    """Poles (or zeros) of a product: multiplicities add; ordered by real,
+    then imaginary part."""
     return _union(pole_lists, lambda m1, m2: m1 + m2)
 
 
-def from_poles(poles) -> np.ndarray:
-    """Monic coefficients of prod (t - p)^m."""
-    return pfromroots([p for p, m in poles for _ in range(m)])
+def merge_factors(zero_lists, pole_lists):
+    """Canonical (zeros, poles) of a product of factors with these zeros and
+    poles: multiplicities add, and a zero and a pole that agree to rounding
+    level cancel as often as both occur."""
+    net = _union(
+        [*zero_lists, *([(p, -m) for p, m in poles] for poles in pole_lists)],
+        lambda m1, m2: m1 + m2,
+    )
+    return tuple((z, m) for z, m in net if m > 0), tuple((p, -m) for p, m in net if m < 0)
+
+
+def from_poles(poles, lead=1.0) -> np.ndarray:
+    """Coefficients of lead * prod (t - p)^m."""
+    return pfromroots([p for p, m in poles for _ in range(m)], lead)
 
 
 def root_clusters(c, roots=None):

@@ -17,6 +17,15 @@ A symbol is immutable, so its exact data is computed once and kept on the
 object, as ``cached_property`` keeps `RationalPart.den`: the form e^(i delta t)
 N/den (`_exp_rational_form`) with the roots of N and the mirror products
 N(t)N(-t) and den(t)den(-t), and `winding_n`.
+
+The zeros of a single exponential's N are carried like its poles, as
+canonical (zero, multiplicity) pairs kept on the symbol (not part of its
+value), wherever construction knows them: the DSL's factor lists, `chi`, a
+product of two symbols that carry them (`_product`: the lists merge and
+equal zero/pole pairs cancel, with no sum), `inverse` (zeros and poles
+swap), `tilde`, `conj` and negation, which map them, and the Wiener-Hopf
+factors of `factorization.factorize`.  A sum drops them; the roots of its N
+are then found once, on demand, by `poly.proots`.
 """
 
 from __future__ import annotations
@@ -101,6 +110,7 @@ class GSymbol:
         return _mapped(
             [(u.freq, u.coeff * -1) for u in self.ap],
             [(w.shift, -np.asarray(w.rational.num), w.rational.poles) for w in self.l0],
+            _carried(self),
         )
 
     def __sub__(self, other):
@@ -108,6 +118,14 @@ class GSymbol:
 
     def __mul__(self, other):
         other = _coerce(other)
+        zeros = None
+        zx, zy = _carried(self), _carried(other)
+        if zx is not None and zy is not None:
+            if self.l0 and other.l0 and abs(self.ap[0].coeff * other.ap[0].coeff) > COEFF_PRUNE:
+                return _product(self, other, zx, zy)
+            # a factor without rational part: make_symbol keeps the bits of
+            # the product with a constant, and the zeros are the other's
+            zeros = poly.merge_poles(zx, zy)
         ap_terms = []
         l0_terms = []
         for u in self.ap:
@@ -132,7 +150,7 @@ class GSymbol:
                         poly.merge_poles(w1.rational.poles, w2.rational.poles),
                     )
                 )
-        return make_symbol(ap_terms, l0_terms)
+        return _carrying(make_symbol(ap_terms, l0_terms), zeros)
 
     __rmul__ = __mul__
 
@@ -229,6 +247,52 @@ def _coerce(x):
     if isinstance(x, (int, float, complex)):
         return constant(x)
     raise TypeError(f"cannot interpret {x!r} as a symbol")
+
+
+def _carried(g):
+    """The zeros of a single exponential's N where construction knows them:
+    canonical (zero, multiplicity) pairs, () with no rational part, None
+    otherwise."""
+    if len(g.ap) != 1:
+        return None
+    return g.__dict__.get("_zeros", None if g.l0 else ())
+
+
+def _carrying(g, zeros):
+    """g with zeros (the pairs of its N, or None) kept on it, outside its
+    value, as ``cached_property`` keeps what is computed."""
+    if zeros is not None:
+        g.__dict__["_zeros"] = zeros
+    return g
+
+
+def _from_factors(delta, amp, zeros, poles):
+    """The canonical symbol e^(i delta t) amp prod (t - z)^k / prod (t - p)^m
+    of equal degrees, carrying its zeros: num = amp (prod (t - z)^k - den),
+    so nothing is summed or cancelled."""
+    for p, _ in poles:
+        if abs(p.imag) <= REAL_AXIS_TOL:
+            raise RealPoleError(p)
+    delta = float(delta) if abs(delta) > FREQ_TOL else 0.0
+    den = poly.from_poles(poles)
+    num = poly.pscale(poly.padd(poly.from_poles(zeros), -den), amp)
+    l0 = ()
+    if not poly.is_zero(num):
+        rat = RationalPart(tuple(num), poles)
+        rat.__dict__["den"] = tuple(den)
+        l0 = (L0Term(delta, rat),)
+    return _carrying(GSymbol((APTerm(delta, complex(amp)),), l0), zeros)
+
+
+def _product(x, y, zx, zy):
+    """x * y for single exponentials with rational parts and carried zeros
+    zx, zy: the zero and pole lists merge and shared pairs cancel."""
+    zeros, poles = poly.merge_factors(
+        (zx, zy), (x.l0[0].rational.poles, y.l0[0].rational.poles)
+    )
+    return _from_factors(
+        x.ap[0].freq + y.ap[0].freq, x.ap[0].coeff * y.ap[0].coeff, zeros, poles
+    )
 
 
 def _sup_scale(a):
@@ -350,7 +414,7 @@ def chi(n=1):
         return one()
     k = abs(n)
     zero_at = 1j if n > 0 else -1j
-    return pole_symbol(poly.pfromroots([zero_at] * k), [(-zero_at, k)])
+    return _from_factors(0.0, 1.0, ((zero_at, k),), ((-zero_at, k),))
 
 
 # --- involutions ------------------------------------------------------------
@@ -362,16 +426,17 @@ def _reflect(p):
     return q
 
 
-def _mapped(ap_terms, l0_terms):
+def _mapped(ap_terms, l0_terms, zeros):
     """The symbol of a canonical symbol's terms under an exact map: ``ap_terms``
-    are its (freq, coeff) pairs and ``l0_terms`` its (shift, num, poles)
-    triples, each mapped on its own.
+    are its (freq, coeff) pairs, ``l0_terms`` its (shift, num, poles)
+    triples, each mapped on its own, and ``zeros`` its mapped carried zeros
+    (or None).
 
     A canonical symbol has nothing to merge, cancel or prune, so ordering the
     terms and poles gives make_symbol's result, bit for bit: a zero frequency
     or shift is +0.0, and each numerator gets the + 0.0 of make_symbol's sum,
     which turns its -0.0 parts into +0.0."""
-    return GSymbol(
+    return _carrying(GSymbol(
         ap=tuple(
             APTerm(freq or 0.0, coeff)
             for freq, coeff in sorted(ap_terms, key=lambda fc: fc[0])
@@ -382,23 +447,24 @@ def _mapped(ap_terms, l0_terms):
             ))
             for shift, num, poles in sorted(l0_terms, key=lambda t: t[0])
         ),
-    )
+    ), None if zeros is None else tuple(sorted(zeros, key=poly.pole_key)))
 
 
 def tilde(a: GSymbol) -> GSymbol:
-    """Reflection a(t) -> a(-t): each pole p maps to -p."""
+    """Reflection a(t) -> a(-t): each pole and zero z maps to -z."""
     ap = [(-u.freq, u.coeff) for u in a.ap]
     l0 = []
     for w in a.l0:
         poles = w.rational.poles
         sign = (-1.0) ** sum(m for _, m in poles)
         l0.append((-w.shift, _reflect(w.rational.num) * sign, [(-p, m) for p, m in poles]))
-    return _mapped(ap, l0)
+    zeros = _carried(a)
+    return _mapped(ap, l0, None if zeros is None else [(-z, k) for z, k in zeros])
 
 
 def conj(a: GSymbol) -> GSymbol:
     """Complex conjugate on the real line: conj(a)(t) = conj(a(t)); each
-    pole p maps to conj(p)."""
+    pole and zero z maps to conj(z)."""
     ap = [(-u.freq, u.coeff.conjugate()) for u in a.ap]
     l0 = [
         (
@@ -408,7 +474,8 @@ def conj(a: GSymbol) -> GSymbol:
         )
         for w in a.l0
     ]
-    return _mapped(ap, l0)
+    zeros = _carried(a)
+    return _mapped(ap, l0, None if zeros is None else [(z.conjugate(), k) for z, k in zeros])
 
 
 # --- time-domain kernel ------------------------------------------------------
@@ -517,7 +584,7 @@ def is_invertible(a: GSymbol):
         return False
     form = a._exp_form
     if form is not None:
-        return not _real_zero(a, form.roots)
+        return not _real_zero(a, form)
     return _sampled_invertible(a)
 
 
@@ -575,10 +642,15 @@ class _ExpRational:
     poles: tuple   # (pole, multiplicity) pairs of den
     den: np.ndarray
     N: np.ndarray  # amp*den + num; deg N = deg den, den monic with no real root
+    zeros: tuple | None  # (zero, multiplicity) pairs of N, where carried
 
     @cached_property
     def roots(self):
-        return poly.proots(self.N)
+        """The zeros of N, each repeated by its multiplicity: the carried
+        ones, else the companion-matrix roots."""
+        if self.zeros is None:
+            return poly.proots(self.N)
+        return np.array([z for z, k in self.zeros for _ in range(k)], dtype=complex)
 
     @cached_property
     def mirror_N(self):
@@ -606,32 +678,33 @@ def _exp_rational_form(a):
     else:
         num, poles, den = np.zeros(1, dtype=complex), (), np.ones(1, dtype=complex)
     return _ExpRational(
-        delta, amp, num, poles, den, poly.padd(poly.pscale(den, amp), num)
+        delta, amp, num, poles, den, poly.padd(poly.pscale(den, amp), num), _carried(a)
     )
 
 
-def _real_zero(a, roots):
-    """Whether the single exponential ``a`` vanishes on the real line, given
-    the roots of its N.
+def _real_zero(a, form):
+    """Whether the single exponential ``a`` (of form ``form``) vanishes on
+    the real line.
 
-    A simple real root lies within REAL_AXIS_TOL of the axis, and no root
-    near the axis means no zero.  The computed roots of an m-fold real root
-    scatter off the axis like eps^(1/m), past any fixed tolerance once m >= 2,
-    so roots in between are settled by `_sampled_invertible`, which may raise
-    Inconclusive."""
-    near = [z for z in roots if abs(z.imag) <= NEAR_AXIS_TOL * max(1.0, abs(z))]
-    if not near:
-        return False
-    if any(abs(z.imag) <= REAL_AXIS_TOL for z in near):
+    A real zero lies within REAL_AXIS_TOL of the axis, and a carried zero is
+    exact.  No computed root near the axis means no zero either.  But the
+    computed roots of an m-fold real root scatter off the axis like
+    eps^(1/m), past any fixed tolerance once m >= 2, so roots in between are
+    settled by `_sampled_invertible`, which may raise Inconclusive."""
+    if any(abs(z.imag) <= REAL_AXIS_TOL for z in form.roots):
         return True
+    if form.zeros is not None or not any(
+        abs(z.imag) <= NEAR_AXIS_TOL * max(1.0, abs(z)) for z in form.roots
+    ):
+        return False
     return not _sampled_invertible(a)
 
 
-def _require_no_real_zero(a, roots):
+def _require_no_real_zero(a, form):
     """NotInvertible when `_real_zero` finds a zero; an Inconclusive sampled
     bound lets the caller go on, as `inverse` does for other symbols."""
     try:
-        zero = _real_zero(a, roots)
+        zero = _real_zero(a, form)
     except Inconclusive:
         return
     if zero:
@@ -692,20 +765,12 @@ def inverse(a: GSymbol) -> GSymbol:
         raise NotRepresentable(
             "inverse leaves the finite representation (nonconstant almost-periodic part)"
         )
-    _require_no_real_zero(a, form.roots)
-    # d/(A d + n) = 1/A - (n/A) / (A d + n): the zeros of N become the poles
-    delta, amp, num = form.delta, form.amp, form.num
-    inv_terms_ap = [(-delta, 1.0 / amp)]
-    inv_terms_l0 = []
-    if not poly.is_zero(num):
-        inv_terms_l0.append(
-            (
-                -delta,
-                poly.pscale(num, -1.0 / (amp * form.N[-1])),
-                poly.root_clusters(form.N, form.roots),
-            )
-        )
-    return make_symbol(inv_terms_ap, inv_terms_l0)
+    _require_no_real_zero(a, form)
+    # the zeros and poles swap; zeros not carried are the roots of N
+    zeros = form.zeros
+    if zeros is None:
+        zeros = poly.root_clusters(form.N, form.roots)
+    return _from_factors(-form.delta, 1.0 / form.amp, form.poles, zeros)
 
 
 # --- indices -------------------------------------------------------------------
@@ -756,7 +821,7 @@ def _winding_n(a):
     if form is not None:
         if poly.is_zero(form.num):
             return 0
-        _require_no_real_zero(a, form.roots)
+        _require_no_real_zero(a, form)
         upper_zeros = int(sum(z.imag > REAL_AXIS_TOL for z in form.roots))
         return upper_zeros - sum(m for p, m in form.poles if p.imag > 0)
     # numerical route: w(t) = a(t)/b(t) - 1 = b^(-1) k

@@ -52,6 +52,53 @@ def test_sign_flip_pair_cancels_to_constant():
     assert sub.c.isclose(constant(-1.0))
 
 
+@pytest.mark.parametrize("m", [4, 5])
+@pytest.mark.parametrize(
+    "family, k", [("({a})*chi", 1), ("({a})*chi^-1", -1), ("{a}", 0), ("-({a})", 0)]
+)
+def test_high_multiplicity_pairs_classify(m, family, k):
+    # c and d cancel the m-fold zeros and poles of a exactly; found as roots
+    # and cancelled numerically, they left c and d short of matching
+    a = f"((t-2i)/(t+1i))^{m}"
+    pair = MatchingPair(parse_symbol(a), parse_symbol(family.format(a=a)))
+    sub = classify(pair).subordinated
+    assert (sub["n_c"], sub["n_d"]) == (-k, 2 * m + k)
+
+
+@pytest.mark.parametrize(
+    "a, u, n_c, n_d",
+    [
+        # 2- and 3-fold zeros 0.05 apart
+        ("((t+1.47-1.98i)/(t-1.1+1.54i))^2*((t+1.42-2i)/(t+1.3-0.82i))^3",
+         "((t-0.49+1.91i)/(t+0.49-1.91i))*((t-0.4-0.96i)/(t+0.4+0.96i))", 0, 4),
+        # 3- and 2-fold zeros 0.3 apart
+        ("((t-0.81-1.95i)/(t-0.27-0.8i))^3*((t-0.54-1.82i)/(t+0.64-1.46i))^2",
+         "(t+0.86+2.57i)/(t-0.86-2.57i)", 1, -1),
+    ],
+)
+def test_clustered_general_pairs_classify(a, u, n_c, n_d):
+    # b = a u with u u~ = 1 matches by construction
+    pair = MatchingPair(parse_symbol(a), parse_symbol(f"({a})*{u}"))
+    report = classify(pair)
+    assert (report.subordinated["n_c"], report.subordinated["n_d"]) == (n_c, n_d)
+    assert report.index_check["rhs"] == -(n_c + n_d)
+
+
+def test_classify_of_products_finds_no_roots(monkeypatch):
+    # every symbol of a sweep pair is a product, so its zeros are carried:
+    # parse, subordination, indices, the sign flip and the adjoint route
+    from whhankel import poly
+
+    def no_roots(c):
+        raise AssertionError("root finding for a product")
+
+    monkeypatch.setattr(poly, "proots", no_roots)
+    for row in json.loads(SWEEP_REPORTS.read_text(encoding="utf-8")):
+        pair = MatchingPair(parse_symbol(row["a"]), parse_symbol(row["b"]))
+        got = json.dumps(classify(pair).to_dict(), sort_keys=True)
+        assert got == json.dumps(row["report"], sort_keys=True), row["a"]
+
+
 def test_matching_pair_validation():
     MatchingPair(chi(), chi(-1))  # |chi| = 1 on the line: both sides give 1
     with pytest.raises(NotMatching):

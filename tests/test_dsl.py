@@ -150,6 +150,14 @@ def test_power_checked_against_the_base_value():
         parse_symbol("(1/(t-1))^2")
 
 
+def test_power_of_a_linear_factor_keeps_one_pole():
+    # the divisor's 4-fold root is carried, not found as four scattered roots
+    s = parse_symbol("1/((t+1i)^4)")
+    assert s.l0[0].rational.poles == ((-1j, 4),)
+    t = np.array([-3.0, 0.0, 2.0])
+    assert np.allclose(s.eval(t), 1.0 / (t + 1j) ** 4, rtol=1e-14, atol=0.0)
+
+
 # --- formatting ------------------------------------------------------------------
 
 def test_format_examples(a_n0):

@@ -32,6 +32,25 @@ def test_chi_inverse_factorization():
     assert (f.g_minus, f.nu, f.n, f.g_plus) == (one(), 0.0, -1, one())
 
 
+def test_factors_carry_their_zeros(monkeypatch):
+    # the kappa tester inverts the factors of d; built from zero and pole
+    # lists, they need no root search
+    from whhankel import poly
+
+    def no_roots(c):
+        raise AssertionError("root finding for a factor")
+
+    monkeypatch.setattr(poly, "proots", no_roots)
+    g = parse_symbol("((t-2i)/(t+1i))^2*((t+0.5i)/(t-3i))")
+    _, n, sign = matching_factorization(g * inverse(tilde(g)))
+    assert n == 2 and sign in (1, -1)
+    f = factorize(g)
+    for h in (f.g_minus, f.g_plus):
+        assert winding_n(h) == 0
+        inverse(h)
+    assert f.residual() < 1e-12
+
+
 def test_rational_example_factors():
     f = factorize(parse_symbol("(t-2i)/(t+3i)"))
     assert f.n == 1 and f.nu == 0.0

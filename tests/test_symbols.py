@@ -309,10 +309,18 @@ def test_symbol_decides_once(monkeypatch):
     calls = []
     proots = poly.proots
     monkeypatch.setattr(poly, "proots", lambda c: calls.append(1) or proots(c))
-    assert winding_n(g) == winding_n(g) == 0
+    # a product carries its zeros: no root is sought, here or in products
+    for h in (g, g * chi(), g * inverse(tilde(g)), -conj(g)):
+        assert winding_n(h) == winding_n(h)
+        assert is_matching(h)
+        inverse(h)
+    assert len(calls) == 0
+    # a sum drops them: the roots of its N are found once
+    s = chi() + constant(2.0)
+    assert winding_n(s) == winding_n(s) == 0
+    assert not is_matching(s)
+    inverse(s)
     assert len(calls) == 1
-    assert is_matching(g)
-    inverse(g)
     # what is kept on g is not part of its value
     g2 = parse_symbol(expr)
     assert g == g2 and hash(g) == hash(g2)
