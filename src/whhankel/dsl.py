@@ -17,8 +17,9 @@ linear sums become factor lists `Factors` (a lead with zero and pole
 lists), products merge the lists and cancel equal zero/pole pairs,
 quotients swap them and powers multiply their multiplicities.  A list is
 expanded once, when it becomes a symbol, which then carries its zeros.  A
-sum that is not linear is kept by coefficients, and dividing by it or
-raising it to a power finds the roots of its numerator.
+sum that is not linear is kept by coefficients (`poly.rational_sum`), and
+dividing by it or raising it to a power finds the roots of its numerator.
+Every sum, linear or not, is zero by the one rule `poly.vanishes`.
 """
 
 from __future__ import annotations
@@ -266,12 +267,6 @@ MAX_DEGREE = 1024
 _CHECK_T = np.array([0.3, 1.0, 5.0])
 
 
-def _fac_mul(x, y):
-    return Factors(
-        x.lead * y.lead, *poly.merge_factors((x.zeros, y.zeros), (x.poles, y.poles))
-    )
-
-
 def _fac_inverse(x):
     if x.lead == 0:
         raise NotInvertible("division by the zero symbol")
@@ -302,10 +297,14 @@ def _line(x):
 
 
 def _sum(x, y, sign):
-    """x + sign * y, by coefficients; a linear result is a factor list."""
+    """x + sign * y, by coefficients; a linear result is a factor list.  Two
+    linear lists have no pole to cancel, so they skip `poly.rational_sum`
+    but keep its rule for a zero sum (`poly.vanishes`)."""
     lx, ly = _line(x), _line(y)
-    if lx and ly:  # two linear polynomials: nothing to cancel
-        num = poly.trim(np.array([lx[0] + ly[0] * sign, lx[1] + ly[1] * sign]))
+    if lx and ly:
+        terms = np.array([lx, (ly[0] * sign, ly[1] * sign)])
+        num = terms.sum(axis=0)
+        num = np.zeros(1, dtype=complex) if poly.vanishes(num, terms) else poly.trim(num)
     else:
         x, y = _coeffs(x), _coeffs(y)
         num, poles = poly.rational_sum([(x.num, x.poles), (poly.pscale(y.num, sign), y.poles)])
@@ -418,7 +417,9 @@ def _lower(node):
         if op != "*":
             return _sum(left, right, 1.0 if op == "+" else -1.0)
         if isinstance(left, Factors) and isinstance(right, Factors):
-            return _fac_mul(left, right)
+            return Factors(left.lead * right.lead, *poly.merge_factors(
+                (left.zeros, right.zeros), (left.poles, right.poles)
+            ))
         return _rat_mul(_coeffs(left), _coeffs(right))
     raise TypeError(f"unhandled AST node {node!r}")
 

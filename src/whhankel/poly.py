@@ -6,8 +6,9 @@ canonically ordered (pole, multiplicity) pairs, the denominator being
 prod (t - p)^m.  Zeros are carried the same way wherever they are known: a
 product concatenates the lists, and a zero and a pole that agree to
 rounding level (`_near`) cancel (`merge_factors`).  Sums fold over their
-union of poles (`rational_sum`), and `cancel` removes a pole the summed
-numerator shares.  Roots are sought (``proots``, through the companion
+union of poles (`rational_sum`), `cancel` removes a pole the summed
+numerator shares, and a sum below COEFF_PRUNE of its terms is zero
+(`vanishes`).  Roots are sought (``proots``, through the companion
 matrix) only for polynomials whose roots are unknown, the numerators of
 sums; `root_clusters` fuses the scatter of multiple roots and polishes
 simple ones.
@@ -259,7 +260,7 @@ def cancel(terms, poles):
     for k, t in enumerate(terms):
         T[k, : len(t)] = t
     zero = (np.zeros(1, dtype=complex), ())
-    if np.max(np.abs(T.sum(axis=0))) <= COEFF_PRUNE * np.max(np.abs(T)):
+    if vanishes(T.sum(axis=0), T):
         return zero
     kept = []
     # the summed numerator and its terms' size per degree, until T deflates
@@ -278,6 +279,12 @@ def cancel(terms, poles):
     if is_zero(num):
         return zero
     return num, tuple(kept)
+
+
+def vanishes(total, terms):
+    """The rule for a zero sum: ``total``, the sum of ``terms`` (coefficient
+    arrays), is below COEFF_PRUNE of their largest coefficient."""
+    return np.max(np.abs(total)) <= COEFF_PRUNE * np.max(np.abs(terms))
 
 
 def rational_sum(parts):

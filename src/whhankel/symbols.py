@@ -21,8 +21,8 @@ N(t)N(-t) and den(t)den(-t), and `winding_n`.
 The zeros of a single exponential's N are carried like its poles, as
 canonical (zero, multiplicity) pairs kept on the symbol (not part of its
 value), wherever construction knows them: the DSL's factor lists, `chi`, a
-product of two symbols that carry them (`_product`: the lists merge and
-equal zero/pole pairs cancel, with no sum), `inverse` (zeros and poles
+product of two symbols that carry them (`GSymbol.__mul__`: the lists merge
+and equal zero/pole pairs cancel, with no sum), `inverse` (zeros and poles
 swap), `tilde`, `conj` and negation, which map them, and the Wiener-Hopf
 factors of `factorization.factorize`.  A sum drops them; the roots of its N
 are then found once, on demand, by `poly.proots`.
@@ -110,7 +110,7 @@ class GSymbol:
         return _mapped(
             [(u.freq, u.coeff * -1) for u in self.ap],
             [(w.shift, -np.asarray(w.rational.num), w.rational.poles) for w in self.l0],
-            _carried(self),
+            _carried(self), lambda z: z,
         )
 
     def __sub__(self, other):
@@ -118,14 +118,15 @@ class GSymbol:
 
     def __mul__(self, other):
         other = _coerce(other)
-        zeros = None
         zx, zy = _carried(self), _carried(other)
-        if zx is not None and zy is not None:
-            if self.l0 and other.l0 and abs(self.ap[0].coeff * other.ap[0].coeff) > COEFF_PRUNE:
-                return _product(self, other, zx, zy)
-            # a factor without rational part: make_symbol keeps the bits of
-            # the product with a constant, and the zeros are the other's
-            zeros = poly.merge_poles(zx, zy)
+        known = zx is not None and zy is not None
+        if known and self.l0 and other.l0:
+            amp = self.ap[0].coeff * other.ap[0].coeff
+            if abs(amp) > COEFF_PRUNE:  # the lists merge, shared pairs cancel
+                zeros, poles = poly.merge_factors(
+                    (zx, zy), (self.l0[0].rational.poles, other.l0[0].rational.poles)
+                )
+                return _from_factors(self.ap[0].freq + other.ap[0].freq, amp, zeros, poles)
         ap_terms = []
         l0_terms = []
         for u in self.ap:
@@ -150,7 +151,12 @@ class GSymbol:
                         poly.merge_poles(w1.rational.poles, w2.rational.poles),
                     )
                 )
-        return _carrying(make_symbol(ap_terms, l0_terms), zeros)
+        out = make_symbol(ap_terms, l0_terms)
+        # a product with a constant or an exponential keeps make_symbol's bits
+        # and, while its rational part stays, the other factor's zeros
+        if known and len(out.l0) == len(self.l0) + len(other.l0):
+            _carrying(out, poly.merge_poles(zx, zy))
+        return out
 
     __rmul__ = __mul__
 
@@ -284,17 +290,6 @@ def _from_factors(delta, amp, zeros, poles):
     return _carrying(GSymbol((APTerm(delta, complex(amp)),), l0), zeros)
 
 
-def _product(x, y, zx, zy):
-    """x * y for single exponentials with rational parts and carried zeros
-    zx, zy: the zero and pole lists merge and shared pairs cancel."""
-    zeros, poles = poly.merge_factors(
-        (zx, zy), (x.l0[0].rational.poles, y.l0[0].rational.poles)
-    )
-    return _from_factors(
-        x.ap[0].freq + y.ap[0].freq, x.ap[0].coeff * y.ap[0].coeff, zeros, poles
-    )
-
-
 def _sup_scale(a):
     s = sum(abs(u.coeff) for u in a.ap)
     for w in a.l0:
@@ -426,11 +421,11 @@ def _reflect(p):
     return q
 
 
-def _mapped(ap_terms, l0_terms, zeros):
+def _mapped(ap_terms, l0_terms, zeros, zmap):
     """The symbol of a canonical symbol's terms under an exact map: ``ap_terms``
-    are its (freq, coeff) pairs, ``l0_terms`` its (shift, num, poles)
-    triples, each mapped on its own, and ``zeros`` its mapped carried zeros
-    (or None).
+    are its (freq, coeff) pairs and ``l0_terms`` its (shift, num, poles)
+    triples, each mapped on its own; its carried ``zeros`` (or None) map
+    by ``zmap``, as its poles do.
 
     A canonical symbol has nothing to merge, cancel or prune, so ordering the
     terms and poles gives make_symbol's result, bit for bit: a zero frequency
@@ -447,7 +442,9 @@ def _mapped(ap_terms, l0_terms, zeros):
             ))
             for shift, num, poles in sorted(l0_terms, key=lambda t: t[0])
         ),
-    ), None if zeros is None else tuple(sorted(zeros, key=poly.pole_key)))
+    ), None if zeros is None else tuple(sorted(
+        ((zmap(z), k) for z, k in zeros), key=poly.pole_key
+    )))
 
 
 def tilde(a: GSymbol) -> GSymbol:
@@ -458,8 +455,7 @@ def tilde(a: GSymbol) -> GSymbol:
         poles = w.rational.poles
         sign = (-1.0) ** sum(m for _, m in poles)
         l0.append((-w.shift, _reflect(w.rational.num) * sign, [(-p, m) for p, m in poles]))
-    zeros = _carried(a)
-    return _mapped(ap, l0, None if zeros is None else [(-z, k) for z, k in zeros])
+    return _mapped(ap, l0, _carried(a), lambda z: -z)
 
 
 def conj(a: GSymbol) -> GSymbol:
@@ -474,8 +470,7 @@ def conj(a: GSymbol) -> GSymbol:
         )
         for w in a.l0
     ]
-    zeros = _carried(a)
-    return _mapped(ap, l0, None if zeros is None else [(z.conjugate(), k) for z, k in zeros])
+    return _mapped(ap, l0, _carried(a), complex.conjugate)
 
 
 # --- time-domain kernel ------------------------------------------------------

@@ -158,6 +158,14 @@ def test_power_of_a_linear_factor_keeps_one_pole():
     assert np.allclose(s.eval(t), 1.0 / (t + 1j) ** 4, rtol=1e-14, atol=0.0)
 
 
+def test_linear_and_rational_sums_share_the_zero_rule():
+    # a sum below COEFF_PRUNE of its terms is zero, whether its terms are
+    # linear or not; a noise constant of -1e-9 would survive trimming alone
+    for expr in ("(1e6*t + 1e6) - (1e6*t + 1e6 + 1e-9)",
+                 "(1e6*t^2 + 1e6) - (1e6*t^2 + 1e6 + 1e-9)"):
+        assert parse_symbol(f"({expr})/((t+1i)*(t+2i))").is_zero()
+
+
 # --- formatting ------------------------------------------------------------------
 
 def test_format_examples(a_n0):

@@ -330,6 +330,14 @@ def test_symbol_decides_once(monkeypatch):
     assert pickle.loads(pickle.dumps(g)) == g2
 
 
+def test_product_keeps_zeros_only_with_its_rational_part():
+    # the tiny constant prunes the rational part (num -1e-16) but not the
+    # constant term: the product is the constant 1e-13, with no zero to carry
+    g = parse_symbol("(t-2i-0.001)/(t-2i)") * 1e-13
+    assert g == constant(1e-13)
+    assert inverse(g).isclose(constant(1e13))
+
+
 def test_winding_error_is_raised_again():
     g = parse_symbol("(t-1)/(t+1i)")  # N vanishes at t = 1
     for _ in range(2):
