@@ -14,12 +14,12 @@ it, so oracle disagreements are attributable.
 Cokernels of in-scope operators are obtained by classifying the adjoint pair
 (conj a, conj b~), whose subordinated pair is (conj d, conj c): kernel rules
 applied there yield cokernel dimensions here.  That pair, like the (-c, -d)
-of the sign flip b -> -b, is derived from (c, d), not computed again.
+of b -> -b and the (c chi^(-2), d) of the chi-reduction, comes from (c, d).
 
 One branch is genuinely conditional: n(c) = +1 with dim ker W(d) = 1, where
 invertibility of the minus operator hinges on whether a transported kernel
 element lies in the range of W(chi).  That membership is decided numerically
-by an injected tester (see kernel_structure), never symbolically.
+by an injected tester (see kernels.kappa_for_pair), never symbolically.
 """
 
 from __future__ import annotations
@@ -216,6 +216,12 @@ def _adjoint(sub: SubordinatedPair) -> SubordinatedPair:
     return _subordinated(conj(sub.d), conj(sub.c), conj(sub.at_inv))
 
 
+def _chi_reduced(sub: SubordinatedPair) -> SubordinatedPair:
+    """The subordinated pair of (a chi^(-1), b chi), derived from that of
+    (a, b): chi~ = chi^(-1) gives (c chi^(-2), d), a~^(-1) chi^(-1)."""
+    return _subordinated(sub.c * symbols.chi(-2), sub.d, sub.at_inv * symbols.chi(-1))
+
+
 def v_symbol(pair: MatchingPair):
     """2x2 symbol [[0, d], [-c, a~^(-1)]]; the top-left entry, in general
     a - b b~ a~^(-1), is zero for a matching pair."""
@@ -325,38 +331,32 @@ def _family_tag(c):
     return None
 
 
-def _require_invertible(a):
-    """NotInvertible when a has a real zero; an inconclusive decision passes."""
-    try:
-        if not symbols.is_invertible(a):
-            raise NotInvertible("a is not invertible; operators not semi-Fredholm")
-    except Inconclusive:
-        pass  # treat as invertible; downstream indices will object if not
-
-
 def classify(pair: MatchingPair, kappa_tester=None) -> ClassificationReport:
     """Predict kernel/cokernel dimensions and invertibility of W(a) +- H(b).
 
     kappa_tester (optional) resolves the conditional membership branch; it is
-    called with the pair and must return an object with ``in_image``,
-    ``residual`` and ``stable`` attributes (or None to leave it open).
+    called with the subordinated pair being classified and must return an
+    object with ``in_image``, ``residual`` and ``stable`` attributes (or None
+    to leave it open).
     """
-    _require_invertible(pair.a)
-    return _classify(pair, subordinated(pair), kappa_tester, kernels_only=False)
+    try:
+        if not symbols.is_invertible(pair.a):
+            raise NotInvertible("a is not invertible; operators not semi-Fredholm")
+    except Inconclusive:
+        pass  # treat as invertible; downstream indices will object if not
+    return _classify(subordinated(pair), kappa_tester, kernels_only=False)
 
 
-def _classify(pair, sub, kappa_tester, kernels_only) -> ClassificationReport:
+def _classify(sub, kappa_tester, kernels_only) -> ClassificationReport:
     """classify() of a pair whose subordinated pair is sub.  The sign flip
-    and the adjoint route recurse with subordinated pairs derived from sub;
-    kernels_only leaves the cokernels and the index check out."""
+    and the adjoint route recurse with subordinated pairs derived from sub
+    (conjugation keeps a invertible); kernels_only leaves the cokernels and
+    the index check out."""
     notes = []
 
     # reduce xi(c) = -1 by flipping the sign of b, which swaps +- reports
     if sub.xi_c == -1:
-        flipped = _classify(
-            MatchingPair(a=pair.a, b=-pair.b), _sign_flipped(sub),
-            kappa_tester, kernels_only,
-        )
+        flipped = _classify(_sign_flipped(sub), kappa_tester, kernels_only)
         notes.append("sign-flip: reduced xi(c) = -1 to +1 via b -> -b")
         return ClassificationReport(
             plus=flipped.minus,
@@ -423,7 +423,7 @@ def _classify(pair, sub, kappa_tester, kernels_only) -> ClassificationReport:
             ker_plus = Dim.exact(0)
             cert_plus.append("chi-reduction;kernel-avoids-range")
             if kappa_tester is not None:
-                kappa_result = kappa_tester(pair)
+                kappa_result = kappa_tester(sub)
             if kappa_result is not None and kappa_result.stable:
                 inside = bool(kappa_result.in_image)
                 ker_minus = Dim.exact(1 if inside else 0)
@@ -474,9 +474,7 @@ def _classify(pair, sub, kappa_tester, kernels_only) -> ClassificationReport:
         # trivial ker W(d): cokernels are the kernels of the adjoint pair,
         # whose subordinated pair is (conj d, conj c)
         try:
-            adj_pair = adjoint_pair(pair)
-            _require_invertible(adj_pair.a)
-            adj = _classify(adj_pair, _adjoint(sub), kappa_tester, kernels_only=True)
+            adj = _classify(_adjoint(sub), kappa_tester, kernels_only=True)
             coker_plus = adj.plus.ker
             coker_minus = adj.minus.ker
             cert_plus.append(f"adjoint({adj.plus.certificate})")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import factorization, oracle, symbols
-from .classify import MatchingPair, SubordinatedPair, subordinated
+from .classify import MatchingPair, SubordinatedPair, _chi_reduced, subordinated
 from .errors import (
     NoRightInverse,
     NotInKernel,
@@ -106,11 +106,21 @@ def psi0_discrete(grid) -> GridFunction:
 
 def kernel_basis_scalar(g: GSymbol, ws: Workspace):
     """[W(g_+^(-1)) psi0], the kernel basis of W(g) when nu = 0 and n = -1."""
+    return [_kernel_vector(_plus_inverse(g), ws)]
+
+
+def _plus_inverse(g):
+    """g_+^(-1) of the factorization of g, which must have n = -1."""
     g_plus, n, _ = factorization.matching_factorization(g)
     if n != -1:
         raise WrongIndex(f"kernel basis formula requires n = -1, got n = {n}")
-    v = oracle._toeplitz_apply(inverse(g_plus), ws.grid, psi0_discrete(ws.grid).values)
-    return [ws.gf(v).normalized()]
+    return inverse(g_plus)
+
+
+def _kernel_vector(g_plus_inv, ws):
+    """W(g_+^(-1)) psi0 on ws's grid, normalized."""
+    v = oracle._toeplitz_apply(g_plus_inv, ws.grid, psi0_discrete(ws.grid).values)
+    return ws.gf(v).normalized()
 
 
 def _require_in_kernel(ws, mat, v, what, scale=None):
@@ -323,11 +333,8 @@ def kappa_element(a: GSymbol, ws: Workspace) -> KappaResult:
         raise WrongCase("kappa element requires n(a) = 0")
     alpha = a * symbols.chi(-1)
     d = a * inverse(tilde(a)) * symbols.chi(-1)
-    if symbols.winding_n(d) != -1:
-        raise WrongCase("index bookkeeping failed: n(d) != -1")
-
     alpha_t_inv = inverse(tilde(alpha))
-    d_plus_inv = inverse(factorization.matching_factorization(d)[0])
+    d_plus_inv = _plus_inverse(d)
     chis = (symbols.chi(-1), symbols.chi(1))
 
     def compute(w):
@@ -347,44 +354,39 @@ def kappa_element(a: GSymbol, ws: Workspace) -> KappaResult:
     return _two_grid_membership(compute, ws, "kappa element")
 
 
-def kappa_for_pair(pair: MatchingPair, ws: Workspace) -> KappaResult:
+def kappa_for_pair(sub: SubordinatedPair, ws: Workspace) -> KappaResult:
     """General conditional branch: n(c) = +1 and one-dimensional ker W(d).
 
-    Reduces (a, b) to (a chi^(-1), b chi), transports the kernel of W(d)
-    through phi_-, and tests whether the transported element meets the range
-    of W(chi).  With ws.cfg.stability the verdict must agree on both grids.
+    Reduces sub, the subordinated pair of (a, b), to (c chi^(-2), d), that of
+    (a chi^(-1), b chi), transports the kernel of W(d) through phi_-, and
+    tests whether the transported element meets the range of W(chi).  With
+    ws.cfg.stability the verdict must agree on both grids.
 
-    The symbols are computed once per call, not per grid: the reduced
-    subordinated pair, the right-inverse recipe of c and chi^(+-1).  The
-    recipe is built on the first grid, after the kernel basis and the input
-    check, so errors come in phi_pm's order.  Each grid applies its factors
-    as convolutions and assembles no matrix.
+    The symbols are computed once per call, not per grid: the reduced pair,
+    d_+^(-1), the right-inverse recipe of c and chi^(+-1).  The recipe is
+    built on the first grid, after the kernel basis and the input check, so
+    errors come in phi_pm's order.  Each grid applies its factors as
+    convolutions and assembles no matrix.
     """
-    sub = subordinated(
-        MatchingPair(a=pair.a * symbols.chi(-1), b=pair.b * symbols.chi(1))
-    )
+    red = _chi_reduced(sub)
+    d_plus_inv = _plus_inverse(red.d)
     chis = (symbols.chi(-1), symbols.chi(1))
     recipe = None
 
     def compute(w):
         nonlocal recipe
-        s = kernel_basis_scalar(sub.d, w)[0].values
-        _require_in_wh_kernel(w, sub.d, s, "phi input (ker W(d))")
+        s = _kernel_vector(d_plus_inv, w).values
+        _require_in_wh_kernel(w, red.d, s, "phi input (ker W(d))")
         if recipe is None:
-            recipe = _right_inverse_recipe(sub.c)
-        kappa = 2.0 * _phi(sub, recipe, s, "-", w)
+            recipe = _right_inverse_recipe(red.c)
+        kappa = 2.0 * _phi(red, recipe, s, "-", w)
         return kappa, _membership_residual(kappa, w.grid, chis), {}
 
     return _two_grid_membership(compute, ws, "kappa tester")
 
 
 def make_kappa_tester(grid, cfg=DEFAULT_CONFIG):
-    """classify()-compatible tester resolving the conditional branch on a grid.
-
-    A call assembles no matrix: it applies every factor as a convolution."""
+    """classify()-compatible tester of a subordinated pair on a grid; a call
+    assembles no matrix: it applies every factor as a convolution."""
     ws = Workspace(grid, cfg)
-
-    def tester(pair: MatchingPair):
-        return kappa_for_pair(pair, ws)
-
-    return tester
+    return lambda sub: kappa_for_pair(sub, ws)

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 from pathlib import Path
 
@@ -21,7 +23,8 @@ from whhankel import (
     v_symbol,
 )
 from whhankel import symbols
-from whhankel.classify import Dim, _adjoint, _sign_flipped
+from whhankel.catalog import parse_catalog, shipped_catalog_path
+from whhankel.classify import Dim, _adjoint, _chi_reduced, _sign_flipped
 from whhankel.errors import NotInvertible, NotMatching, OutOfScope, WindingUnresolved
 
 
@@ -350,11 +353,24 @@ def _sweep_pairs():
         yield MatchingPair(parse_symbol(row["a"]), parse_symbol(row["b"]))
 
 
+def _catalog_pairs(*names):
+    text = shipped_catalog_path().read_text(encoding="utf-8")
+    entries = {e.name: e for e in parse_catalog(text)}
+    for name in names:
+        yield MatchingPair(parse_symbol(entries[name].a_expr),
+                           parse_symbol(entries[name].b_expr))
+
+
 def test_derived_subordinated_pairs_match_recomputed_ones():
     # classify's recursions derive the subordinated pairs of (a, -b) and of
-    # the adjoint pair from that of (a, b) instead of recomputing them
-    for pair in _sweep_pairs():
+    # the adjoint pair, and the kappa tester that of (a chi^-1, b chi), from
+    # that of (a, b) instead of recomputing them; the two catalog entries are
+    # those whose classification reaches the tester
+    tester_pairs = _catalog_pairs("pair_chi_inv_shift_n0", "hankel_chi_inverse")
+    for pair in itertools.chain(_sweep_pairs(), tester_pairs):
         sub = subordinated(pair)
+        reduced = MatchingPair(pair.a * chi(-1), pair.b * chi())
+        assert _chi_reduced(sub) == subordinated(reduced)
         assert _sign_flipped(sub) == subordinated(MatchingPair(pair.a, -pair.b))
         derived, recomputed = _adjoint(sub), subordinated(adjoint_pair(pair))
         for field in ("c", "d", "at_inv"):
@@ -363,3 +379,14 @@ def test_derived_subordinated_pairs_match_recomputed_ones():
             assert getattr(derived, field) == getattr(recomputed, field)
         for field in ("nu_c", "nu_d"):
             assert abs(getattr(derived, field) - getattr(recomputed, field)) <= 1e-12
+
+
+def test_derived_pairs_pass_the_matching_gate(a_n0):
+    # a derived pair has no MatchingPair check of its own: the gate on c and
+    # d rejects one whose c or d is not matching
+    sub = subordinated(MatchingPair(a_n0, a_n0 * chi()))
+    for field in ("c", "d"):
+        bad = dataclasses.replace(sub, **{field: getattr(sub, field) * constant(2.0)})
+        for derive in (_sign_flipped, _adjoint, _chi_reduced):
+            with pytest.raises(NotMatching, match="^subordinated functions"):
+                derive(bad)

@@ -215,9 +215,43 @@ def test_kappa_tester_feeds_classifier(coarse_grid, fast_cfg, a_n0):
     assert "image-membership(in_image=False" in report.minus.certificate
 
 
+def test_classify_builds_no_pair_and_factors_d_once_per_tester_call(
+    coarse_grid, a_n0, monkeypatch
+):
+    # the sign flip (b = -a chi^-1) and the tester derive their pairs from the
+    # subordinated pair, and the tester factors d once for both grids
+    from whhankel import factorization
+
+    pairs = [MatchingPair(a_n0, a_n0 * chi(-1)), MatchingPair(a_n0, -(a_n0 * chi(-1)))]
+    counts = {"pairs": 0, "factorizations": 0, "tester": 0}
+    check, factor = MatchingPair.__post_init__, factorization.matching_factorization
+
+    def counted_check(self):
+        counts["pairs"] += 1
+        check(self)
+
+    def counted_factor(g):
+        counts["factorizations"] += 1
+        return factor(g)
+
+    tester = make_kappa_tester(coarse_grid, OracleConfig(stability=True))
+
+    def counted_tester(sub):
+        counts["tester"] += 1
+        return tester(sub)
+
+    monkeypatch.setattr(MatchingPair, "__post_init__", counted_check)
+    monkeypatch.setattr(factorization, "matching_factorization", counted_factor)
+    minus = classify(pairs[0], kappa_tester=counted_tester).minus
+    flipped_plus = classify(pairs[1], kappa_tester=counted_tester).plus
+    for side in (minus, flipped_plus):
+        assert "image-membership(in_image=False" in side.certificate
+    assert counts == {"pairs": 0, "factorizations": 2, "tester": 2}
+
+
 def test_kappa_general_pair_matches_direct(ws, a_n0):
     direct = kappa_element(a_n0, ws)
-    general = kappa_for_pair(MatchingPair(a_n0, a_n0 * chi(-1)), ws)
+    general = kappa_for_pair(subordinated(MatchingPair(a_n0, a_n0 * chi(-1))), ws)
     assert direct.in_image == general.in_image
 
 
@@ -274,22 +308,22 @@ def test_flip_apply_matches_whole_line_composition(ws, a_n0):
 def test_kappa_error_names_grid_and_stage(ws, a_n0, monkeypatch):
     from whhankel import kernels
 
-    real = kernels.kernel_basis_scalar
+    real = kernels._kernel_vector
     # the session ws has stability off, which runs no longer grid
     stable_ws = Workspace(ws.grid, dataclasses.replace(ws.cfg, stability=True))
 
-    def off_kernel_on_longer_grid(g, w):
+    def off_kernel_on_longer_grid(g_plus_inv, w):
         if w.grid == ws.grid:
-            return real(g, w)
-        return [w.gf(np.ones(w.grid.n))]
+            return real(g_plus_inv, w)
+        return w.gf(np.ones(w.grid.n))
 
-    monkeypatch.setattr(kernels, "kernel_basis_scalar", off_kernel_on_longer_grid)
-    pair = MatchingPair(a_n0, a_n0 * chi(-1))
+    monkeypatch.setattr(kernels, "_kernel_vector", off_kernel_on_longer_grid)
+    sub = subordinated(MatchingPair(a_n0, a_n0 * chi(-1)))
     with pytest.raises(
         NotInKernel,
         match=r"^longer grid T=31\.3 h=0\.1, kappa tester: phi input",
     ):
-        kappa_for_pair(pair, stable_ws)
+        kappa_for_pair(sub, stable_ws)
 
 
 def test_phi_checks_its_input_before_inverting_c(ws, a_n0, monkeypatch):
@@ -309,9 +343,9 @@ def test_phi_checks_its_input_before_inverting_c(ws, a_n0, monkeypatch):
         raise NoRightInverse("W(c) is not right-invertible")
 
     monkeypatch.setattr(kernels, "_right_inverse_recipe", no_right_inverse)
-    monkeypatch.setattr(kernels, "kernel_basis_scalar", lambda g, w: [w.gf(np.ones(w.grid.n))])
+    monkeypatch.setattr(kernels, "_kernel_vector", lambda g_plus_inv, w: w.gf(np.ones(w.grid.n)))
     with pytest.raises(NotInKernel, match=r"^shorter grid .*, kappa tester: phi input"):
-        kappa_for_pair(MatchingPair(a_n0, a_n0 * chi(-1)), ws)
+        kappa_for_pair(subordinated(MatchingPair(a_n0, a_n0 * chi(-1))), ws)
 
 
 def _catalog_pair(name):
@@ -345,20 +379,20 @@ def test_kappa_tester_assembles_no_matrix(monkeypatch):
 
     monkeypatch.setattr(oracle, "_toeplitz", no_matrix)
     monkeypatch.setattr(oracle, "_hankel", no_matrix)
-    pair = _catalog_pair("pair_chi_inv_shift_n0")
-    res = kappa_for_pair(pair, Workspace(Grid(T=25.0, h=0.1), OracleConfig()))
+    sub = subordinated(_catalog_pair("pair_chi_inv_shift_n0"))
+    res = kappa_for_pair(sub, Workspace(Grid(T=25.0, h=0.1), OracleConfig()))
     assert res.stable and res.in_image is False
 
 
 def test_kappa_tester_without_stability_runs_one_grid(coarse_grid, monkeypatch):
-    pair = _catalog_pair("pair_chi_inv_shift_n0")
-    both = make_kappa_tester(coarse_grid, OracleConfig(stability=True))(pair)
+    sub = subordinated(_catalog_pair("pair_chi_inv_shift_n0"))
+    both = make_kappa_tester(coarse_grid, OracleConfig(stability=True))(sub)
 
     def no_longer_grid(self):
         raise AssertionError("the longer grid was built with stability off")
 
     monkeypatch.setattr(Grid, "longer", no_longer_grid)
-    one_grid = make_kappa_tester(coarse_grid, OracleConfig(stability=False))(pair)
+    one_grid = make_kappa_tester(coarse_grid, OracleConfig(stability=False))(sub)
     assert one_grid.stable
     assert (one_grid.in_image, one_grid.residual) == (both.in_image, both.residual)
     assert np.array_equal(one_grid.kappa.values, both.kappa.values)
@@ -367,13 +401,13 @@ def test_kappa_tester_without_stability_runs_one_grid(coarse_grid, monkeypatch):
 def test_kappa_run_holds_few_matrices():
     # each matrix is assembled where it is read and dropped after it: one
     # kappa run with the longer re-run stays below three longer-grid matrices
-    pair = _catalog_pair("pair_chi_inv_shift_n0")
+    sub = subordinated(_catalog_pair("pair_chi_inv_shift_n0"))
     grid = Grid(T=25.0, h=0.05)
     ws = Workspace(grid, OracleConfig(stability=True))
     n = grid.longer().n
     tracemalloc.start()
     try:
-        res = kappa_for_pair(pair, ws)
+        res = kappa_for_pair(sub, ws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
