@@ -275,11 +275,19 @@ def _fac_inverse(x):
 
 def _factored(x):
     """x as a factor list.  For a rational part, a sum that is not linear,
-    the roots of its numerator are found: the one root search of the DSL."""
+    the roots of its numerator are found: the one root search of the DSL.
+    A factor list's roots are exact, so found roots that may be the scatter
+    of a multiple real root (`symbols._scattered`) raise NotRepresentable."""
     if isinstance(x, Factors):
         return x
     num = poly.trim(x.num)
-    return Factors(complex(num[-1]), poly.root_clusters(num), x.poles)
+    roots = poly.root_clusters(num)
+    if symbols._scattered(roots):
+        raise NotRepresentable(
+            "the roots of a sum lie near the real axis, where a multiple real "
+            "root scatters; they cannot be carried as exact"
+        )
+    return Factors(complex(num[-1]), roots, x.poles)
 
 
 def _coeffs(x):

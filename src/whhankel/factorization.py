@@ -72,11 +72,11 @@ def factorize(g: GSymbol) -> WHFactorization:
 
     nu is the exponential frequency; n counts upper-half-plane zeros minus
     upper-half-plane poles.  The poles are the symbol's own, the zeros are
-    those of N = amp*den + num (carried, or found as its roots; see
-    `symbols._ExpRational.roots`), and a zero on the real axis (decided by
-    `symbols._real_zero`, which may raise Inconclusive) aborts: the
-    half-plane assignment is the entire correctness burden here.  Both
-    factors carry their zeros.
+    the (zero, multiplicity) pairs of N = amp*den + num that every decision
+    reads (`symbols._ExpRational.zeros`: carried, or found once), and a zero
+    on the real axis (decided by `symbols._real_zero`, which may raise
+    Inconclusive) aborts: the half-plane assignment is the entire
+    correctness burden here.  Both factors carry their zeros.
     """
     if g.is_zero():
         raise NotInvertible("zero symbol")
@@ -90,9 +90,8 @@ def factorize(g: GSymbol) -> WHFactorization:
         )
     if symbols._real_zero(g, form):
         raise NotInvertible("symbol vanishes on the real axis")
-    zeros = poly.merge_poles([(z, 1) for z in form.roots])
-    z_up = [(z, k) for z, k in zeros if z.imag > 0]
-    z_dn = [(z, k) for z, k in zeros if z.imag < 0]
+    z_up = [(z, k) for z, k in form.zeros if z.imag > 0]
+    z_dn = [(z, k) for z, k in form.zeros if z.imag < 0]
     p_up = [(p, m) for p, m in form.poles if p.imag > 0]
     p_dn = [(p, m) for p, m in form.poles if p.imag < 0]
     n = sum(k for _, k in z_up) - sum(m for _, m in p_up)

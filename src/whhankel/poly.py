@@ -138,25 +138,6 @@ def sort_roots(roots) -> list[complex]:
     return sorted((complex(z) for z in roots), key=lambda z: (z.real, z.imag))
 
 
-def cluster_roots(roots):
-    """Greedy fusion of nearby roots into (centroid, multiplicity) clusters.
-
-    The centroid of an m-fold cluster recovers the true root to near machine
-    precision even though the individual roots scatter like eps^(1/m).
-    """
-    clusters: list[list] = []  # [sum, count]
-    for z in sort_roots(roots):
-        for cl in clusters:
-            c = cl[0] / cl[1]
-            if abs(z - c) < CLUSTER_TOL * max(1.0, abs(c)):
-                cl[0] += z
-                cl[1] += 1
-                break
-        else:
-            clusters.append([z, 1])
-    return [(cl[0] / cl[1], cl[1]) for cl in clusters]
-
-
 # --- poles with multiplicities ------------------------------------------------
 
 def pole_key(pole):
@@ -206,18 +187,29 @@ def from_poles(poles, lead=1.0) -> np.ndarray:
     return pfromroots([p for p, m in poles for _ in range(m)], lead)
 
 
-def root_clusters(c, roots=None):
+def root_clusters(c):
     """Roots of c as canonical (root, multiplicity) pairs.
 
-    The computed roots (``roots``, else ``proots(c)``) are fused by
-    `cluster_roots`, and each simple one is polished by Newton steps on c,
-    which recovers exactly representable roots such as -2i of t^2 + i t + 2.
+    The companion-matrix roots (`proots`) are fused greedily into clusters:
+    the centroid of an m-fold cluster recovers the true root to near machine
+    precision even though the individual roots scatter like eps^(1/m).  Each
+    simple root is polished by Newton steps on c, which recovers exactly
+    representable roots such as -2i of t^2 + i t + 2.
     """
     a = trim(c)
+    clusters: list[list] = []  # [sum, count]
+    for z in sort_roots(proots(a)):
+        for cl in clusters:
+            centroid = cl[0] / cl[1]
+            if abs(z - centroid) < CLUSTER_TOL * max(1.0, abs(centroid)):
+                cl[0] += z
+                cl[1] += 1
+                break
+        else:
+            clusters.append([z, 1])
     d = npp.polyder(a)
     return merge_poles(
-        (_polish(a, d, z) if m == 1 else z, m)
-        for z, m in cluster_roots(proots(a) if roots is None else roots)
+        (_polish(a, d, s) if m == 1 else s / m, m) for s, m in clusters
     )
 
 

@@ -15,7 +15,7 @@ discrete-plus-L1 time kernel, which `time_kernel` recovers explicitly.
 
 A symbol is immutable, so its exact data is computed once and kept on the
 object, as ``cached_property`` keeps `RationalPart.den`: the form e^(i delta t)
-N/den (`_exp_rational_form`) with the roots of N and the mirror products
+N/den (`_exp_rational_form`) with the zeros of N and the mirror products
 N(t)N(-t) and den(t)den(-t), and `winding_n`.
 
 The zeros of a single exponential's N are carried like its poles, as
@@ -24,8 +24,9 @@ value), wherever construction knows them: the DSL's factor lists, `chi`, a
 product of two symbols that carry them (`GSymbol.__mul__`: the lists merge
 and equal zero/pole pairs cancel, with no sum), `inverse` (zeros and poles
 swap), `tilde`, `conj` and negation, which map them, and the Wiener-Hopf
-factors of `factorization.factorize`.  A sum drops them; the roots of its N
-are then found once, on demand, by `poly.proots`.
+factors of `factorization.factorize`.  A sum drops them; the zeros of its N
+are then found once, on demand, by `poly.root_clusters`.  Either way they
+are one list of pairs, `_ExpRational.zeros`, which every decision reads.
 """
 
 from __future__ import annotations
@@ -388,18 +389,13 @@ def pole_symbol(num, poles, shift=0.0):
     return make_symbol(ap_terms, l0_terms)
 
 
-def _poles_of(num, den):
-    """(num / lead(den), poles of den) for a denominator given as coefficients."""
-    den = poly.trim(den)
-    if poly.is_zero(den):
-        raise ZeroDivisionError("zero denominator in rational part")
-    return poly.as_poly(num) / den[-1], poly.root_clusters(den)
-
-
 def rational_symbol(num, den, shift=0.0):
     """e^(i shift t) * num/den with deg num <= deg den, the poles found as
     the roots of den."""
-    return pole_symbol(*_poles_of(num, den), shift)
+    den = poly.trim(den)
+    if poly.is_zero(den):
+        raise ZeroDivisionError("zero denominator in rational part")
+    return pole_symbol(poly.as_poly(num) / den[-1], poly.root_clusters(den), shift)
 
 
 def chi(n=1):
@@ -629,23 +625,21 @@ def _sampled_invertible(a):
 
 @dataclass(frozen=True)
 class _ExpRational:
-    """a = e^(i delta t) (amp + num/den) = e^(i delta t) N/den."""
+    """a = e^(i delta t) (amp + num/den) = e^(i delta t) N/den, with the
+    one list of the zeros of N that every decision reads."""
 
     delta: float
     amp: complex
-    num: np.ndarray
     poles: tuple   # (pole, multiplicity) pairs of den
     den: np.ndarray
     N: np.ndarray  # amp*den + num; deg N = deg den, den monic with no real root
-    zeros: tuple | None  # (zero, multiplicity) pairs of N, where carried
+    carried: tuple | None  # the zeros of N where construction knows them, else None
 
     @cached_property
-    def roots(self):
-        """The zeros of N, each repeated by its multiplicity: the carried
-        ones, else the companion-matrix roots."""
-        if self.zeros is None:
-            return poly.proots(self.N)
-        return np.array([z for z, k in self.zeros for _ in range(k)], dtype=complex)
+    def zeros(self):
+        """Canonical (zero, multiplicity) pairs of N: the carried ones, which
+        are exact, else `poly.root_clusters(N)`, found once and not exact."""
+        return poly.root_clusters(self.N) if self.carried is None else self.carried
 
     @cached_property
     def mirror_N(self):
@@ -673,7 +667,7 @@ def _exp_rational_form(a):
     else:
         num, poles, den = np.zeros(1, dtype=complex), (), np.ones(1, dtype=complex)
     return _ExpRational(
-        delta, amp, num, poles, den, poly.padd(poly.pscale(den, amp), num), _carried(a)
+        delta, amp, poles, den, poly.padd(poly.pscale(den, amp), num), _carried(a)
     )
 
 
@@ -681,18 +675,25 @@ def _real_zero(a, form):
     """Whether the single exponential ``a`` (of form ``form``) vanishes on
     the real line.
 
-    A real zero lies within REAL_AXIS_TOL of the axis, and a carried zero is
-    exact.  No computed root near the axis means no zero either.  But the
-    computed roots of an m-fold real root scatter off the axis like
-    eps^(1/m), past any fixed tolerance once m >= 2, so roots in between are
-    settled by `_sampled_invertible`, which may raise Inconclusive."""
-    if any(abs(z.imag) <= REAL_AXIS_TOL for z in form.roots):
-        return True
-    if form.zeros is not None or not any(
-        abs(z.imag) <= NEAR_AXIS_TOL * max(1.0, abs(z)) for z in form.roots
-    ):
-        return False
-    return not _sampled_invertible(a)
+    It reads ``form.zeros``.  A real zero lies within REAL_AXIS_TOL of the
+    axis, and a carried zero is exact.  No found zero near the axis means no
+    zero either.  But the companion-matrix roots of an m-fold real root
+    scatter off the axis like eps^(1/m), past any fixed tolerance and past
+    the fusing of `poly.root_clusters` once m is large, so found zeros that
+    may be such a scatter (`_scattered`) are settled by
+    `_sampled_invertible`, which may raise Inconclusive."""
+    if form.carried is None and _scattered(form.zeros):
+        return not _sampled_invertible(a)
+    return any(abs(z.imag) <= REAL_AXIS_TOL for z, _ in form.zeros)
+
+
+def _scattered(zeros):
+    """Whether found (zero, multiplicity) pairs may be the scatter of a
+    multiple real root: none lies within REAL_AXIS_TOL of the axis, and one
+    lies in the band |Im z| <= NEAR_AXIS_TOL max(1, |z|)."""
+    return not any(abs(z.imag) <= REAL_AXIS_TOL for z, _ in zeros) and any(
+        abs(z.imag) <= NEAR_AXIS_TOL * max(1.0, abs(z)) for z, _ in zeros
+    )
 
 
 def _require_no_real_zero(a, form):
@@ -761,11 +762,8 @@ def inverse(a: GSymbol) -> GSymbol:
             "inverse leaves the finite representation (nonconstant almost-periodic part)"
         )
     _require_no_real_zero(a, form)
-    # the zeros and poles swap; zeros not carried are the roots of N
-    zeros = form.zeros
-    if zeros is None:
-        zeros = poly.root_clusters(form.N, form.roots)
-    return _from_factors(-form.delta, 1.0 / form.amp, form.poles, zeros)
+    # the zeros and poles swap
+    return _from_factors(-form.delta, 1.0 / form.amp, form.poles, form.zeros)
 
 
 # --- indices -------------------------------------------------------------------
@@ -814,10 +812,8 @@ def _winding_n(a):
         raise NotInvertible("winding undefined: almost-periodic part vanishes")
     form = a._exp_form
     if form is not None:
-        if poly.is_zero(form.num):
-            return 0
         _require_no_real_zero(a, form)
-        upper_zeros = int(sum(z.imag > REAL_AXIS_TOL for z in form.roots))
+        upper_zeros = sum(k for z, k in form.zeros if z.imag > REAL_AXIS_TOL)
         return upper_zeros - sum(m for p, m in form.poles if p.imag > 0)
     # numerical route: w(t) = a(t)/b(t) - 1 = b^(-1) k
     ap_only = GSymbol(a.ap, ())

@@ -166,6 +166,21 @@ def test_linear_and_rational_sums_share_the_zero_rule():
         assert parse_symbol(f"({expr})/((t+1i)*(t+2i))").is_zero()
 
 
+@pytest.mark.parametrize("expr, direct", [
+    ("((t^2+1)*(t-3i))/((t+2i)^3)", lambda t: (t**2 + 1) * (t - 3j) / (t + 2j) ** 3),
+    ("(t-3i)*(t^2+1)/((t+2i)^3)", lambda t: (t - 3j) * (t**2 + 1) / (t + 2j) ** 3),
+    ("-(t^2+1)/((t+2i)^2)", lambda t: -(t**2 + 1) / (t + 2j) ** 2),
+    ("-(e(1)*chi)", lambda t: -np.exp(1j * t) * (t - 1j) / (t + 1j)),
+    ("(1 + 1/(t+1i))*(t^2+2)/((t+3i)^2)",
+     lambda t: (1 + 1 / (t + 1j)) * (t**2 + 2) / (t + 3j) ** 2),
+])
+def test_lowering_routes_match_direct_evaluation(expr, direct):
+    # products with a sum that is not linear (by coefficients or as a factor
+    # list), and negation of a rational part and of a symbol
+    t = np.array([-4.0, -0.7, 0.0, 0.5, 2.0, 9.0])
+    assert np.max(np.abs(parse_symbol(expr).eval(t) - direct(t))) <= 1e-12
+
+
 # --- formatting ------------------------------------------------------------------
 
 def test_format_examples(a_n0):

@@ -17,7 +17,9 @@ from whhankel import (
     winding_n,
     xi,
 )
+from whhankel.dsl import format_symbol
 from whhankel.errors import NotFactorizable, NotInvertible, WrongSide
+from whhankel.symbols import _carried
 
 
 def test_chi_is_its_own_middle_factor():
@@ -105,6 +107,22 @@ def test_factorize_rejects_multiple_real_zero(m):
     a = constant(np.exp(1j * np.pi / 5)) * parse_symbol(f"((t-0.3)/(t+0.7i))^{m}")
     with pytest.raises(NotInvertible):
         factorize(a)
+
+
+def test_factorize_and_inverse_read_one_zero_list():
+    # round-tripped through its text, r carries no zeros: its N is expanded,
+    # and the roots of N are found once, as (zero, multiplicity) pairs
+    r = parse_symbol(format_symbol(parse_symbol(
+        "((t-1-2i)/(t+1i))^2*((t+0.5+1.5i)/(t-2i))^3"
+    )))
+    assert [k for _, k in inverse(r).l0[0].rational.poles] == [3, 2]
+    f = factorize(r)
+    minus, plus = _carried(f.g_minus), _carried(f.g_plus)
+    assert [k for _, k in minus] == [1, 2] and [k for _, k in plus] == [3]
+    assert abs(minus[0][0] - 1j) == 0.0
+    assert abs(minus[1][0] - (1 + 2j)) < 1e-12
+    assert abs(plus[0][0] - (-0.5 - 1.5j)) < 1e-12
+    assert f.residual() < 1e-10
 
 
 def test_factorize_rejects_genuine_almost_periodic():

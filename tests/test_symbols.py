@@ -14,6 +14,7 @@ from whhankel import (
     conj,
     constant,
     exp_symbol,
+    factorize,
     inverse,
     is_invertible,
     is_matching,
@@ -31,7 +32,8 @@ from whhankel import (
     zero,
 )
 from whhankel.classify import MatchingPair, subordinated
-from whhankel.errors import NotInvertible, NotMatching, NotRepresentable
+from whhankel.errors import Inconclusive, NotInvertible, NotMatching, NotRepresentable
+from whhankel.poly import format_poly
 from whhankel.symbols import L0Term, _reflect
 
 
@@ -278,6 +280,25 @@ def test_multiple_real_zero_under_complex_scale(m):
         winding_n(a)
 
 
+@pytest.mark.parametrize("m", range(2, 9))
+def test_found_zeros_never_count_as_exact(m):
+    # the computed roots of the m-fold real zero of p_m scatter off the axis,
+    # too far apart to fuse once m >= 6; taken as exact zeros they read as
+    # an invertible symbol although a vanishes at t = 1
+    p = f"({format_poly(npp.polyfromroots([1.0] * m))})"
+    for text in (f"{p}/((t+1i)^{m})", f"({p})^1/((t+1i)^{m})",
+                 f"({p})^2/((t+1i)^{2 * m})"):
+        try:
+            a = parse_symbol(text)
+        except NotRepresentable:
+            continue
+        assert abs(a.eval(1.0)) < 1e-12
+        try:
+            assert is_invertible(a) is not True, text
+        except Inconclusive:
+            pass
+
+
 def test_exact_equality_and_matching_reject_non_matching_pair():
     assert chi().isclose(parse_symbol("chi"))
     assert not chi().isclose(constant(2.0) * chi())
@@ -306,21 +327,27 @@ def test_symbol_decides_once(monkeypatch):
 
     expr = "(t-2i)*(t+1i)/((t+2i)*(t-1i))"
     g = parse_symbol(expr)
-    calls = []
-    proots = poly.proots
+    calls, clusters = [], []
+    proots, root_clusters = poly.proots, poly.root_clusters
     monkeypatch.setattr(poly, "proots", lambda c: calls.append(1) or proots(c))
+    monkeypatch.setattr(
+        poly, "root_clusters", lambda c: clusters.append(1) or root_clusters(c)
+    )
     # a product carries its zeros: no root is sought, here or in products
     for h in (g, g * chi(), g * inverse(tilde(g)), -conj(g)):
         assert winding_n(h) == winding_n(h)
         assert is_matching(h)
         inverse(h)
     assert len(calls) == 0
-    # a sum drops them: the roots of its N are found once
+    # a sum drops them: the roots of its N are found once, into the one
+    # zero list that every decision reads
     s = chi() + constant(2.0)
+    assert is_invertible(s)
     assert winding_n(s) == winding_n(s) == 0
     assert not is_matching(s)
     inverse(s)
-    assert len(calls) == 1
+    factorize(s)
+    assert len(calls) == len(clusters) == 1
     # what is kept on g is not part of its value
     g2 = parse_symbol(expr)
     assert g == g2 and hash(g) == hash(g2)
