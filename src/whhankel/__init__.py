@@ -17,7 +17,7 @@ from .classify import (
     subordinated,
     v_symbol,
 )
-from .dsl import format_symbol, parse, parse_symbol
+from .dsl import format_symbol, parse, parse_symbol, rational_symbol
 from .errors import WhhError
 from .factorization import (
     OperatorRecipe,
@@ -63,7 +63,6 @@ from .symbols import (
     make_symbol,
     nu,
     one,
-    rational_symbol,
     tilde,
     time_kernel,
     winding_n,

@@ -12,13 +12,15 @@ Numbers may carry an ``i`` suffix for imaginary literals (``2i``, ``3.5i``,
 bare ``i``); scientific notation is accepted.  ``e(d)`` denotes e^(i d t),
 ``chi`` is (t-i)/(t+i), ``^`` takes integer exponents only.
 
-Lowering keeps what it knows in factored form: literals, ``t``, ``chi`` and
-linear sums become factor lists `Factors` (a lead with zero and pole
-lists), products merge the lists and cancel equal zero/pole pairs,
-quotients swap them and powers multiply their multiplicities.  A list is
-expanded once, when it becomes a symbol, which then carries its zeros.  A
-sum that is not linear is kept by coefficients (`poly.rational_sum`), and
-dividing by it or raising it to a power finds the roots of its numerator.
+Lowering gives every expression one value: a factor list `Factors` or,
+once an ``e(d)`` appears, a symbol.  Literals, t, chi and linear sums become
+lists; products merge them and cancel equal zero/pole pairs, quotients swap
+zeros and poles, and powers multiply multiplicities.  A sum that is not
+linear is a list's core (`poly.rational_sum`): products with it cancel the
+poles they share (`poly.cancel`), and dividing by it or raising it to a
+power finds its roots (`_factored`, the one root search of the DSL).
+`rational_symbol` lowers coefficients the same way.  A list is expanded
+once, into a symbol that carries its zeros, and checked against its value.
 Every sum, linear or not, is zero by the one rule `poly.vanishes`.
 """
 
@@ -31,7 +33,6 @@ import numpy as np
 
 from . import poly, symbols
 from .errors import ImproperRational, NotInvertible, NotRepresentable, SymbolSyntaxError
-from .symbols import RationalPart
 
 # --- tokens -----------------------------------------------------------------
 
@@ -248,14 +249,17 @@ def parse(text):
 
 @dataclass(frozen=True)
 class Factors:
-    """lead * prod (t - z)^k / prod (t - p)^m with canonical (zero,
-    multiplicity) and (pole, multiplicity) pairs, which may be improper
-    mid-expression: what literals, t, chi, linear sums and their products,
-    quotients and integer powers lower to.  `_expanded` makes the symbol."""
+    """lead * core(t) * prod (t - z)^k / prod (t - p)^m with canonical (zero,
+    multiplicity) and (pole, multiplicity) pairs, maybe improper: the value
+    of a rational expression.  ``core`` holds the ascending coefficients of
+    a sum that is not linear (else it is (1,)), whose roots are found only
+    when it is divided by or raised to a power.  `_expanded` makes the
+    symbol."""
 
     lead: complex
     zeros: tuple = ()
     poles: tuple = ()
+    core: tuple = (1.0,)
 
 
 #: the largest degree a factor list is expanded to: no power above degree 256
@@ -267,6 +271,22 @@ MAX_DEGREE = 1024
 _CHECK_T = np.array([0.3, 1.0, 5.0])
 
 
+def _of_sum(num, poles=()):
+    """The factor list of num / prod (t - p)^m, num the coefficients of a
+    sum: a numerator of one coefficient folds into the lead."""
+    if len(num) == 1:
+        return Factors(complex(num[0]), (), poles)
+    return Factors(1.0, (), poles, tuple(num))
+
+
+def _numerator(f):
+    """The expanded numerator lead * core * prod (t - z)^k of a factor list;
+    a list with a core has no zeros (`_of_sum`)."""
+    if len(f.core) == 1:
+        return poly.from_poles(f.zeros, f.lead)
+    return poly.pscale(f.core, f.lead)
+
+
 def _fac_inverse(x):
     if x.lead == 0:
         raise NotInvertible("division by the zero symbol")
@@ -274,13 +294,13 @@ def _fac_inverse(x):
 
 
 def _factored(x):
-    """x as a factor list.  For a rational part, a sum that is not linear,
-    the roots of its numerator are found: the one root search of the DSL.
+    """x with the roots of its core found: the one root search of the DSL,
+    run when a sum that is not linear is divided by or raised to a power.
     A factor list's roots are exact, so found roots that may be the scatter
     of a multiple real root (`symbols._scattered`) raise NotRepresentable."""
-    if isinstance(x, Factors):
+    if len(x.core) == 1:
         return x
-    num = poly.trim(x.num)
+    num = _numerator(x)
     roots = poly.root_clusters(num)
     if symbols._scattered(roots):
         raise NotRepresentable(
@@ -290,16 +310,10 @@ def _factored(x):
     return Factors(complex(num[-1]), roots, x.poles)
 
 
-def _coeffs(x):
-    """A factor list or a rational part as a rational part (coefficients)."""
-    if isinstance(x, Factors):
-        return RationalPart(tuple(poly.from_poles(x.zeros, x.lead)), x.poles)
-    return x
-
-
 def _line(x):
-    """(c0, c1) of x, a factor list of degree at most 1 without poles, or None."""
-    if not isinstance(x, Factors) or x.poles or sum(k for _, k in x.zeros) > 1:
+    """(c0, c1) of x, a factor list of degree at most 1 without poles or
+    core, or None."""
+    if x.poles or len(x.core) > 1 or sum(k for _, k in x.zeros) > 1:
         return None
     return (-x.zeros[0][0] * x.lead, x.lead) if x.zeros else (x.lead, 0j)
 
@@ -314,50 +328,53 @@ def _sum(x, y, sign):
         num = terms.sum(axis=0)
         num = np.zeros(1, dtype=complex) if poly.vanishes(num, terms) else poly.trim(num)
     else:
-        x, y = _coeffs(x), _coeffs(y)
-        num, poles = poly.rational_sum([(x.num, x.poles), (poly.pscale(y.num, sign), y.poles)])
+        num, poles = poly.rational_sum(
+            [(_numerator(x), x.poles), (poly.pscale(_numerator(y), sign), y.poles)]
+        )
         if poles or len(num) > 2:
-            return RationalPart(tuple(num), poles)
+            return _of_sum(num, poles)
     if len(num) == 1:
         return Factors(complex(num[0]))
     c = num if np.any(num.imag) else num.real  # the root proots would give
     return Factors(complex(num[1]), ((complex(-c[0] / c[1]), 1),))
 
 
-def _rat_mul(x, y):
-    return RationalPart(*poly.cancel(
-        [poly.pmul(x.num, y.num)], poly.merge_poles(x.poles, y.poles)
+def _mul(x, y):
+    """x * y: the lists merge and equal zero/pole pairs cancel; with a core,
+    the expanded numerators multiply and `poly.cancel` removes the poles
+    they share."""
+    if len(x.core) == len(y.core) == 1:
+        zeros, poles = poly.merge_factors((x.zeros, y.zeros), (x.poles, y.poles))
+        return Factors(x.lead * y.lead, zeros, poles)
+    return _of_sum(*poly.cancel(
+        [poly.pmul(_numerator(x), _numerator(y))], poly.merge_poles(x.poles, y.poles)
     ))
 
 
-def _promote(val):
-    if isinstance(val, symbols.GSymbol):
-        return val
-    if isinstance(val, RationalPart):
-        return symbols.pole_symbol(val.num, val.poles)
-    return _expanded(val)
-
-
 def _expanded(f):
-    """The symbol of a factor list, its products expanded once.
+    """The symbol of a lowered value: a symbol as it is, a factor list with
+    its products expanded once.
 
     Raises NotRepresentable unless the expanded coefficients give the
     factors' values at _CHECK_T, within 1e-8 of the largest value, or of 1
     if that is smaller: coefficients are pruned (poly.trim), and those of a
     high power lose accuracy."""
+    if isinstance(f, symbols.GSymbol):
+        return f
     if f.lead == 0:
         return symbols.zero()
-    deg, deg_den = sum(k for _, k in f.zeros), sum(m for _, m in f.poles)
+    deg = len(f.core) - 1 + sum(k for _, k in f.zeros)
+    deg_den = sum(m for _, m in f.poles)
     if deg > deg_den:
         raise ImproperRational(deg, deg_den)
     if deg_den > MAX_DEGREE:
         raise NotRepresentable(f"a rational function of degree {deg_den} > {MAX_DEGREE}")
     with np.errstate(all="ignore"):
-        if deg < deg_den or abs(f.lead) <= poly.COEFF_PRUNE:
-            sym = symbols.pole_symbol(poly.from_poles(f.zeros, f.lead), f.poles)
+        if deg < deg_den or len(f.core) > 1 or abs(f.lead) <= poly.COEFF_PRUNE:
+            sym = symbols.pole_symbol(_numerator(f), f.poles)
         else:
             sym = symbols._from_factors(0.0, f.lead, f.zeros, f.poles)
-        want = np.full(_CHECK_T.shape, f.lead)
+        want = f.lead * poly.pval(f.core, _CHECK_T)
         for z, k in f.zeros:
             want = want * (_CHECK_T - z) ** k
         for p, m in f.poles:
@@ -373,6 +390,7 @@ def _expanded(f):
 
 
 def _lower(node):
+    """A factor list, or a symbol once an e(d) appears."""
     if isinstance(node, Lit):
         return Factors(node.value)
     if isinstance(node, Var):
@@ -383,16 +401,12 @@ def _lower(node):
         return symbols.exp_symbol(node.delta)
     if isinstance(node, Neg):
         val = _lower(node.operand)
-        if isinstance(val, Factors):
-            return replace(val, lead=val.lead * -1)
-        if isinstance(val, RationalPart):
-            return RationalPart(tuple(poly.pscale(val.num, -1.0)), val.poles)
-        return -val
+        return replace(val, lead=val.lead * -1) if isinstance(val, Factors) else -val
     if isinstance(node, Pow):
         base, k = _lower(node.base), node.exponent
         if k == 0:
             return Factors(1.0)
-        if not isinstance(base, symbols.GSymbol):  # the multiplicities multiply
+        if isinstance(base, Factors):  # the multiplicities multiply
             base = _factored(base)
             base, k = (_fac_inverse(base), -k) if k < 0 else (base, k)
             with np.errstate(all="ignore"):
@@ -420,15 +434,9 @@ def _lower(node):
                 right = _fac_inverse(_factored(right))
             op = "*"
         if isinstance(left, symbols.GSymbol) or isinstance(right, symbols.GSymbol):
-            left, right = _promote(left), _promote(right)
+            left, right = _expanded(left), _expanded(right)
             return left * right if op == "*" else left + right if op == "+" else left - right
-        if op != "*":
-            return _sum(left, right, 1.0 if op == "+" else -1.0)
-        if isinstance(left, Factors) and isinstance(right, Factors):
-            return Factors(left.lead * right.lead, *poly.merge_factors(
-                (left.zeros, right.zeros), (left.poles, right.poles)
-            ))
-        return _rat_mul(_coeffs(left), _coeffs(right))
+        return _mul(left, right) if op == "*" else _sum(left, right, 1.0 if op == "+" else -1.0)
     raise TypeError(f"unhandled AST node {node!r}")
 
 
@@ -438,7 +446,18 @@ def parse_symbol(text):
     Raises RealPoleError / ImproperRational / NotRepresentable / NotInvertible
     when the expression leaves the representable class.
     """
-    return _promote(_lower(parse(text)))
+    return _expanded(_lower(parse(text)))
+
+
+def rational_symbol(num, den):
+    """num/den, ascending coefficients with deg num <= deg den, lowered as
+    the text of the quotient is: the roots of den are the poles, found by
+    `_factored`, which refuses roots that may be a scattered multiple real
+    root."""
+    den = poly.trim(den)
+    if poly.is_zero(den):
+        raise ZeroDivisionError("zero denominator in rational part")
+    return _expanded(_mul(_of_sum(poly.trim(num)), _fac_inverse(_factored(_of_sum(den)))))
 
 
 # --- formatting -----------------------------------------------------------------
@@ -451,9 +470,9 @@ def format_symbol(a):
         if u.freq == 0.0:
             parts.append(c)
         elif c == "1":
-            parts.append(f"e({_fmt_float(u.freq)})")
+            parts.append(f"e({poly.format_complex(u.freq)})")
         else:
-            parts.append(f"{c}*e({_fmt_float(u.freq)})")
+            parts.append(f"{c}*e({poly.format_complex(u.freq)})")
     for w in a.l0:
         num = poly.format_poly(w.rational.num)
         den = poly.format_poly(w.rational.den)
@@ -461,13 +480,7 @@ def format_symbol(a):
         if w.shift == 0.0:
             parts.append(frac)
         else:
-            parts.append(f"e({_fmt_float(w.shift)})*{frac}")
+            parts.append(f"e({poly.format_complex(w.shift)})*{frac}")
     if not parts:
         return "0"
     return " + ".join(parts).replace(" + -", " - ")
-
-
-def _fmt_float(x):
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(float(x))

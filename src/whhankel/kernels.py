@@ -274,14 +274,15 @@ class KappaResult:
         raise TypeError("inspect .in_image explicitly")
 
 
-def _membership_residual(x, grid, chis):
-    """Relative distance of x from its projection W(chi) W(chi^(-1)) x onto
-    the range of W(chi), chis = (chi^(-1), chi), applied as two convolutions."""
-    q0x = oracle._toeplitz_apply(chis[1], grid, oracle._toeplitz_apply(chis[0], grid, x))
+def _membership_residual(x, grid):
+    """Relative distance of x from the range of W(chi): W(chi) is an isometry
+    whose range is the orthogonal complement of ker W(chi^(-1)), spanned on
+    the grid by psi0_discrete, so the distance is |<psi, x>| / (|psi| |x|)."""
     nx = np.linalg.norm(x)
     if nx == 0:
         return 0.0
-    return float(np.linalg.norm(x - q0x) / nx)
+    psi = psi0_discrete(grid).values
+    return float(abs(np.vdot(psi, x)) / (np.linalg.norm(psi) * nx))
 
 
 def _on_grid(compute, ws, which, stage):
@@ -347,9 +348,9 @@ def kappa_element(a: GSymbol, ws: Workspace) -> KappaResult:
         scale = max(np.linalg.norm(s), 1e-30)
         diag = {
             "middle_term_norm": float(np.linalg.norm(t2) / scale),
-            "first_term_membership": _membership_residual(t1, w.grid, chis),
+            "first_term_membership": _membership_residual(t1, w.grid),
         }
-        return kappa, _membership_residual(t3, w.grid, chis), diag
+        return kappa, _membership_residual(t3, w.grid), diag
 
     return _two_grid_membership(compute, ws, "kappa element")
 
@@ -363,14 +364,13 @@ def kappa_for_pair(sub: SubordinatedPair, ws: Workspace) -> KappaResult:
     ws.cfg.stability the verdict must agree on both grids.
 
     The symbols are computed once per call, not per grid: the reduced pair,
-    d_+^(-1), the right-inverse recipe of c and chi^(+-1).  The recipe is
-    built on the first grid, after the kernel basis and the input check, so
-    errors come in phi_pm's order.  Each grid applies its factors as
-    convolutions and assembles no matrix.
+    d_+^(-1) and the right-inverse recipe of c.  The recipe is built on the
+    first grid, after the kernel basis and the input check, so errors come
+    in phi_pm's order.  Each grid applies its factors as convolutions and
+    assembles no matrix; membership is one inner product.
     """
     red = _chi_reduced(sub)
     d_plus_inv = _plus_inverse(red.d)
-    chis = (symbols.chi(-1), symbols.chi(1))
     recipe = None
 
     def compute(w):
@@ -380,7 +380,7 @@ def kappa_for_pair(sub: SubordinatedPair, ws: Workspace) -> KappaResult:
         if recipe is None:
             recipe = _right_inverse_recipe(red.c)
         kappa = 2.0 * _phi(red, recipe, s, "-", w)
-        return kappa, _membership_residual(kappa, w.grid, chis), {}
+        return kappa, _membership_residual(kappa, w.grid), {}
 
     return _two_grid_membership(compute, ws, "kappa tester")
 

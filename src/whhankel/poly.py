@@ -328,7 +328,7 @@ def partial_fractions(num, poles):
     return out
 
 
-def format_complex(z, imag_unit="i") -> str:
+def format_complex(z) -> str:
     """Round-trippable compact form: 2, -3.5, 2i, (1+2i), (1-2i)."""
     re, im = float(np.real(z)), float(np.imag(z))
 
@@ -340,12 +340,12 @@ def format_complex(z, imag_unit="i") -> str:
     if im == 0.0:
         return fnum(re)
     if re == 0.0:
-        return f"{fnum(im)}{imag_unit}"
+        return f"{fnum(im)}i"
     sign = "+" if im > 0 else "-"
-    return f"({fnum(re)}{sign}{fnum(abs(im))}{imag_unit})"
+    return f"({fnum(re)}{sign}{fnum(abs(im))}i)"
 
 
-def format_poly(c, var="t") -> str:
+def format_poly(c) -> str:
     """Descending-power display, e.g. ``t^2 + (1+2i)*t - 3``."""
     a = trim(c)
     if is_zero(a):
@@ -359,6 +359,6 @@ def format_poly(c, var="t") -> str:
         if k == 0:
             parts.append(coeff)
         else:
-            tk = var if k == 1 else f"{var}^{k}"
+            tk = "t" if k == 1 else f"t^{k}"
             parts.append(tk if coeff == "1" else f"{coeff}*{tk}")
     return " + ".join(parts).replace(" + -", " - ")

@@ -67,9 +67,8 @@ class APTerm:
 class RationalPart:
     """num / prod (t - p)^m: ascending numerator coefficients and
     canonically ordered (pole, multiplicity) pairs.  The monic denominator is
-    derived from the poles.  The class checks nothing: the DSL holds improper
-    ones mid-expression, and make_symbol makes a symbol's parts strictly
-    proper with no pole on the real line."""
+    derived from the poles.  The class checks nothing: make_symbol makes a
+    symbol's parts strictly proper with no pole on the real line."""
 
     num: tuple
     poles: tuple
@@ -370,32 +369,20 @@ def exp_symbol(delta, coeff=1.0):
     return make_symbol([(float(delta), complex(coeff))], [])
 
 
-def pole_symbol(num, poles, shift=0.0):
-    """e^(i shift t) * num / prod (t - p)^m with deg num <= sum m; splits off
-    the value at infinity as an almost-periodic term so the remainder is
-    strictly proper."""
+def pole_symbol(num, poles):
+    """num / prod (t - p)^m with deg num <= sum m; splits off the value at
+    infinity as an almost-periodic term so the remainder is strictly
+    proper."""
     num = poly.trim(num)
     poles = poly.merge_poles(poles)
     deg, deg_den = poly.degree(num), sum(m for _, m in poles)
     if deg > deg_den:
         raise ImproperRational(deg, deg_den)
     q, r = poly.pdivmod(num, poly.from_poles(poles))
-    ap_terms = []
-    l0_terms = []
-    if not poly.is_zero(q):
-        ap_terms.append((shift, complex(q[0])))
-    if not poly.is_zero(r):
-        l0_terms.append((shift, r, poles))
-    return make_symbol(ap_terms, l0_terms)
-
-
-def rational_symbol(num, den, shift=0.0):
-    """e^(i shift t) * num/den with deg num <= deg den, the poles found as
-    the roots of den."""
-    den = poly.trim(den)
-    if poly.is_zero(den):
-        raise ZeroDivisionError("zero denominator in rational part")
-    return pole_symbol(poly.as_poly(num) / den[-1], poly.root_clusters(den), shift)
+    return make_symbol(
+        [] if poly.is_zero(q) else [(0.0, complex(q[0]))],
+        [] if poly.is_zero(r) else [(0.0, r, poles)],
+    )
 
 
 def chi(n=1):

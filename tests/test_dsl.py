@@ -1,3 +1,4 @@
+import random
 import time
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from whhankel import chi, constant, exp_symbol, one, parse, parse_symbol
+from whhankel import GSymbol, chi, constant, exp_symbol, one, parse, parse_symbol
+from whhankel import dsl
 from whhankel.dsl import BinOp, Chi, EFunc, Lit, Neg, Pow, Var, format_symbol
 from whhankel.errors import (
     ImproperRational,
@@ -173,12 +175,79 @@ def test_linear_and_rational_sums_share_the_zero_rule():
     ("-(e(1)*chi)", lambda t: -np.exp(1j * t) * (t - 1j) / (t + 1j)),
     ("(1 + 1/(t+1i))*(t^2+2)/((t+3i)^2)",
      lambda t: (1 + 1 / (t + 1j)) * (t**2 + 2) / (t + 3j) ** 2),
+    ("1/((t^2+2)*(t+3i))", lambda t: 1 / ((t**2 + 2) * (t + 3j))),
+    ("((t^2+1)/(t+2i))^2/((t+3i)^2)",
+     lambda t: ((t**2 + 1) / (t + 2j)) ** 2 / (t + 3j) ** 2),
 ])
 def test_lowering_routes_match_direct_evaluation(expr, direct):
-    # products with a sum that is not linear (by coefficients or as a factor
-    # list), and negation of a rational part and of a symbol
+    # products with a sum that is not linear (a core, or a factor list once
+    # its roots are found), negation of a core and of a symbol, division by
+    # a core and the power of a core with poles
     t = np.array([-4.0, -0.7, 0.0, 0.5, 2.0, 9.0])
     assert np.max(np.abs(parse_symbol(expr).eval(t) - direct(t))) <= 1e-12
+
+
+def _random_expr(rng, depth):
+    """A grammar expression: literals, t, chi, e(d) and linear factors whose
+    roots are off the real axis, under + - * / and integer powers.  Half the
+    roots are +-i or +-2i, so that poles recur, cancel and leave numerators
+    of every degree."""
+    if depth == 0 or rng.random() < 0.25:
+        r = rng.random()
+        if r < 0.3:
+            re, im = round(rng.uniform(-1.5, 1.5), 2), round(rng.uniform(0.3, 3.0), 2)
+            if rng.random() < 0.5:
+                re, im = 0, rng.choice([1, 2])
+            return f"(t{-re:+g}{-im * rng.choice([-1, 1]):+g}i)"
+        if r < 0.55:
+            return rng.choice(["t", "chi", "chi", f"e({rng.choice([-1, 0.5, 2])})"])
+        return rng.choice(["1", "1", str(rng.randint(2, 5)), f"{rng.randint(1, 40) / 10:g}",
+                           f"{rng.randint(1, 5)}i"])
+    op = rng.choice("+-*/^*/")
+    if op == "^":
+        return f"({_random_expr(rng, depth - 1)})^{rng.choice([-3, -2, -1, 2, 3])}"
+    if rng.random() < 0.1:
+        return f"-({_random_expr(rng, depth - 1)})"
+    return f"({_random_expr(rng, depth - 1)}) {op} ({_random_expr(rng, depth - 1)})"
+
+
+def _direct(node, t):
+    """The value of an AST at real points t, by numpy."""
+    if isinstance(node, Lit):
+        return np.full(t.shape, node.value)
+    if isinstance(node, Var):
+        return t.astype(complex)
+    if isinstance(node, Chi):
+        return (t - 1j) / (t + 1j)
+    if isinstance(node, EFunc):
+        return np.exp(1j * node.delta * t)
+    if isinstance(node, Neg):
+        return -_direct(node.operand, t)
+    if isinstance(node, Pow):
+        return _direct(node.base, t) ** float(node.exponent)
+    x, y = _direct(node.left, t), _direct(node.right, t)
+    return {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}[node.op](x, y)
+
+
+def test_every_lowering_route_matches_direct_evaluation():
+    # every route a written rational function can take: the value lowers to
+    # a factor list or a symbol, and the symbol is the expression's value
+    rng = random.Random(31)
+    t = np.array([-2.0, -0.4, 0.7, 3.0])
+    made = 0
+    for _ in range(1500):
+        text = _random_expr(rng, 3)
+        node = parse(text)
+        try:
+            value = dsl._lower(node)
+            assert isinstance(value, (dsl.Factors, GSymbol)), text
+            sym = dsl._expanded(value)
+        except (ImproperRational, RealPoleError, NotInvertible, NotRepresentable):
+            continue
+        want = _direct(node, t)
+        assert np.all(np.abs(sym.eval(t) - want) <= 1e-9 * np.maximum(1.0, np.abs(want))), text
+        made += 1
+    assert made > 500
 
 
 # --- formatting ------------------------------------------------------------------

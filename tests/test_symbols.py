@@ -425,6 +425,13 @@ def test_rational_symbol_rejects_zero_denominator():
         rational_symbol(1, 0)
 
 
+def test_rational_symbol_refuses_scattered_poles():
+    # the companion roots of (t-1)^6 scatter about 1e-3 off the axis: found
+    # poles that may be a multiple real root are not carried as exact
+    with pytest.raises(NotRepresentable):
+        constant(1) + rational_symbol([1], npp.polyfromroots([1.0] * 6))
+
+
 def test_norm_estimate_diagnostic():
     # |chi| = 1 pointwise; the coefficient-mass estimate is >= sup norm
     est = chi().norm_estimate()
