@@ -29,7 +29,6 @@ from .factorization import (
 from .kernels import (
     GridFunction,
     Workspace,
-    kappa_element,
     kernel_basis_scalar,
     make_kappa_tester,
     psi0,

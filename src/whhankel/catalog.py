@@ -110,8 +110,7 @@ def run_entry(entry: CatalogEntry, grid, cfg=oracle.DEFAULT_CONFIG) -> dict:
         else:
             b = dsl.parse_symbol(entry.b_expr)
             pair = MatchingPair(a, b)
-            tester = kernels.make_kappa_tester(grid, cfg)
-            report = run_classify(pair, kappa_tester=tester)
+            report = run_classify(pair, kappa_tester=kernels.kappa_for_pair)
             table = oracle.verify(report, pair, grid, cfg)
     except WhhError as err:
         result["status"] = "error"

@@ -18,8 +18,11 @@ of b -> -b and the (c chi^(-2), d) of the chi-reduction, comes from (c, d).
 
 One branch is genuinely conditional: n(c) = +1 with dim ker W(d) = 1, where
 invertibility of the minus operator hinges on whether a transported kernel
-element lies in the range of W(chi).  That membership is decided numerically
-by an injected tester (see kernels.kappa_for_pair), never symbolically.
+element kappa lies in the range of W(chi).  That membership is decided by an
+injected tester, kernels.kappa_for_pair, which computes kappa in closed form
+as a rational function and reads its inner product with e^(-t) from it; no
+grid is involved, and a residual in the band between its two tolerances
+raises Inconclusive instead of guessing.
 """
 
 from __future__ import annotations
@@ -334,10 +337,10 @@ def _family_tag(c):
 def classify(pair: MatchingPair, kappa_tester=None) -> ClassificationReport:
     """Predict kernel/cokernel dimensions and invertibility of W(a) +- H(b).
 
-    kappa_tester (optional) resolves the conditional membership branch; it is
-    called with the subordinated pair being classified and must return an
-    object with ``in_image``, ``residual`` and ``stable`` attributes (or None
-    to leave it open).
+    kappa_tester (optional, in practice kernels.kappa_for_pair) resolves the
+    conditional membership branch; it is called with the subordinated pair
+    being classified and must return an object with ``in_image`` and
+    ``residual`` attributes (or None to leave it open).
     """
     try:
         if not symbols.is_invertible(pair.a):
@@ -388,7 +391,6 @@ def _classify(sub, kappa_tester, kernels_only) -> ClassificationReport:
     ker_minus = Dim.unknown()
     cert_plus = []
     cert_minus = []
-    kappa_result = None
 
     if n_c <= 0:
         # W(c) is right-invertible: kernels decompose through the sign
@@ -422,9 +424,8 @@ def _classify(sub, kappa_tester, kernels_only) -> ClassificationReport:
         ):
             ker_plus = Dim.exact(0)
             cert_plus.append("chi-reduction;kernel-avoids-range")
-            if kappa_tester is not None:
-                kappa_result = kappa_tester(sub)
-            if kappa_result is not None and kappa_result.stable:
+            kappa_result = None if kappa_tester is None else kappa_tester(sub)
+            if kappa_result is not None:
                 inside = bool(kappa_result.in_image)
                 ker_minus = Dim.exact(1 if inside else 0)
                 cert_minus.append(
@@ -433,11 +434,7 @@ def _classify(sub, kappa_tester, kernels_only) -> ClassificationReport:
                 )
             else:
                 ker_minus = Dim.unknown()
-                cert_minus.append(
-                    "image-membership(unresolved)"
-                    if kappa_result is None
-                    else "image-membership(grid-unstable)"
-                )
+                cert_minus.append("image-membership(unresolved)")
         elif (
             kd.kind == "exact"
             and kd.value == 1

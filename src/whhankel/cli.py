@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: parse | factorize | classify | verify | kernel-basis | catalog.
-Grid and tolerance flags mirror the oracle configuration; --json switches
-machine output (kernel-basis always writes JSON and takes no --json).  Typed
+Grid and tolerance flags mirror the oracle configuration; classify reads no
+grid and takes none.  --json switches machine output (kernel-basis always
+writes JSON and takes no --json).  Typed
 failures map to distinct exit codes:
 
     2  syntax error in a symbol expression
@@ -112,9 +113,7 @@ def _classify_pair(args):
     a = dsl.parse_symbol(args.a_expr)
     b = dsl.parse_symbol(args.b_expr)
     pair = MatchingPair(a, b)
-    grid, cfg = _mk_grid_cfg(args)
-    report = run_classify(pair, kappa_tester=kernels.make_kappa_tester(grid, cfg))
-    return pair, report, grid, cfg
+    return pair, run_classify(pair, kappa_tester=kernels.kappa_for_pair)
 
 
 def _report_text(report):
@@ -133,13 +132,14 @@ def _report_text(report):
 
 
 def cmd_classify(args):
-    _, report, _, _ = _classify_pair(args)
+    _, report = _classify_pair(args)
     _emit(args, report.to_dict(), _report_text(report))
     return 0
 
 
 def cmd_verify(args):
-    pair, report, grid, cfg = _classify_pair(args)
+    grid, cfg = _mk_grid_cfg(args)
+    pair, report = _classify_pair(args)
     table = oracle.verify(report, pair, grid, cfg)
     payload = {"report": report.to_dict(), "verdicts": [r.to_dict() for r in table.rows]}
     _emit(args, payload, _report_text(report) + "\n" + table.format_text())
@@ -205,12 +205,13 @@ def build_parser():
     sf.add_argument("--out")
     sf.set_defaults(func=cmd_factorize)
 
-    sc = sub.add_parser("classify", help="kernel/cokernel prediction for W(a)+-H(b)")
+    # no abbreviations: a grid flag such as --h must fail, not read as --help
+    sc = sub.add_parser("classify", help="kernel/cokernel prediction for W(a)+-H(b)",
+                        allow_abbrev=False)
     sc.add_argument("a_expr")
     sc.add_argument("b_expr")
     sc.add_argument("--json", action="store_true")
     sc.add_argument("--out")
-    _grid_args(sc)
     sc.set_defaults(func=cmd_classify)
 
     sv = sub.add_parser("verify", help="classify, then check against the oracle")

@@ -78,10 +78,6 @@ class WrongIndex(OutOfScope):
     pass
 
 
-class WrongCase(OutOfScope):
-    pass
-
-
 class NoRightInverse(OutOfScope):
     pass
 

@@ -532,6 +532,57 @@ def time_kernel(a: GSymbol) -> TimeKernel:
     return TimeKernel(tuple(pieces))
 
 
+# --- half-line functions ------------------------------------------------------
+#
+# An exponential polynomial f on s > 0 is held as its image
+# f^(t) = int_0^inf f(s) e^(its) ds: a strictly proper rational symbol of
+# shift 0 whose poles lie in Im < 0 (e^(-s) <-> i/(t + i)), from which
+# time_kernel recovers f.  On images, W0(g) is the product g f^, P keeps the
+# lower-pole terms of its partial fractions and Q the upper ones, and J is
+# tilde; so no grid is needed.
+
+def _half_line_part(h: GSymbol, lower: bool) -> GSymbol:
+    """The partial-fraction terms of the shift-free, strictly proper h whose
+    poles lie below the real line (lower) or above it."""
+    if h.ap or any(w.shift for w in h.l0):
+        raise NotRepresentable("a half-line image is strictly proper with shift 0")
+    terms = []
+    for w in h.l0:
+        for p, coeffs in poly.partial_fractions(w.rational.num, w.rational.poles):
+            if (p.imag < 0) == lower:
+                num = np.zeros(1, dtype=complex)
+                for c in coeffs:  # sum_j c_j (t - p)^(m - j), by Horner
+                    num = poly.padd(poly.pmul(num, (-p, 1.0)), (c,))
+                terms.append((0.0, num, ((p, len(coeffs)),)))
+    return make_symbol([], terms)
+
+
+def half_line_apply(g: GSymbol, f: GSymbol) -> GSymbol:
+    """W(g) f = P W0(g) P f for the half-line image f."""
+    return _half_line_part(g * f, lower=True)
+
+
+def half_line_flip(g: GSymbol, f: GSymbol) -> GSymbol:
+    """J Q W0(g) P f for the half-line image f: the reflection of what
+    W0(g) sends to s < 0."""
+    return tilde(_half_line_part(g * f, lower=False))
+
+
+def half_line_norm(f: GSymbol) -> float:
+    """The L2 norm of the half-line function of image f, from its time-kernel
+    pieces p(u) e^(lam u): int_0^inf u^(k+l) e^(-mu u) du = (k+l)!/mu^(k+l+1)."""
+    pieces = time_kernel(f).pieces
+    total = 0j
+    for a in pieces:
+        for b in pieces:
+            mu = -(a.exponent + b.exponent.conjugate())
+            for k, ca in enumerate(a.coeffs):
+                for l, cb in enumerate(b.coeffs):
+                    if ca and cb:
+                        total += ca * cb.conjugate() * math.factorial(k + l) / mu ** (k + l + 1)
+    return math.sqrt(max(total.real, 0.0))
+
+
 def is_plus(a: GSymbol) -> bool:
     """Holomorphic extension to the upper half-plane: nonnegative frequencies
     and a time kernel supported on the right half-line."""

@@ -41,14 +41,22 @@ def test_factorize_command(capsys):
 
 def test_classify_command(capsys):
     a = "(t+2i)/(t-2i)"
-    assert main(["classify", a, f"({a})*chi", "--json", *FAST]) == 0
+    assert main(["classify", a, f"({a})*chi", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["plus"]["ker"] == "1" and payload["plus"]["coker"] == "0"
     assert payload["minus"]["ker"] == "1"
 
 
 def test_classify_not_matching_exit(capsys):
-    assert main(["classify", "chi", "2*chi", *FAST]) == 5
+    assert main(["classify", "chi", "2*chi"]) == 5
+
+
+def test_classify_takes_no_grid_flags():
+    # classify reads no grid, so a grid flag would select nothing
+    for flag, value in (("--T", "25"), ("--h", "0.1")):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "chi", "chi^-1", flag, value])
+        assert exc.value.code == 2
 
 
 def test_verify_command_passes(capsys):

@@ -1,6 +1,3 @@
-import dataclasses
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -10,11 +7,7 @@ from whhankel import (
     OracleConfig,
     Workspace,
     chi,
-    constant,
-    inverse,
-    kappa_element,
     kernel_basis_scalar,
-    kernel_estimate,
     make_kappa_tester,
     one,
     parse_symbol,
@@ -23,10 +16,12 @@ from whhankel import (
     tilde,
     wh_matrix,
 )
+from whhankel import kernels, oracle, symbols
 from whhankel.catalog import parse_catalog, shipped_catalog_path
-from whhankel.classify import classify, subordinated
-from whhankel.errors import NotInKernel, WrongCase, WrongIndex
+from whhankel.classify import _chi_reduced, _sign_flipped, classify, subordinated
+from whhankel.errors import NotInKernel, OutOfScope, WrongIndex
 from whhankel.kernels import (
+    EXP_IMAGE,
     e1_map,
     e2_map,
     kappa_for_pair,
@@ -181,28 +176,35 @@ def test_phi_pm_zero_input(ws, a_nm1):
     assert np.linalg.norm(phi_pm(sub, z, "+", ws).values) == 0.0
 
 
-def test_kappa_guards(ws, a_nm1):
-    with pytest.raises(WrongCase):
-        kappa_element(a_nm1, ws)  # n(a) = -1, not the conditional case
+def test_kappa_guards(a_nm1):
+    # outside the conditional branch the reduced d has no n = -1 kernel
+    with pytest.raises(OutOfScope):
+        kappa_for_pair(subordinated(MatchingPair(a_nm1, a_nm1 * chi(-1))))
 
 
 def test_kappa_structure(ws, a_n0):
-    res = kappa_element(a_n0, ws)
-    assert res.diagnostics["middle_term_norm"] < 1e-8
-    assert res.diagnostics["first_term_membership"] < 1e-6
-    assert res.stable
+    # kappa_for_pair(a, a chi^-1) is W(chi) z + J Q W0(chi^-1) P W(chi) z -
+    # J Q W0(a~^-1) P s with z = W(a~^-1 chi^-1) s; the middle term is zero
+    # and the first lies in the range of W(chi), so the third decides
+    sub = subordinated(MatchingPair(a_n0, a_n0 * chi(-1)))
+    red = _chi_reduced(sub)  # red.at_inv = a~^-1 chi^-1
+    s = kernels._kernel_image(kernels._plus_inverse(red.d))
+    first = symbols.half_line_apply(chi(), symbols.half_line_apply(red.at_inv, s))
+    assert symbols.half_line_norm(symbols.half_line_flip(chi(-1), first)) < 1e-12
+    assert abs(sum(w.rational.eval(1j) for w in first.l0)) < 1e-12
+    res = kappa_for_pair(sub)
     assert res.in_image is False
     # verdict agrees with the oracle: the minus operator is invertible
     op = wh_plus_hankel(a_n0, a_n0 * chi(-1), -1, ws.grid, ws.cfg)
     assert kest(op, ws.cfg).dim == 0
 
 
-def test_kappa_for_identity_symbol(ws):
-    res = kappa_element(one(), ws)
-    tw = psi0_discrete(ws.grid)
-    direction = res.kappa.values / np.linalg.norm(res.kappa.values)
-    ref = tw.values / np.linalg.norm(tw.values)
-    assert np.linalg.norm(direction - ref) < 1e-10
+def test_kappa_for_identity_symbol():
+    # for a = 1, b = chi^-1 the reduced c, d and a~^-1 are all chi^-1, so
+    # s = e^(-t), y = W_r^-1(c) W(chi^-1) s = 0 and kappa = -J Q W0(chi^-1) P s
+    # = e^(-t), whose residual is 1
+    res = kappa_for_pair(subordinated(MatchingPair(one(), chi(-1))))
+    assert abs(res.residual - 1.0) < 1e-12
     assert res.in_image is False
 
 
@@ -219,7 +221,7 @@ def test_classify_builds_no_pair_and_factors_d_once_per_tester_call(
     coarse_grid, a_n0, monkeypatch
 ):
     # the sign flip (b = -a chi^-1) and the tester derive their pairs from the
-    # subordinated pair, and the tester factors d once for both grids
+    # subordinated pair, and the tester factors d once
     from whhankel import factorization
 
     pairs = [MatchingPair(a_n0, a_n0 * chi(-1)), MatchingPair(a_n0, -(a_n0 * chi(-1)))]
@@ -249,10 +251,15 @@ def test_classify_builds_no_pair_and_factors_d_once_per_tester_call(
     assert counts == {"pairs": 0, "factorizations": 2, "tester": 2}
 
 
-def test_kappa_general_pair_matches_direct(ws, a_n0):
-    direct = kappa_element(a_n0, ws)
-    general = kappa_for_pair(subordinated(MatchingPair(a_n0, a_n0 * chi(-1))), ws)
-    assert direct.in_image == general.in_image
+def test_kappa_general_pair_matches_direct(ws):
+    # a pair off the families: the verdict agrees with the dense estimate of
+    # W(a) - H(b), invertible here
+    a = parse_symbol(MENDED_PAIRS[0][0])
+    pair = MatchingPair(a, parse_symbol(MENDED_PAIRS[0][1]))
+    res = kappa_for_pair(subordinated(pair))
+    assert res.in_image is False
+    op = wh_plus_hankel(pair.a, pair.b, -1, ws.grid, ws.cfg)
+    assert kest(op, ws.cfg).dim == 0
 
 
 def test_grid_function_export(ws):
@@ -305,31 +312,9 @@ def test_flip_apply_matches_whole_line_composition(ws, a_n0):
     assert np.linalg.norm(fast - slow) < 1e-12 * max(np.linalg.norm(v), 1.0)
 
 
-def test_kappa_error_names_grid_and_stage(ws, a_n0, monkeypatch):
-    from whhankel import kernels
-
-    real = kernels._kernel_vector
-    # the session ws has stability off, which runs no longer grid
-    stable_ws = Workspace(ws.grid, dataclasses.replace(ws.cfg, stability=True))
-
-    def off_kernel_on_longer_grid(g_plus_inv, w):
-        if w.grid == ws.grid:
-            return real(g_plus_inv, w)
-        return w.gf(np.ones(w.grid.n))
-
-    monkeypatch.setattr(kernels, "_kernel_vector", off_kernel_on_longer_grid)
-    sub = subordinated(MatchingPair(a_n0, a_n0 * chi(-1)))
-    with pytest.raises(
-        NotInKernel,
-        match=r"^longer grid T=31\.3 h=0\.1, kappa tester: phi input",
-    ):
-        kappa_for_pair(sub, stable_ws)
-
-
 def test_phi_checks_its_input_before_inverting_c(ws, a_n0, monkeypatch):
     # an input off ker W(d) is reported as such, also when W(c) has no
     # right inverse, in phi_pm and in the kappa tester alike
-    from whhankel import kernels
     from whhankel.classify import SubordinatedPair
     from whhankel.errors import NoRightInverse
 
@@ -343,9 +328,14 @@ def test_phi_checks_its_input_before_inverting_c(ws, a_n0, monkeypatch):
         raise NoRightInverse("W(c) is not right-invertible")
 
     monkeypatch.setattr(kernels, "_right_inverse_recipe", no_right_inverse)
-    monkeypatch.setattr(kernels, "_kernel_vector", lambda g_plus_inv, w: w.gf(np.ones(w.grid.n)))
-    with pytest.raises(NotInKernel, match=r"^shorter grid .*, kappa tester: phi input"):
-        kappa_for_pair(subordinated(MatchingPair(a_n0, a_n0 * chi(-1))), ws)
+    off_image = parse_symbol("1/((t+1i)*(t+2i))")
+    monkeypatch.setattr(kernels, "_kernel_image", lambda g_plus_inv: off_image)
+    with pytest.raises(NotInKernel, match=r"^phi input \(ker W\(d\)\)"):
+        kappa_for_pair(subordinated(MatchingPair(a_n0, a_n0 * chi(-1))))
+
+
+#: the catalog entries whose classification reaches the kappa tester
+TESTER_PAIRS = ("pair_chi_inv_shift_n0", "hankel_chi_inverse")
 
 
 def _catalog_pair(name):
@@ -371,45 +361,84 @@ def test_wh_kernel_gate_measures_the_matrix_residual(ws):
                 assert abs(_require_in_wh_kernel(ws, g, v, "v") - slow) <= 1e-13
 
 
-def test_kappa_tester_assembles_no_matrix(monkeypatch):
-    from whhankel import oracle
+def test_kappa_tester_reads_no_grid(monkeypatch):
+    # classify decides the membership branch of both catalog pairs that
+    # reach it in closed form: no generator, no matrix
+    def no_grid(*args):
+        raise AssertionError("the kappa tester read a grid")
 
-    def no_matrix(*args):
-        raise AssertionError("the kappa tester assembled a matrix")
-
-    monkeypatch.setattr(oracle, "_toeplitz", no_matrix)
-    monkeypatch.setattr(oracle, "_hankel", no_matrix)
-    sub = subordinated(_catalog_pair("pair_chi_inv_shift_n0"))
-    res = kappa_for_pair(sub, Workspace(Grid(T=25.0, h=0.1), OracleConfig()))
-    assert res.stable and res.in_image is False
-
-
-def test_kappa_tester_without_stability_runs_one_grid(coarse_grid, monkeypatch):
-    sub = subordinated(_catalog_pair("pair_chi_inv_shift_n0"))
-    both = make_kappa_tester(coarse_grid, OracleConfig(stability=True))(sub)
-
-    def no_longer_grid(self):
-        raise AssertionError("the longer grid was built with stability off")
-
-    monkeypatch.setattr(Grid, "longer", no_longer_grid)
-    one_grid = make_kappa_tester(coarse_grid, OracleConfig(stability=False))(sub)
-    assert one_grid.stable
-    assert (one_grid.in_image, one_grid.residual) == (both.in_image, both.residual)
-    assert np.array_equal(one_grid.kappa.values, both.kappa.values)
+    for name in ("_symbol_gen", "_toeplitz", "_hankel"):
+        monkeypatch.setattr(oracle, name, no_grid)
+    for name in TESTER_PAIRS:
+        report = classify(_catalog_pair(name), kappa_tester=kappa_for_pair)
+        certificates = report.plus.certificate + report.minus.certificate
+        assert "image-membership(in_image=False" in certificates
 
 
-def test_kappa_run_holds_few_matrices():
-    # each matrix is assembled where it is read and dropped after it: one
-    # kappa run with the longer re-run stays below three longer-grid matrices
-    sub = subordinated(_catalog_pair("pair_chi_inv_shift_n0"))
-    grid = Grid(T=25.0, h=0.05)
-    ws = Workspace(grid, OracleConfig(stability=True))
-    n = grid.longer().n
-    tracemalloc.start()
-    try:
-        res = kappa_for_pair(sub, ws)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.stable and res.in_image is False
-    assert peak < 3 * n * n * 16, f"peak {peak / 2**20:.1f} MiB"
+def test_kappa_residual_matches_the_grid_reference(ws):
+    # on a grid, 2 phi_-(s) of the kernel vector of the reduced d is kappa,
+    # and its membership residual is the inner product with psi0_discrete
+    for name in TESTER_PAIRS:
+        red = _chi_reduced(_tester_sub(name))
+        s = kernel_basis_scalar(red.d, ws)[0]
+        kappa = phi_pm(red, s, "-", ws).values
+        psi = psi0_discrete(ws.grid).values
+        ref = abs(np.vdot(psi, kappa)) / (np.linalg.norm(psi) * np.linalg.norm(kappa))
+        got = kappa_for_pair(_tester_sub(name)).residual
+        assert abs(got - ref) <= 1e-6 * ref
+
+
+def _tester_sub(name):
+    """The subordinated pair classify hands the tester for a catalog pair:
+    hankel_chi_inverse reaches it through the sign flip."""
+    sub = subordinated(_catalog_pair(name))
+    return sub if sub.xi_c == 1 else _sign_flipped(sub)
+
+
+def test_half_line_operations_match_the_grid_to_second_order():
+    # W(g) f and J Q W0(g) P f in closed form, sampled at the half-line
+    # nodes, against the grid's convolutions applied to the sampled f: the
+    # error is O(h^2), falling about 4x when h halves
+    f = symbols.half_line_apply(parse_symbol("((t+0.5-3i)/(t+0.3+2i))^2"), EXP_IMAGE)
+    for g in (parse_symbol("(t-2i)*(t+1i)/((t+2i)*(t-1i))"),
+              parse_symbol("(t+1.23+0.78i)/(t-1.23-0.78i)")):
+        errors = []
+        for h in (0.1, 0.05):
+            grid = Grid(T=25.0, h=h)
+            ws = Workspace(grid, OracleConfig(stability=False))
+            t = grid.half_nodes()
+            fv = symbols.time_kernel(f).value(t)
+            pairs = ((oracle._toeplitz_apply(g, grid, fv), symbols.half_line_apply(g, f)),
+                     (ws.flip_apply(g, fv), symbols.half_line_flip(g, f)))
+            errors.append([np.linalg.norm(on_grid - symbols.time_kernel(exact).value(t))
+                           / np.linalg.norm(on_grid) for on_grid, exact in pairs])
+        for coarse, fine in zip(*errors):
+            assert coarse < 0.05 and 3.5 < coarse / fine < 4.5
+
+
+MENDED_PAIRS = [
+    # pairs whose tester input failed the grid gate ("phi input (ker W(d))",
+    # residuals 7.0e-4, 1.2e-5, 8.9e-5 and 5.8e-4 at T=25, h=0.05); both
+    # operators are invertible
+    ("((t+1.08-1.52i)/(t-0.7+1.71i))^3*((t+1.39+0.35i)/(t-0.6-2.9i))^3",
+     "(((t+1.08-1.52i)/(t-0.7+1.71i))^3*((t+1.39+0.35i)/(t-0.6-2.9i))^3)"
+     "*((t-0.05+2.27i)/(t+0.05-2.27i))"),
+    ("((t+1.17+0.4i)/(t+0.09+2.73i))",
+     "-(((t+1.17+0.4i)/(t+0.09+2.73i)))*((t+1.23+0.78i)/(t-1.23-0.78i))"),
+    ("((t+0.7-2.98i)/(t+0.2-0.48i))^3",
+     "-(((t+0.7-2.98i)/(t+0.2-0.48i))^3)*((t+1.29+2.02i)/(t-1.29-2.02i))"),
+    ("((t+0.99+0.31i)/(t+1.37+2.11i))^2",
+     "-(((t+0.99+0.31i)/(t+1.37+2.11i))^2)*((t+1.32+0.46i)/(t-1.32-0.46i))"
+     "*((t-0.94-2.46i)/(t+0.94+2.46i))*((t+0.25+1.22i)/(t-0.25-1.22i))"),
+]
+
+
+@pytest.mark.parametrize("a_expr, b_expr", MENDED_PAIRS)
+def test_pairs_the_grid_gate_refused_classify_and_verify(a_expr, b_expr):
+    pair = MatchingPair(parse_symbol(a_expr), parse_symbol(b_expr))
+    report = classify(pair, kappa_tester=kappa_for_pair)
+    cells = [getattr(getattr(report, side), cell).describe()
+             for side in ("plus", "minus") for cell in ("ker", "coker")]
+    assert cells == ["0"] * 4
+    table = oracle.verify(report, pair, Grid(T=25.0, h=0.1), OracleConfig())
+    assert [row.verdict for row in table.rows] == ["pass"] * 5

@@ -1,6 +1,6 @@
 """Guard against dead code in the package, by static reading with ``ast``.
 
-Three checks:
+Four checks:
 
 - every name a package module (``__init__.py`` aside, which only re-exports)
   imports is used in that module's code;
@@ -10,7 +10,11 @@ Three checks:
   a docstring (``perfbench/spans.py`` lists the functions it wraps by name);
 - there is no default grid: ``oracle.Grid`` has no field defaults, and no
   function gives a ``grid`` or ``ws`` argument a default, so every caller
-  names the grid it runs on.
+  names the grid it runs on;
+- every parameter of a function in ``src/whhankel`` is read in that
+  function's body (``self``, ``cls`` and ``_``-prefixed names aside), so a
+  setting nothing reads cannot come back; a parameter kept only for a
+  caller's signature says so with its ``_`` prefix.
 
 What it cannot catch:
 
@@ -143,3 +147,30 @@ def test_no_default_grid():
                     if a.arg in ("grid", "ws")
                 ]
     assert not defaults, f"default grids: {defaults}"
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id
+                for stmt in body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            unread += [
+                f"{path.name}: {name}({a.arg})"
+                for a in params
+                if a.arg not in ("self", "cls")
+                and not a.arg.startswith("_")
+                and a.arg not in read
+            ]
+    assert not unread, f"parameters never read: {unread}"

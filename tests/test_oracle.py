@@ -229,7 +229,7 @@ def test_constant_pair_block_has_trivial_kernel():
 
 
 def test_convolution_products_equal_matrix_products():
-    # recipes, the flip map and the kappa tester apply Toeplitz and Hankel
+    # recipes, the flip map and phi_pm apply Toeplitz and Hankel
     # operators as convolutions of the generator, on the grid and the longer one
     entries = parse_catalog(shipped_catalog_path().read_text(encoding="utf-8"))
     exprs = sorted({x for e in entries for x in (e.a_expr, e.b_expr) if x})

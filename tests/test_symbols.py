@@ -200,6 +200,29 @@ def test_time_kernel_fourier_round_trip(a_n0):
         assert abs(f + ap_value - a_n0.eval(t)) < 1e-6
 
 
+# --- half-line functions -----------------------------------------------------------
+
+def test_half_line_operations_exact_identities():
+    from whhankel.symbols import half_line_apply, half_line_flip, half_line_norm
+
+    e = parse_symbol("1i/(t+1i)")  # the image of e^(-t)
+    # e^(-t) spans ker W(chi^-1), and J Q W0(chi^-1) P sends it to -e^(-t)
+    assert half_line_apply(chi(-1), e).is_zero()
+    assert half_line_flip(chi(-1), e).isclose(-e, 1e-15)
+    assert abs(half_line_norm(e) - np.sqrt(0.5)) < 1e-15
+    f = half_line_apply(parse_symbol("((t+0.5-3i)/(t+0.3+2i))^2"), e)
+    assert half_line_apply(one(), f).isclose(f, 1e-13)
+    # P keeps what lies on s > 0: W(g) of a plus function g is the product
+    g = parse_symbol("(t-2i)/(t+3i)")
+    assert half_line_apply(g, f).isclose(g * f, 1e-13)
+    assert half_line_flip(g, f).is_zero()
+    # the norm is that of the time kernel, by the midpoint rule on [0, 40]
+    h = 1e-4
+    s = (np.arange(400000) + 0.5) * h
+    quad = np.sqrt(h * np.sum(np.abs(time_kernel(f).value(s)) ** 2))
+    assert abs(half_line_norm(f) - quad) < 1e-8 * quad
+
+
 # --- membership predicates --------------------------------------------------------
 
 def test_half_plane_membership():
