@@ -31,7 +31,6 @@ from .kernels import (
     Workspace,
     kernel_basis_scalar,
     make_kappa_tester,
-    psi0,
     psi0_discrete,
 )
 from .oracle import (

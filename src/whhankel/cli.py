@@ -3,8 +3,8 @@
 Subcommands: parse | factorize | classify | verify | kernel-basis | catalog.
 Grid and tolerance flags mirror the oracle configuration; classify reads no
 grid and takes none.  --json switches machine output (kernel-basis always
-writes JSON and takes no --json).  Typed
-failures map to distinct exit codes:
+writes JSON and takes no --json).  Flags are spelled in full: no command
+reads an abbreviation.  Typed failures map to distinct exit codes:
 
     2  syntax error in a symbol expression
     3  not representable / real pole / improper rational
@@ -19,6 +19,7 @@ failures map to distinct exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -190,31 +191,34 @@ def build_parser():
         ),
         epilog=__doc__.split("codes:")[-1],
         formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
     )
-    sub = p.add_subparsers(dest="command", required=True)
+    # no abbreviations: a flag a command lacks, such as --h, must fail, not
+    # read as a prefix of one it has (--help)
+    add_parser = functools.partial(
+        p.add_subparsers(dest="command", required=True).add_parser, allow_abbrev=False
+    )
 
-    sp = sub.add_parser("parse", help="echo canonical form and indices")
+    sp = add_parser("parse", help="echo canonical form and indices")
     sp.add_argument("expr")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_parse)
 
-    sf = sub.add_parser("factorize", help="Wiener-Hopf factorization")
+    sf = add_parser("factorize", help="Wiener-Hopf factorization")
     sf.add_argument("expr")
     sf.add_argument("--json", action="store_true")
     sf.add_argument("--out")
     sf.set_defaults(func=cmd_factorize)
 
-    # no abbreviations: a grid flag such as --h must fail, not read as --help
-    sc = sub.add_parser("classify", help="kernel/cokernel prediction for W(a)+-H(b)",
-                        allow_abbrev=False)
+    sc = add_parser("classify", help="kernel/cokernel prediction for W(a)+-H(b)")
     sc.add_argument("a_expr")
     sc.add_argument("b_expr")
     sc.add_argument("--json", action="store_true")
     sc.add_argument("--out")
     sc.set_defaults(func=cmd_classify)
 
-    sv = sub.add_parser("verify", help="classify, then check against the oracle")
+    sv = add_parser("verify", help="classify, then check against the oracle")
     sv.add_argument("a_expr")
     sv.add_argument("b_expr")
     sv.add_argument("--json", action="store_true")
@@ -222,7 +226,7 @@ def build_parser():
     _grid_args(sv)
     sv.set_defaults(func=cmd_verify)
 
-    sk = sub.add_parser("kernel-basis", help="export a numerical kernel basis")
+    sk = add_parser("kernel-basis", help="export a numerical kernel basis")
     sk.add_argument("a_expr")
     sk.add_argument("b_expr")
     sk.add_argument("--sign", choices=("plus", "minus"), required=True)
@@ -230,7 +234,7 @@ def build_parser():
     _grid_args(sk)
     sk.set_defaults(func=cmd_kernel_basis)
 
-    sl = sub.add_parser(
+    sl = add_parser(
         "catalog",
         help="classify+verify a catalog file ('shipped' or 'negative-controls' "
         "select the bundled ones)",

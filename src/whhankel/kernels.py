@@ -1,26 +1,24 @@
 """Explicit kernel elements and kernel-transport maps.
 
-The kappa tester of the conditional branch (n(c) = +1, one-dimensional
-ker W(d)) reads no grid: it holds every half-line function as its image, a
-rational function with poles in the lower half-plane, and applies W, J Q W0 P
-and the range test of W(chi) to it in closed form (`symbols.half_line_apply`,
-`symbols.half_line_flip`, `symbols.half_line_norm`).
+The half-kernel maps phi_+-, the right inverse W_r^(-1)(c) and the kappa
+tester of the conditional branch (n(c) = +1, one-dimensional ker W(d)) read
+no grid.  They hold every half-line function as its image, a rational
+function with poles in the lower half-plane (e^(-t) <-> i/(t + i),
+`EXP_IMAGE`), and apply W, J Q W0 P and the range test of W(chi) to it in
+closed form (`symbols.half_line_apply`, `symbols.half_line_flip`,
+`symbols.half_line_norm`).  On ker W(g) the involution J Q W0(g) P is
+`symbols.half_line_flip(g, f)`, and the sign projections are
+(f +- J Q W0(g) P f)/2.
 
-Everything else evaluates on grids.  It reduces whole-line compositions like
-J Q W0(g) P to half-line Hankel applications: on the mirrored midpoint grid
-the discrete operators satisfy J Q W0(g) P = H(tilde(g)) exactly, so the maps
-below run on N x N Toeplitz/Hankel operators.  Only the kernel checks of the
-transport maps against the block operator and W(a) +- H(b) assemble a matrix
-(a Workspace assembles one on every request and keeps none).  The flip map,
-projections, recipes, kernel bases and phi_+- apply their factors as
-convolutions of the generator (`oracle._toeplitz_apply`,
-`oracle._hankel_apply`), and a check that v lies in ker W(g) reads W(g) v
-from the generator too.
-
-Contents: the exponential kernel generator psi0, scalar kernel bases
-W(g_+^(-1)) psi0, the involutive projections (f +- J Q W0(g) P f)/2 on
-kernels, the mutually inverse transport maps between ker W(V(a,b)) and
-ker(W(a) +- H(b)), the half-kernel maps phi_+-, and the kappa tester.
+The scalar kernel bases W(g_+^(-1)) psi0_discrete and the mutually inverse
+transport maps between ker W(V(a,b)) and ker(W(a) +- H(b)) evaluate on a
+grid, where the transport is checked against the dense block operator.  On
+the mirrored midpoint grid the discrete operators satisfy
+J Q W0(g) P = H(tilde(g)) exactly, so these maps apply N x N Toeplitz and
+Hankel operators as convolutions of the generator (`oracle._toeplitz_apply`,
+`oracle._hankel_apply`); only their kernel checks against the block operator
+and W(a) +- H(b) assemble a matrix (a Workspace assembles one on every
+request and keeps none).
 """
 
 from __future__ import annotations
@@ -85,11 +83,6 @@ class Workspace:
         return GridFunction(self.grid, np.asarray(values, dtype=complex))
 
 
-def psi0(grid) -> GridFunction:
-    """e^(-t) on the half-line nodes."""
-    return GridFunction(grid, np.exp(-grid.half_nodes()).astype(complex))
-
-
 def psi0_discrete(grid) -> GridFunction:
     """The exact kernel generator of the discretized operator: the geometric
     sequence r^(j+1/2), r = (2-h)/(2+h), which deviates from e^(-t) by an
@@ -102,7 +95,7 @@ def psi0_discrete(grid) -> GridFunction:
 
 
 def kernel_basis_scalar(g: GSymbol, ws: Workspace):
-    """[W(g_+^(-1)) psi0], the kernel basis of W(g) when nu = 0 and n = -1."""
+    """[W(g_+^(-1)) psi0_discrete], the kernel basis of W(g) when nu = 0 and n = -1."""
     v = oracle._toeplitz_apply(_plus_inverse(g), ws.grid, psi0_discrete(ws.grid).values)
     return [ws.gf(v).normalized()]
 
@@ -117,27 +110,12 @@ def _plus_inverse(g):
 
 def _require_in_kernel(ws, mat, v, what, scale=None):
     """Relative kernel residual check of an assembled matrix (the block and
-    W(a) +- H(b) gates; W(g) alone has `_require_in_wh_kernel`); ``scale``
-    guards vectors that are themselves negligible (the zero vector lies in
-    every kernel)."""
+    W(a) +- H(b) gates of the transport maps); ``scale`` guards vectors that
+    are themselves negligible (the zero vector lies in every kernel)."""
     nv = np.linalg.norm(v)
     if nv == 0.0 or (scale is not None and nv <= 1e-6 * scale):
         return 0.0
     return _gate(ws, np.linalg.norm(mat @ v) / (oracle.norm_est(mat) * nv), what)
-
-
-def _require_in_wh_kernel(ws, sym, v, what):
-    """_require_in_kernel of W(sym) without its matrix: W(sym) v is a
-    convolution of the generator, and norm_est(W(sym)) is the largest sum of
-    n consecutive |generator| entries, the sum of every row and column of a
-    Toeplitz matrix at one offset."""
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return 0.0
-    n = len(v)
-    gen = oracle._symbol_gen(sym, ws.grid, np.arange(-(n - 1), n))
-    scale = np.convolve(np.abs(gen), np.ones(n), "valid").max()
-    return _gate(ws, np.linalg.norm(np.convolve(gen, v, "valid")) / (scale * nv), what)
 
 
 def _gate(ws, res, what):
@@ -146,23 +124,6 @@ def _gate(ws, res, what):
     if res > ws.cfg.residual_tol:
         raise NotInKernel(f"{what}: relative residual {res:.2e}")
     return res
-
-
-def projection_P(g: GSymbol, f: GridFunction, ws: Workspace) -> GridFunction:
-    """J Q W0(g) P f for f in ker W(g); an involution on the kernel."""
-    v = np.asarray(f.values, dtype=complex)
-    _require_in_wh_kernel(ws, g, v, "projection input")
-    return ws.gf(ws.flip_apply(g, v))
-
-
-def p_plus(g, f, ws):
-    pf = projection_P(g, f, ws)
-    return ws.gf(0.5 * (f.values + pf.values))
-
-
-def p_minus(g, f, ws):
-    pf = projection_P(g, f, ws)
-    return ws.gf(0.5 * (f.values - pf.values))
 
 
 def projection_image_dims(g, basis, ws):
@@ -215,6 +176,21 @@ def e2_map(pair: MatchingPair, big_phi: GridFunction, big_psi: GridFunction,
     return ws.gf(s), ws.gf(second)
 
 
+# --- closed form on half-line images ------------------------------------------
+
+#: i/(t + i), the half-line image of e^(-t), which spans ker W(chi^(-1))
+EXP_IMAGE = symbols.pole_symbol([1j], [(-1j, 1)])
+
+#: kappa lies in the range of W(chi) at or below the first residual, and
+#: outside it at or above the second; in between the decision is Inconclusive
+IN_RANGE_TOL, OUT_OF_RANGE_TOL = 1e-12, 1e-6
+
+
+def _kernel_image(g_plus_inv):
+    """W(g_+^(-1)) e^(-t), which spans ker W(g) when n(g) = -1, as its image."""
+    return symbols.half_line_apply(g_plus_inv, EXP_IMAGE)
+
+
 def _right_inverse_recipe(c: GSymbol):
     """The factorization recipe [c_+^(-1), chi^(-n), c_-^(-1)] of W_r^(-1)(c)."""
     f = factorization.factorize(c)
@@ -223,37 +199,33 @@ def _right_inverse_recipe(c: GSymbol):
     return factorization.one_sided_inverse_recipe(f, "right")
 
 
-def right_inverse_apply(c: GSymbol, v, ws: Workspace):
-    """W_r^(-1)(c) v through the factorization recipe [c_+^(-1), chi^(-n), c_-^(-1)]."""
-    return oracle.apply_recipe(_right_inverse_recipe(c), v, ws.grid)
+def right_inverse_apply(c: GSymbol, f: GSymbol) -> GSymbol:
+    """W_r^(-1)(c) f for the half-line image f: the factors of the recipe of
+    c applied rightmost first."""
+    for g in reversed(_right_inverse_recipe(c).factors):
+        f = symbols.half_line_apply(g, f)
+    return f
 
 
-def phi_pm(sub: SubordinatedPair, s: GridFunction, sign: str, ws: Workspace):
-    """phi_+-(s) in ker(W(a) +- H(b)) for s in ker W(d), where sub is the
-    subordinated pair of (a, b):
+def phi_pm(sub: SubordinatedPair, s: GSymbol, sign: str) -> GSymbol:
+    """phi_+-(s) in ker(W(a) +- H(b)) for the image s of an element of
+    ker W(d), where sub is the subordinated pair of (a, b):
 
-        2 phi_+-(s) = y -+ J Q W0(c) P y +- J Q W0(a~^(-1)) s,
+        2 phi_+-(s) = y -+ J Q W0(c) P y +- J Q W0(a~^(-1)) P s,
         y = W_r^(-1)(c) W(a~^(-1)) s.
+
+    s is checked to lie in ker W(d) before the recipe of c is built.
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    _require_in_wh_kernel(ws, sub.d, s.values, "phi input (ker W(d))")
-    y = right_inverse_apply(sub.c, oracle._toeplitz_apply(sub.at_inv, ws.grid, s.values), ws)
-    jy = ws.flip_apply(sub.c, y)
-    js = ws.flip_apply(sub.at_inv, s.values)
-    if sign == "+":
-        return ws.gf(0.5 * (y - jy + js))
-    return ws.gf(0.5 * (y + jy - js))
-
-
-# --- the conditional membership element ----------------------------------------
-
-#: i/(t + i), the half-line image of e^(-t), which spans ker W(chi^(-1))
-EXP_IMAGE = symbols.pole_symbol([1j], [(-1j, 1)])
-
-#: kappa lies in the range of W(chi) at or below the first residual, and
-#: outside it at or above the second; in between the decision is Inconclusive
-IN_RANGE_TOL, OUT_OF_RANGE_TOL = 1e-12, 1e-6
+    norm = symbols.half_line_norm(s)
+    res = symbols.half_line_norm(symbols.half_line_apply(sub.d, s)) / norm if norm else 0.0
+    if res > DEFAULT_CONFIG.residual_tol:
+        raise NotInKernel(f"phi input (ker W(d)): relative residual {res:.2e}")
+    y = right_inverse_apply(sub.c, symbols.half_line_apply(sub.at_inv, s))
+    jy = symbols.half_line_flip(sub.c, y)
+    js = symbols.half_line_flip(sub.at_inv, s)
+    return 0.5 * (y - jy + js if sign == "+" else y + jy - js)
 
 
 @dataclass(frozen=True)
@@ -265,37 +237,18 @@ class KappaResult:
         raise TypeError("inspect .in_image explicitly")
 
 
-def _kernel_image(g_plus_inv):
-    """W(g_+^(-1)) e^(-t), which spans ker W(g) when n(g) = -1, as its image."""
-    return symbols.half_line_apply(g_plus_inv, EXP_IMAGE)
-
-
 def kappa_for_pair(sub: SubordinatedPair) -> KappaResult:
     """General conditional branch: n(c) = +1 and one-dimensional ker W(d).
 
     Reduces sub, the subordinated pair of (a, b), to (c chi^(-2), d), that of
     (a chi^(-1), b chi), and transports s = W(d_+^(-1)) e^(-t), which spans
-    ker W(d), through 2 phi_-:
-
-        kappa = y + J Q W0(c) P y - J Q W0(a~^(-1)) P s,
-        y = W_r^(-1)(c) W(a~^(-1)) s,
-
-    all in closed form on half-line images (`symbols.half_line_apply`).  The
-    range of W(chi) is the orthogonal complement of e^(-t), so kappa lies in
-    it exactly when kappa^(i) = <kappa, e^(-t)> vanishes; the residual is
+    ker W(d), to kappa = phi_-(s).  The range of W(chi) is the orthogonal
+    complement of e^(-t), so kappa lies in it exactly when
+    kappa^(i) = <kappa, e^(-t)> vanishes; the residual is
     |<kappa, e^(-t)>| / (|kappa| |e^(-t)|) = sqrt(2) |kappa^(i)| / |kappa|.
-    s is checked to lie in ker W(d) before the recipe of c is built, as in
-    phi_pm.
     """
     red = _chi_reduced(sub)
-    s = _kernel_image(_plus_inverse(red.d))
-    res = symbols.half_line_norm(symbols.half_line_apply(red.d, s)) / symbols.half_line_norm(s)
-    if res > DEFAULT_CONFIG.residual_tol:
-        raise NotInKernel(f"phi input (ker W(d)): relative residual {res:.2e}")
-    y = symbols.half_line_apply(red.at_inv, s)
-    for f in reversed(_right_inverse_recipe(red.c).factors):
-        y = symbols.half_line_apply(f, y)
-    kappa = y + symbols.half_line_flip(red.c, y) - symbols.half_line_flip(red.at_inv, s)
+    kappa = phi_pm(red, _kernel_image(_plus_inverse(red.d)), "-")
     norm = symbols.half_line_norm(kappa)
     at_i = sum((w.rational.eval(1j) for w in kappa.l0), 0j)
     residual = float(math.sqrt(2.0) * abs(at_i) / norm) if norm else 0.0
@@ -308,6 +261,7 @@ def kappa_for_pair(sub: SubordinatedPair) -> KappaResult:
 
 
 def make_kappa_tester(_grid, _cfg):
-    """The classify() tester; it reads no grid.  Each call looks
-    kappa_for_pair up, so a wrapper put on the module sees it."""
+    """The classify() tester of perfbench's classify-sweep; it reads no
+    grid.  Each call looks kappa_for_pair up, so a wrapper put on the module
+    sees it."""
     return lambda sub: kappa_for_pair(sub)

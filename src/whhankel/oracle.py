@@ -592,17 +592,6 @@ def coker_estimate(op: DiscretizedOp, cfg=DEFAULT_CONFIG,
     return _estimate(op, cfg, with_basis, hint, coker=True)
 
 
-# --- recipes --------------------------------------------------------------------
-
-def apply_recipe(recipe, v, grid):
-    """Apply W(f1) W(f2) ... W(fk) to a half-line vector (rightmost first),
-    each factor as a convolution (`_toeplitz_apply`)."""
-    out = np.asarray(v, dtype=complex)
-    for f in reversed(recipe.factors):
-        out = _toeplitz_apply(f, grid, out)
-    return out
-
-
 # --- verdicts ---------------------------------------------------------------------
 
 @dataclass

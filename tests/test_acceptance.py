@@ -19,19 +19,15 @@ from whhankel import (
     chi,
     coker_estimate,
     constant,
-    exp_symbol,
     factorize,
     inverse,
     kernel_estimate,
-    make_kappa_tester,
     matching_factorization,
     one,
     parse_symbol,
-    rational_symbol,
     tilde,
     wh_matrix,
     winding_n,
-    xi,
 )
 from whhankel.catalog import parse_catalog, run_catalog, shipped_catalog_path
 from whhankel.classify import subordinated

@@ -59,6 +59,16 @@ def test_classify_takes_no_grid_flags():
         assert exc.value.code == 2
 
 
+def test_flags_are_not_abbreviated():
+    # --h is no flag of parse or factorize, and no prefix of --help there;
+    # --work is no flag of catalog, and no prefix of --workers
+    for args in (["parse", "chi", "--h", "0.1"], ["factorize", "chi", "--h", "0.1"],
+                 ["catalog", "shipped", "--work", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+
+
 def test_verify_command_passes(capsys):
     a = "(t-2i)*(t+1i)/((t+2i)*(t-1i))"
     assert main(["verify", a, f"({a})*chi", *FAST]) == 0

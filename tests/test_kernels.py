@@ -11,7 +11,6 @@ from whhankel import (
     make_kappa_tester,
     one,
     parse_symbol,
-    psi0,
     psi0_discrete,
     tilde,
     wh_matrix,
@@ -19,30 +18,47 @@ from whhankel import (
 from whhankel import kernels, oracle, symbols
 from whhankel.catalog import parse_catalog, shipped_catalog_path
 from whhankel.classify import _chi_reduced, _sign_flipped, classify, subordinated
-from whhankel.errors import NotInKernel, OutOfScope, WrongIndex
+from whhankel.errors import NoRightInverse, NotInKernel, OutOfScope, WrongIndex
 from whhankel.kernels import (
     EXP_IMAGE,
     e1_map,
     e2_map,
     kappa_for_pair,
-    p_minus,
-    p_plus,
     phi_pm,
-    projection_P,
     projection_image_dims,
+    right_inverse_apply,
 )
 from whhankel.oracle import block_v_matrix, wh_plus_hankel, kernel_estimate as kest
+from whhankel.symbols import half_line_apply, half_line_flip, half_line_norm
 
 
-def test_psi0_values(coarse_grid):
-    p = psi0(coarse_grid)
-    assert abs(p.values[0] - np.exp(-coarse_grid.h / 2)) < 1e-14
+def _spanning_image(g):
+    """The image of the element spanning ker W(g), for n(g) = -1."""
+    return kernels._kernel_image(kernels._plus_inverse(g))
+
+
+def _wh_hankel_apply(a, b, sign, f):
+    """(W(a) +- H(b)) f for the half-line image f, in closed form: J sends the
+    image f^ to tilde(f^), so H(b) f = P W0(b) J f is W(b) applied to it."""
+    return half_line_apply(a, f) + sign * half_line_apply(b, tilde(f))
+
+
+def _dense_residuals(a, b, sign, f):
+    """|(W(a) +- H(b)) f| / |f| of the dense operators on the image f sampled
+    at the half-line nodes, at h = 0.1 and 0.05."""
+    out = []
+    for h in (0.1, 0.05):
+        ws = Workspace(Grid(T=25.0, h=h), OracleConfig(stability=False))
+        v = symbols.time_kernel(f).value(ws.grid.half_nodes())
+        out.append(np.linalg.norm((ws.wh(a) + sign * ws.hank(b)) @ v) / np.linalg.norm(v))
+    return out
 
 
 def test_discrete_twin_close_to_exponential(coarse_grid):
     tw = psi0_discrete(coarse_grid).normalized()
-    ref = psi0(coarse_grid).normalized()
-    assert np.linalg.norm(tw.values - ref.values) * np.sqrt(coarse_grid.h) < 2e-3
+    ref = np.exp(-coarse_grid.half_nodes())
+    ref /= np.sqrt(coarse_grid.h) * np.linalg.norm(ref)
+    assert np.linalg.norm(tw.values - ref) * np.sqrt(coarse_grid.h) < 2e-3
 
 
 def test_w0_flip_sends_twin_to_reflection(ws):
@@ -55,22 +71,30 @@ def test_w0_flip_sends_twin_to_reflection(ws):
     assert np.linalg.norm(out + full[::-1]) < 1e-8 * np.linalg.norm(full)
 
 
-def test_projection_flip_on_kernel(ws):
-    p = psi0_discrete(ws.grid)
-    flipped = projection_P(chi(-1), p, ws)
-    assert np.linalg.norm(flipped.values + p.values) < 1e-10 * np.linalg.norm(p.values)
-    # involution: applying the flip twice returns the input
-    again = projection_P(chi(-1), flipped, ws)
-    assert np.linalg.norm(again.values - p.values) < 1e-10 * np.linalg.norm(p.values)
-    # hence the minus projection is the identity on this kernel
-    assert np.linalg.norm(p_minus(chi(-1), p, ws).values - p.values) < 1e-10
-    assert np.linalg.norm(p_plus(chi(-1), p, ws).values) < 1e-10
+def test_projection_flip_on_kernel():
+    # J Q W0(g) P is an involution on ker W(g) for matching g; on
+    # ker W(chi^-1) = span e^(-t) it is -1, so the minus projection is the
+    # identity there and the plus projection is zero
+    e = EXP_IMAGE
+    flipped = half_line_flip(chi(-1), e)
+    assert half_line_norm(flipped + e) <= 1e-15
+    assert half_line_norm(0.5 * (e - flipped) - e) <= 1e-15
+    assert half_line_norm(0.5 * (e + flipped)) <= 1e-15
+    g = chi(-1) * parse_symbol("(t+1i)*(t-2i)/((t-1i)*(t+2i))")
+    f = _spanning_image(g)
+    again = half_line_flip(g, half_line_flip(g, f))
+    assert half_line_norm(again - f) <= 1e-12 * half_line_norm(f)
 
 
-def test_projection_requires_kernel_membership(ws):
-    junk = ws.gf(np.ones(ws.grid.n))
-    with pytest.raises(NotInKernel):
-        projection_P(chi(-1), junk, ws)
+def test_projection_requires_kernel_membership():
+    # for matching g, (J Q W0(g) P)^2 f = f - W(g~) W(g) f: the flip is an
+    # involution on ker W(g) and on no other function
+    for g in (chi(-1), chi(-1) * parse_symbol("(t+1i)*(t-2i)/((t-1i)*(t+2i))")):
+        junk = parse_symbol("1/((t+1i)*(t+2i))")
+        again = half_line_flip(g, half_line_flip(g, junk))
+        defect = half_line_apply(tilde(g), half_line_apply(g, junk))
+        assert half_line_norm(junk - again) > 0.05 * half_line_norm(junk)
+        assert half_line_norm(junk - again - defect) <= 1e-12 * half_line_norm(junk)
 
 
 def test_kernel_basis_scalar(ws):
@@ -152,28 +176,28 @@ def test_e1_rejects_non_kernel_input(ws, a_n0):
         e1_map(pair, junk, junk, ws)
 
 
-def test_phi_pm_spans_kernels_in_double_kernel_case(ws, a_nm1):
-    pair = MatchingPair(a_nm1, a_nm1 * chi())
-    sub = subordinated(pair)
-    s = kernel_basis_scalar(sub.d, ws)[0]
-    phip = phi_pm(sub, s, "+", ws)
-    phim = phi_pm(sub, s, "-", ws)
-    wp = ws.wh(a_nm1) + ws.hank(a_nm1 * chi())
-    wm = ws.wh(a_nm1) - ws.hank(a_nm1 * chi())
-    assert np.linalg.norm(wp @ phip.values) < 1e-5 * np.linalg.norm(s.values)
-    assert np.linalg.norm(wm @ phim.values) < 1e-5 * np.linalg.norm(s.values)
-    # the transported elements hit the sign projections of s
-    bt, at = tilde(a_nm1 * chi()), tilde(a_nm1)
-    got_plus = (ws.wh(bt) + ws.hank(at)) @ phip.values
-    got_minus = (ws.wh(bt) - ws.hank(at)) @ phim.values
-    assert np.linalg.norm(got_plus - p_plus(sub.d, s, ws).values) < 1e-5
-    assert np.linalg.norm(got_minus - p_minus(sub.d, s, ws).values) < 1e-5
+def test_phi_pm_spans_kernels_in_double_kernel_case(a_nm1):
+    a, b = a_nm1, a_nm1 * chi()
+    sub = subordinated(MatchingPair(a, b))
+    s = _spanning_image(sub.d)
+    js = half_line_flip(sub.d, s)
+    for sign, k in (("+", 1), ("-", -1)):
+        phi = phi_pm(sub, s, sign)
+        assert half_line_norm(phi) > 0.1 * half_line_norm(s)
+        # exactly in ker(W(a) +- H(b)) in closed form ...
+        assert half_line_norm(_wh_hankel_apply(a, b, k, phi)) <= 1e-12 * half_line_norm(s)
+        # ... and the dense operators annihilate it to second order
+        coarse, fine = _dense_residuals(a, b, k, phi)
+        assert coarse < 5e-3 and 3.5 < coarse / fine < 4.5
+        # the transported element hits the sign projection (s +- J Q W0(d) P s)/2
+        got = _wh_hankel_apply(tilde(b), tilde(a), k, phi)
+        assert half_line_norm(got - 0.5 * (s + k * js)) <= 1e-12 * half_line_norm(s)
 
 
-def test_phi_pm_zero_input(ws, a_nm1):
+def test_phi_pm_zero_input(a_nm1):
     sub = subordinated(MatchingPair(a_nm1, a_nm1 * chi()))
-    z = ws.gf(np.zeros(ws.grid.n))
-    assert np.linalg.norm(phi_pm(sub, z, "+", ws).values) == 0.0
+    for sign in ("+", "-"):
+        assert phi_pm(sub, symbols.zero(), sign).is_zero()
 
 
 def test_kappa_guards(a_nm1):
@@ -188,7 +212,7 @@ def test_kappa_structure(ws, a_n0):
     # and the first lies in the range of W(chi), so the third decides
     sub = subordinated(MatchingPair(a_n0, a_n0 * chi(-1)))
     red = _chi_reduced(sub)  # red.at_inv = a~^-1 chi^-1
-    s = kernels._kernel_image(kernels._plus_inverse(red.d))
+    s = _spanning_image(red.d)
     first = symbols.half_line_apply(chi(), symbols.half_line_apply(red.at_inv, s))
     assert symbols.half_line_norm(symbols.half_line_flip(chi(-1), first)) < 1e-12
     assert abs(sum(w.rational.eval(1j) for w in first.l0)) < 1e-12
@@ -263,39 +287,30 @@ def test_kappa_general_pair_matches_direct(ws):
 
 
 def test_grid_function_export(ws):
-    gf = psi0(ws.grid)
+    gf = ws.gf(np.exp(-ws.grid.half_nodes()))
     triples = gf.to_triples()
     assert len(triples) == ws.grid.n
     t0, re0, im0 = triples[0]
     assert abs(t0 - ws.grid.h / 2) < 1e-14 and im0 == 0.0
 
 
-def test_sign_projection_containments(ws, a_n0, a_nm1):
-    # vectors in im P-(c) annihilate W(a)+H(b); im P+(c) annihilates W(a)-H(b)
+def test_sign_projection_containments(a_n0, a_nm1):
+    # im P-(c) lies in ker(W(a)+H(b)) and im P+(c) in ker(W(a)-H(b)); f spans
+    # ker W(c)
     for a in (a_n0, a_nm1):
-        pair = MatchingPair(a, a * chi())
-        sub = subordinated(pair)
-        cbasis = kernel_basis_scalar(sub.c, ws)
-        wp = ws.wh(a) + ws.hank(a * chi())
-        wm = ws.wh(a) - ws.hank(a * chi())
-        for f in cbasis:
-            minus_part = p_minus(sub.c, f, ws).values
-            plus_part = p_plus(sub.c, f, ws).values
-            scale = np.linalg.norm(f.values)
-            assert np.linalg.norm(wp @ minus_part) <= 1e-5 * scale
-            assert np.linalg.norm(wm @ plus_part) <= 1e-5 * scale
+        b = a * chi()
+        sub = subordinated(MatchingPair(a, b))
+        f = _spanning_image(sub.c)
+        jf = half_line_flip(sub.c, f)
+        scale = half_line_norm(f)
+        assert half_line_norm(_wh_hankel_apply(a, b, 1, 0.5 * (f - jf))) <= 1e-12 * scale
+        assert half_line_norm(_wh_hankel_apply(a, b, -1, 0.5 * (f + jf))) <= 1e-12 * scale
 
 
-def test_phi_pm_needs_right_invertible_c(ws, a_n0):
-    from whhankel.errors import NoRightInverse
-
-    pair = MatchingPair(a_n0, a_n0 * chi(-1))  # c = chi has n = +1
-    s = ws.gf(np.zeros(ws.grid.n))
-    s.values[0] = 0.0
+def test_phi_pm_needs_right_invertible_c():
+    # W(chi) has n = +1 and no right inverse, whatever the input
     with pytest.raises(NoRightInverse):
-        # vector content is irrelevant; the recipe guard fires first for 0 input
-        from whhankel.kernels import right_inverse_apply
-        right_inverse_apply(chi(), s.values, ws)
+        right_inverse_apply(chi(), EXP_IMAGE)
 
 
 def test_flip_apply_matches_whole_line_composition(ws, a_n0):
@@ -312,23 +327,21 @@ def test_flip_apply_matches_whole_line_composition(ws, a_n0):
     assert np.linalg.norm(fast - slow) < 1e-12 * max(np.linalg.norm(v), 1.0)
 
 
-def test_phi_checks_its_input_before_inverting_c(ws, a_n0, monkeypatch):
+def test_phi_checks_its_input_before_inverting_c(a_n0, monkeypatch):
     # an input off ker W(d) is reported as such, also when W(c) has no
     # right inverse, in phi_pm and in the kappa tester alike
     from whhankel.classify import SubordinatedPair
-    from whhankel.errors import NoRightInverse
 
     sub = SubordinatedPair(c=chi(1), d=chi(-1), at_inv=one(), nu_c=0.0,
                            nu_d=0.0, n_c=1, n_d=-1, xi_c=None, xi_d=None)
-    off = ws.gf(np.ones(ws.grid.n))
-    with pytest.raises(NotInKernel, match=r"^phi input"):
-        phi_pm(sub, off, "-", ws)
+    off_image = parse_symbol("1/((t+1i)*(t+2i))")
+    with pytest.raises(NotInKernel, match=r"^phi input \(ker W\(d\)\)"):
+        phi_pm(sub, off_image, "-")
 
     def no_right_inverse(c):
         raise NoRightInverse("W(c) is not right-invertible")
 
     monkeypatch.setattr(kernels, "_right_inverse_recipe", no_right_inverse)
-    off_image = parse_symbol("1/((t+1i)*(t+2i))")
     monkeypatch.setattr(kernels, "_kernel_image", lambda g_plus_inv: off_image)
     with pytest.raises(NotInKernel, match=r"^phi input \(ker W\(d\)\)"):
         kappa_for_pair(subordinated(MatchingPair(a_n0, a_n0 * chi(-1))))
@@ -342,23 +355,6 @@ def _catalog_pair(name):
     text = shipped_catalog_path().read_text(encoding="utf-8")
     entry = next(e for e in parse_catalog(text) if e.name == name)
     return MatchingPair(parse_symbol(entry.a_expr), parse_symbol(entry.b_expr))
-
-
-def test_wh_kernel_gate_measures_the_matrix_residual(ws):
-    # the gate on phi's input reads W(d) v and norm_est(W(d)) from the
-    # generator; the matrix gives the same residual
-    from whhankel.kernels import _require_in_kernel, _require_in_wh_kernel
-
-    rng = np.random.default_rng(3)
-    for g in (chi(-1), chi(-1) * parse_symbol("(t+1i)*(t-2i)/((t-1i)*(t+2i))")):
-        for v in (kernel_basis_scalar(g, ws)[0].values, rng.normal(size=ws.grid.n)):
-            try:
-                slow = _require_in_kernel(ws, ws.wh(g), v, "v")
-            except NotInKernel as err:
-                with pytest.raises(NotInKernel, match=str(err)):
-                    _require_in_wh_kernel(ws, g, v, "v")
-            else:
-                assert abs(_require_in_wh_kernel(ws, g, v, "v") - slow) <= 1e-13
 
 
 def test_kappa_tester_reads_no_grid(monkeypatch):
@@ -375,17 +371,22 @@ def test_kappa_tester_reads_no_grid(monkeypatch):
         assert "image-membership(in_image=False" in certificates
 
 
-def test_kappa_residual_matches_the_grid_reference(ws):
-    # on a grid, 2 phi_-(s) of the kernel vector of the reduced d is kappa,
-    # and its membership residual is the inner product with psi0_discrete
-    for name in TESTER_PAIRS:
-        red = _chi_reduced(_tester_sub(name))
-        s = kernel_basis_scalar(red.d, ws)[0]
-        kappa = phi_pm(red, s, "-", ws).values
-        psi = psi0_discrete(ws.grid).values
-        ref = abs(np.vdot(psi, kappa)) / (np.linalg.norm(psi) * np.linalg.norm(kappa))
-        got = kappa_for_pair(_tester_sub(name)).residual
-        assert abs(got - ref) <= 1e-6 * ref
+def test_kappa_lies_in_the_minus_kernel_of_the_reduced_pair():
+    # kappa = phi_-(s) of the reduced pair (a chi^-1, b chi), b signed as
+    # the tester receives it, lies exactly in ker(W(a chi^-1) - H(b chi));
+    # the dense operators annihilate it to second order
+    for name, sign in zip(TESTER_PAIRS, (1, -1)):
+        sub = _tester_sub(name)
+        red = _chi_reduced(sub)
+        kappa = phi_pm(red, _spanning_image(red.d), "-")
+        pair = _catalog_pair(name)
+        a, b = pair.a * chi(-1), sign * pair.b * chi()
+        assert half_line_norm(_wh_hankel_apply(a, b, -1, kappa)) <= 1e-12 * half_line_norm(kappa)
+        coarse, fine = _dense_residuals(a, b, -1, kappa)
+        assert coarse < 5e-3 and 3.5 < coarse / fine < 4.5
+        at_i = sum(w.rational.eval(1j) for w in kappa.l0)
+        residual = np.sqrt(2.0) * abs(at_i) / half_line_norm(kappa)
+        assert residual == kappa_for_pair(sub).residual
 
 
 def _tester_sub(name):

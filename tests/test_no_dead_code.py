@@ -1,13 +1,16 @@
 """Guard against dead code in the package, by static reading with ``ast``.
 
-Four checks:
+Five checks:
 
 - every name a package module (``__init__.py`` aside, which only re-exports)
-  imports is used in that module's code;
+  or a test module imports is used in that module's code;
 - every function, method and class defined in ``src/whhankel``, dunders
   aside, is named somewhere in ``src/``, ``tests/`` or ``perfbench/``: as a
   name, an attribute, an imported name, or a word inside a string that is not
   a docstring (``perfbench/spans.py`` lists the functions it wraps by name);
+- each of them is reached: named by program code (the package modules
+  other than ``__init__.py``, and ``perfbench/``), exported from
+  ``__init__.py``, or listed in ``TEST_ONLY`` with the reason tests need it;
 - there is no default grid: ``oracle.Grid`` has no field defaults, and no
   function gives a ``grid`` or ``ws`` argument a default, so every caller
   names the grid it runs on;
@@ -24,6 +27,7 @@ What it cannot catch:
   one calling the other and nothing calling either (a ``TimeKernel.integral``
   summing ``KernelPiece.integral``), look used, and so does a helper whose
   only caller is itself dead;
+- a helper whose only caller is a ``TEST_ONLY`` function looks reached;
 - a name that is dead in one class but shared with a live one elsewhere
   (the check is by name, not by binding).
 """
@@ -38,6 +42,14 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "whhankel"
 SCANNED = ("src", "tests", "perfbench")
 WORD = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+#: definitions that no program code reaches, kept for what tests check with them
+TEST_ONLY = {
+    "projection_image_dims": "criterion 8 measures dim im P+- of dense kernel bases",
+    "block_factorization_residual": "test_oracle checks the dense three-factor splitting",
+    "block_v_product_form": "test_oracle checks the product form of the block operator",
+    "GSymbol.norm_estimate": "criterion 9 scales its tolerance by it",
+}
 
 
 def _parse(path):
@@ -89,7 +101,7 @@ def _package_modules():
 
 def test_every_import_is_used():
     unused = []
-    for path in _package_modules():
+    for path in _package_modules() + sorted((ROOT / "tests").glob("*.py")):
         tree = _parse(path)
         used = _names_used(tree, with_strings=False)
         for node in ast.walk(tree):
@@ -122,6 +134,39 @@ def test_every_definition_is_named_somewhere():
             if name not in referenced:
                 dead.append(f"{path.name}: {name}")
     assert not dead, f"defined but never named: {dead}"
+
+
+def _definitions(tree):
+    """(name, node) of each function, method and class, dunders aside; a
+    method's name is qualified by its class."""
+    methods = {
+        id(stmt): f"{node.name}.{stmt.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for stmt in node.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield methods.get(id(node), node.name), node
+
+
+def test_every_definition_is_reached_by_program_code():
+    program = _package_modules() + sorted((ROOT / "perfbench").rglob("*.py"))
+    reached = set()
+    for path in program:
+        reached |= _names_used(_parse(path), with_strings=True)
+    reached |= _names_used(_parse(PACKAGE / "__init__.py"), with_strings=True)
+    unreached = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        unreached |= {
+            name for name, node in _definitions(_parse(path)) if node.name not in reached
+        }
+    assert unreached == set(TEST_ONLY), (
+        f"reached by tests only, and not in TEST_ONLY: {sorted(unreached - set(TEST_ONLY))}; "
+        f"in TEST_ONLY but reached or gone: {sorted(set(TEST_ONLY) - unreached)}"
+    )
 
 
 def test_no_default_grid():

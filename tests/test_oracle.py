@@ -14,11 +14,9 @@ from whhankel import (
     coker_estimate,
     constant,
     exp_symbol,
-    factorize,
     hankel_matrix,
     kernel_estimate,
     one,
-    one_sided_inverse_recipe,
     parse_symbol,
     rational_symbol,
     scalar_wh_classify,
@@ -32,16 +30,21 @@ from whhankel import oracle
 from whhankel.catalog import parse_catalog, run_catalog, shipped_catalog_path
 from whhankel.classify import Dim, SignReport, ClassificationReport
 from whhankel.errors import ShiftNotCommensurate
-from whhankel.kernels import kernel_basis_scalar
+from whhankel.kernels import (
+    EXP_IMAGE,
+    _right_inverse_recipe,
+    kernel_basis_scalar,
+    right_inverse_apply,
+)
 from whhankel.oracle import (
     BOUNDARY_FRAC,
     _symbol_gen,
-    apply_recipe,
     block_v_product_form,
     norm_est,
     verify_scalar,
     wh_plus_hankel,
 )
+from whhankel.symbols import half_line_apply, half_line_norm, time_kernel
 
 GRID = Grid(T=25.0, h=0.1)
 CFG = OracleConfig(stability=False)
@@ -229,8 +232,9 @@ def test_constant_pair_block_has_trivial_kernel():
 
 
 def test_convolution_products_equal_matrix_products():
-    # recipes, the flip map and phi_pm apply Toeplitz and Hankel
-    # operators as convolutions of the generator, on the grid and the longer one
+    # the flip map, the kernel bases and the transport maps apply Toeplitz and
+    # Hankel operators as convolutions of the generator, on the grid and the
+    # longer one
     entries = parse_catalog(shipped_catalog_path().read_text(encoding="utf-8"))
     exprs = sorted({x for e in entries for x in (e.a_expr, e.b_expr) if x})
     rng = np.random.default_rng(5)
@@ -245,26 +249,37 @@ def test_convolution_products_equal_matrix_products():
                 assert np.linalg.norm(fast - slow) <= 1e-13 * np.linalg.norm(slow)
 
 
+#: the half-line image of a rational multiple of e^(-t)
+IMAGE = half_line_apply(parse_symbol("((t+0.5-3i)/(t+0.3+2i))^2"), EXP_IMAGE)
+
+
+def _check_right_inverse(c):
+    # W(c) W_r^(-1)(c) f = f exactly in closed form; the dense W(c) applied to
+    # the sampled W_r^(-1)(c) f gives back f to second order
+    r = right_inverse_apply(c, IMAGE)
+    assert half_line_norm(half_line_apply(c, r) - IMAGE) <= 1e-12 * half_line_norm(IMAGE)
+    errors = []
+    for h in (0.1, 0.05):
+        grid = Grid(T=25.0, h=h)
+        t = grid.half_nodes()
+        f = time_kernel(IMAGE).value(t)
+        back = wh_matrix(c, grid, CFG).matrix @ time_kernel(r).value(t)
+        errors.append(np.linalg.norm(back - f) / np.linalg.norm(f))
+    assert errors[0] < 1e-2 and 3.5 < errors[0] / errors[1] < 4.5
+
+
 def test_apply_recipe_right_inverse():
-    rec = one_sided_inverse_recipe(factorize(chi(-1)), "right")
-    v = _bump(GRID)
-    w = wh_matrix(chi(-1), GRID, CFG).matrix
-    assert np.linalg.norm(w @ apply_recipe(rec, v, GRID) - v) < 1e-6 * np.linalg.norm(v)
+    _check_right_inverse(chi(-1))
 
 
 def test_apply_recipe_composite_symbol(a_nm1):
-    rec = one_sided_inverse_recipe(factorize(a_nm1), "right")
-    v = _bump(GRID)
-    w = wh_matrix(a_nm1, GRID, CFG).matrix
-    out = w @ apply_recipe(rec, v, GRID)
-    assert np.linalg.norm(out - v) < 1e-5 * np.linalg.norm(v)
+    _check_right_inverse(a_nm1)
 
 
 def test_empty_recipe_is_identity():
-    from whhankel import OperatorRecipe
-
-    v = _bump(GRID)
-    assert np.allclose(apply_recipe(OperatorRecipe(factors=()), v, GRID), v)
+    # W(1) has the empty right-inverse recipe, which leaves its input as it is
+    assert _right_inverse_recipe(one()).factors == ()
+    assert right_inverse_apply(one(), IMAGE).isclose(IMAGE, 1e-15)
 
 
 def test_verify_pass_and_corrupted_report(a_n0):
