@@ -11,10 +11,15 @@ down, emits lower bounds where only the sum is determined, and marks the rest
 unknown.  Every dimension carries a certificate naming the rule that produced
 it, so oracle disagreements are attributable.
 
-Cokernels of in-scope operators are obtained by classifying the adjoint pair
-(conj a, conj b~), whose subordinated pair is (conj d, conj c): kernel rules
-applied there yield cokernel dimensions here.  That pair, like the (-c, -d)
-of b -> -b and the (c chi^(-2), d) of the chi-reduction, comes from (c, d).
+Where W(c) is right-invertible (n(c) <= 0) the kernels, and where W(d) is
+left-invertible (n(d) >= 0) the cokernels, follow from (n(c), n(d), xi(c),
+xi(d)) alone, by the split lemma of ker W(g) under the involution
+J Q W0(g) P (README, "Classification").  The cokernel formula is the kernel
+formula of the adjoint pair (conj a, conj b~), whose subordinated pair
+(conj d, conj c) has indices (-n(d), -n(c), xi(d), xi(c)).  Kernels at
+n(c) = +1 go through the chi-reduction (c chi^(-2), d), cokernels at
+n(d) < 0 through the collapse and index-balance rules, and n(c) >= 2 is out
+of scope.
 
 One branch is genuinely conditional: n(c) = +1 with dim ker W(d) = 1, where
 invertibility of the minus operator hinges on whether a transported kernel
@@ -34,7 +39,6 @@ from .errors import (
     Inconclusive,
     NotInvertible,
     NotMatching,
-    NotRepresentable,
     OutOfScope,
     XiNotUnimodular,
     WindingUnresolved,
@@ -213,12 +217,6 @@ def _sign_flipped(sub: SubordinatedPair) -> SubordinatedPair:
     )
 
 
-def _adjoint(sub: SubordinatedPair) -> SubordinatedPair:
-    """The subordinated pair of adjoint_pair((a, b)), derived from that of
-    (a, b): (conj d, conj c), with a~^(-1) conjugated."""
-    return _subordinated(conj(sub.d), conj(sub.c), conj(sub.at_inv))
-
-
 def _chi_reduced(sub: SubordinatedPair) -> SubordinatedPair:
     """The subordinated pair of (a chi^(-1), b chi), derived from that of
     (a, b): chi~ = chi^(-1) gives (c chi^(-2), d), a~^(-1) chi^(-1)."""
@@ -296,25 +294,19 @@ def _status(ker: Dim, coker: Dim):
     return "unknown"
 
 
-def _pim_dims(n_g, xi_g, ker_dim: Dim):
-    """(dim im P^+, dim im P^-) of the involution split of ker W(g).
-
-    The split is known exactly for trivial kernels and for the
-    one-dimensional case n = -1, where the sign invariant decides which
-    projection survives.
-    """
-    if ker_dim.kind == "exact" and ker_dim.value == 0:
-        return Dim.exact(0), Dim.exact(0)
-    if (
-        ker_dim.kind == "exact"
-        and ker_dim.value == 1
-        and n_g == -1
-        and xi_g is not None
-    ):
-        if xi_g == 1:
-            return Dim.exact(0), Dim.exact(1)
-        return Dim.exact(1), Dim.exact(0)
-    return Dim.unknown(), Dim.unknown()
+def _split(ker_dim: Dim, xi_g):
+    """(dim im P^+, dim im P^-) of the involution split of ker W(g), for a
+    matching g of sign xi_g with dim ker W(g) = ker_dim: the split lemma.
+    An m-dimensional kernel splits evenly for even m; for odd m the extra
+    dimension goes to P^- when xi = 1 and to P^+ when xi = -1."""
+    if ker_dim.kind != "exact":
+        return Dim.unknown(), Dim.unknown()
+    m = ker_dim.value
+    if m % 2 == 0:
+        return Dim.exact(m // 2), Dim.exact(m // 2)
+    if xi_g is None:
+        return Dim.unknown(), Dim.unknown()
+    return Dim.exact((m - xi_g) // 2), Dim.exact((m + xi_g) // 2)
 
 
 # c = b~ a~^(-1) of each family: chi~ = chi^(-1), so b = a chi gives c = chi^(-1)
@@ -347,26 +339,21 @@ def classify(pair: MatchingPair, kappa_tester=None) -> ClassificationReport:
             raise NotInvertible("a is not invertible; operators not semi-Fredholm")
     except Inconclusive:
         pass  # treat as invertible; downstream indices will object if not
-    return _classify(subordinated(pair), kappa_tester, kernels_only=False)
+    return _classify(subordinated(pair), kappa_tester)
 
 
-def _classify(sub, kappa_tester, kernels_only) -> ClassificationReport:
+def _classify(sub, kappa_tester) -> ClassificationReport:
     """classify() of a pair whose subordinated pair is sub.  The sign flip
-    and the adjoint route recurse with subordinated pairs derived from sub
-    (conjugation keeps a invertible); kernels_only leaves the cokernels and
-    the index check out."""
-    notes = []
-
+    recurses with the subordinated pair of (a, -b), derived from sub."""
     # reduce xi(c) = -1 by flipping the sign of b, which swaps +- reports
     if sub.xi_c == -1:
-        flipped = _classify(_sign_flipped(sub), kappa_tester, kernels_only)
-        notes.append("sign-flip: reduced xi(c) = -1 to +1 via b -> -b")
+        flipped = _classify(_sign_flipped(sub), kappa_tester)
         return ClassificationReport(
             plus=flipped.minus,
             minus=flipped.plus,
             index_check=flipped.index_check,
             subordinated=sub.summary(),
-            notes=tuple(notes) + flipped.notes,
+            notes=("sign-flip: reduced xi(c) = -1 to +1 via b -> -b",),
         )
 
     if abs(sub.nu_c) > NU_TOL:
@@ -375,11 +362,8 @@ def _classify(sub, kappa_tester, kernels_only) -> ClassificationReport:
         raise OutOfScope(
             "n(c) is unresolved: the winding number of c could not be decided"
         )
-    if abs(sub.n_c) > 1:
-        raise OutOfScope(
-            f"n(c) = {sub.n_c}: |n(c)| = {abs(sub.n_c)} > 1 is outside the "
-            "classified scope"
-        )
+    if sub.n_c > 1:
+        raise OutOfScope(f"n(c) = {sub.n_c} > 1 is outside the classified scope")
     if sub.xi_c is None:
         raise OutOfScope("sign invariant of c could not be determined")
 
@@ -391,23 +375,16 @@ def _classify(sub, kappa_tester, kernels_only) -> ClassificationReport:
     ker_minus = Dim.unknown()
     cert_plus = []
     cert_minus = []
+    indices = f"(n_c={n_c}, n_d={sub.n_d}, xi_d={sub.xi_d})"
 
     if n_c <= 0:
-        # W(c) is right-invertible: kernels decompose through the sign
-        # projections of ker W(d) and ker W(c)
-        pd_plus, pd_minus = _pim_dims(sub.n_d, sub.xi_d, kd)
-        pc_plus, pc_minus = _pim_dims(n_c, sub.xi_c, Dim.exact(-n_c))
+        # W(c) is right-invertible: ker(+-) = phi+-(im P+-(d)) + P-+(ker W(c))
+        pd_plus, pd_minus = _split(kd, sub.xi_d)
+        pc_plus, pc_minus = _split(Dim.exact(-n_c), sub.xi_c)
         ker_plus = pd_plus + pc_minus
         ker_minus = pd_minus + pc_plus
-        base = f"kernel-decomposition(n_c={n_c}, n_d={sub.n_d}, xi_d={sub.xi_d})"
-        cert_plus.append(base)
-        cert_minus.append(base)
-        if kd.kind == "exact" and kd.value >= 2:
-            total = kd.value - n_c
-            notes.append(
-                f"kernel split of ker W(d) (dim {kd.value}) is unresolved; "
-                f"dim ker(+) + dim ker(-) = {total} exactly"
-            )
+        cert_plus.append(f"kernel-decomposition{indices}")
+        cert_minus.append(f"kernel-decomposition{indices}")
     else:
         # n_c = +1: reduce through W(chi); the reduced pair (a chi^-1, b chi)
         # has subordinated pair (c chi^-2, d) with index -1 and xi = xi(c)
@@ -467,17 +444,15 @@ def _classify(sub, kappa_tester, kernels_only) -> ClassificationReport:
             if rhs is not None:
                 coker_minus = Dim.exact(ker_minus.value - rhs)
                 cert_minus.append("index-balance")
-    elif not kernels_only:
-        # trivial ker W(d): cokernels are the kernels of the adjoint pair,
-        # whose subordinated pair is (conj d, conj c)
-        try:
-            adj = _classify(_adjoint(sub), kappa_tester, kernels_only=True)
-            coker_plus = adj.plus.ker
-            coker_minus = adj.minus.ker
-            cert_plus.append(f"adjoint({adj.plus.certificate})")
-            cert_minus.append(f"adjoint({adj.minus.certificate})")
-        except (OutOfScope, NotInvertible, NotRepresentable, Inconclusive) as e:
-            notes.append(f"adjoint route unavailable: {e}")
+    elif kd == Dim.exact(0):
+        # W(d) is left-invertible: the kernel formula of the adjoint pair,
+        # whose W(conj d) is right-invertible, on the cokernels of W(c), W(d)
+        pc_plus, pc_minus = _split(Dim.exact(max(n_c, 0)), sub.xi_c)
+        pd_plus, pd_minus = _split(d_report.coker, sub.xi_d)
+        coker_plus = pc_plus + pd_minus
+        coker_minus = pc_minus + pd_plus
+        cert_plus.append(f"cokernel-decomposition{indices}")
+        cert_minus.append(f"cokernel-decomposition{indices}")
 
     tag = _family_tag(sub.c)
     if tag:
@@ -485,7 +460,7 @@ def _classify(sub, kappa_tester, kernels_only) -> ClassificationReport:
         cert_minus.insert(0, f"family:{tag}")
 
     index_check = None
-    if not kernels_only and sub.n_d is not None and abs(sub.nu_d) <= NU_TOL:
+    if sub.n_d is not None and abs(sub.nu_d) <= NU_TOL:
         rhs = -(n_c + sub.n_d)
         lhs = None
         if all(
@@ -518,5 +493,4 @@ def _classify(sub, kappa_tester, kernels_only) -> ClassificationReport:
         minus=minus,
         index_check=index_check,
         subordinated=sub.summary(),
-        notes=tuple(notes),
     )

@@ -30,14 +30,16 @@ class RealPoleError(WhhError):
 
 
 class ImproperRational(WhhError):
-    """Numerator degree exceeds denominator degree."""
+    """Numerator degree above the denominator's, or equal to it where a
+    rational part must be strictly proper; the message states which."""
 
     exit_code = 3
 
     def __init__(self, deg_num, deg_den):
         self.deg_num = deg_num
         self.deg_den = deg_den
-        super().__init__(f"improper rational: deg num = {deg_num} > deg den = {deg_den}")
+        rel = ">" if deg_num > deg_den else ">="
+        super().__init__(f"improper rational: deg num = {deg_num} {rel} deg den = {deg_den}")
 
 
 class NotInvertible(WhhError):

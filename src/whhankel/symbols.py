@@ -23,10 +23,11 @@ canonical (zero, multiplicity) pairs kept on the symbol (not part of its
 value), wherever construction knows them: the DSL's factor lists, `chi`, a
 product of two symbols that carry them (`GSymbol.__mul__`: the lists merge
 and equal zero/pole pairs cancel, with no sum), `inverse` (zeros and poles
-swap), `tilde`, `conj` and negation, which map them, and the Wiener-Hopf
-factors of `factorization.factorize`.  A sum drops them; the zeros of its N
-are then found once, on demand, by `poly.root_clusters`.  Either way they
-are one list of pairs, `_ExpRational.zeros`, which every decision reads.
+swap), `tilde`, `conj`, negation and a product with a constant, which map
+them, and the Wiener-Hopf factors of `factorization.factorize`.  A sum
+drops them; the zeros of its N are then found once, on demand, by
+`poly.root_clusters`.  Either way they are one list of pairs,
+`_ExpRational.zeros`, which every decision reads.
 """
 
 from __future__ import annotations
@@ -118,6 +119,11 @@ class GSymbol:
 
     def __mul__(self, other):
         other = _coerce(other)
+        for g, k in ((self, other), (other, self)):
+            if not k.l0 and len(k.ap) == 1 and k.ap[0].freq == 0.0:
+                scaled = _scaled(g, k.ap[0].coeff)
+                if scaled is not None:
+                    return scaled
         zx, zy = _carried(self), _carried(other)
         known = zx is not None and zy is not None
         if known and self.l0 and other.l0:
@@ -152,8 +158,8 @@ class GSymbol:
                     )
                 )
         out = make_symbol(ap_terms, l0_terms)
-        # a product with a constant or an exponential keeps make_symbol's bits
-        # and, while its rational part stays, the other factor's zeros
+        # a product with an exponential keeps make_symbol's bits and, while
+        # its rational part stays, the other factor's zeros
         if known and len(out.l0) == len(self.l0) + len(other.l0):
             _carrying(out, poly.merge_poles(zx, zy))
         return out
@@ -270,6 +276,19 @@ def _carrying(g, zeros):
     if zeros is not None:
         g.__dict__["_zeros"] = zeros
     return g
+
+
+def _scaled(g, c):
+    """c g for a constant c, term by term: no sum, so every pole and carried
+    zero of g stays, where make_symbol's cancel could drop a pole at which
+    the numerator is small (the bits are make_symbol's otherwise).  None when
+    make_symbol would prune a term."""
+    ap = [(u.freq, u.coeff * c) for u in g.ap]
+    l0 = [(w.shift, poly.pscale(w.rational.num, c), w.rational.poles) for w in g.l0]
+    cut = COEFF_PRUNE * max([1.0] + [abs(x) for _, x in ap])
+    if any(abs(x) <= cut for _, x in ap) or any(poly.is_zero(num) for _, num, _ in l0):
+        return None
+    return _mapped(ap, l0, _carried(g), lambda z: z)
 
 
 def _from_factors(delta, amp, zeros, poles):

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,16 @@ def fast_cfg():
 @pytest.fixture(scope="session")
 def ws(coarse_grid, fast_cfg):
     return Workspace(coarse_grid, fast_cfg)
+
+
+@pytest.fixture(scope="session")
+def sweep_pairs():
+    """The (a, b) expressions of the classify-sweep benchmark, seed 1."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("sweep_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.sweep_pairs(1)
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from whhankel import GSymbol, chi, constant, exp_symbol, one, parse, parse_symbol
+from whhankel import GSymbol, chi, constant, exp_symbol, make_symbol, one, parse, parse_symbol
 from whhankel import dsl
 from whhankel.dsl import BinOp, Chi, EFunc, Lit, Neg, Pow, Var, format_symbol
 from whhankel.errors import (
@@ -101,8 +101,14 @@ def test_lower_exponential_reciprocal():
 def test_lower_improper_rational():
     with pytest.raises(ImproperRational):
         parse_symbol("t+1")
-    with pytest.raises(ImproperRational):
+    with pytest.raises(ImproperRational, match=r"^improper rational: deg num = 2 > deg den = 1$"):
         parse_symbol("(t*t)/(t+1i)")
+
+
+def test_improper_rational_states_the_failed_test():
+    # a symbol's rational part must be strictly proper, so equal degrees fail
+    with pytest.raises(ImproperRational, match=r"^improper rational: deg num = 1 >= deg den = 1$"):
+        make_symbol([], [(0.0, np.array([1.0, 1.0], dtype=complex), ((-1j, 1),))])
 
 
 def test_lower_division_by_zero_symbol():

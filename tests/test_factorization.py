@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from whhankel import (
+    MatchingPair,
     chi,
     constant,
     exp_symbol,
@@ -13,6 +14,7 @@ from whhankel import (
     one,
     one_sided_inverse_recipe,
     parse_symbol,
+    subordinated,
     tilde,
     winding_n,
     xi,
@@ -81,6 +83,20 @@ def test_left_associative_improper_intermediate_is_rejected():
 
     with pytest.raises(ImproperRational):
         parse_symbol("e(1.5)*(t-2i)/(t+3i)")
+
+
+def test_constant_rescaling_keeps_every_pole():
+    # d of this classify-sweep pair has n(d) = 11; factorize rescales g_+ by
+    # a constant, and where its numerator is 4e-7 against coefficients near
+    # 1e4 at the double pole -0.2-0.89i, a cancelling product dropped one
+    a = "((t-0.91-2.77i)/(t-1.02+2.37i))^3*((t-0.57-0.95i)/(t+0.2+0.89i))^2"
+    d = subordinated(MatchingPair(parse_symbol(a), parse_symbol(f"({a})*chi"))).d
+    g_plus, n, sign = matching_factorization(d)
+    assert (n, sign) == (11, 1)
+    for g in (g_plus, factorize(d).g_minus, g_plus * 3.0, 3.0 * g_plus):
+        poles = g.l0[0].rational.poles
+        assert sum(k for _, k in _carried(g)) == sum(m for _, m in poles) == 10
+    assert ((-0.2 - 0.89j), 2) in g_plus.l0[0].rational.poles
 
 
 def test_factorization_unique_and_bit_identical():

@@ -7,8 +7,10 @@ from whhankel import (
     OracleConfig,
     Workspace,
     chi,
+    inverse,
     kernel_basis_scalar,
     make_kappa_tester,
+    matching_factorization,
     one,
     parse_symbol,
     psi0_discrete,
@@ -17,7 +19,7 @@ from whhankel import (
 )
 from whhankel import kernels, oracle, symbols
 from whhankel.catalog import parse_catalog, shipped_catalog_path
-from whhankel.classify import _chi_reduced, _sign_flipped, classify, subordinated
+from whhankel.classify import Dim, _chi_reduced, _sign_flipped, _split, classify, subordinated
 from whhankel.errors import NoRightInverse, NotInKernel, OutOfScope, WrongIndex
 from whhankel.kernels import (
     EXP_IMAGE,
@@ -84,6 +86,46 @@ def test_projection_flip_on_kernel():
     f = _spanning_image(g)
     again = half_line_flip(g, half_line_flip(g, f))
     assert half_line_norm(again - f) <= 1e-12 * half_line_norm(f)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_split_lemma_on_the_laguerre_basis(m):
+    # ker W(chi^-m) has the basis L_k = chi^k e^(-t), k < m, and
+    # J Q W0(chi^-m) P sends L_k to -L_(m-1-k): J is minus the reversal,
+    # whose eigenvalues +1 and -1 occur floor(m/2) and ceil(m/2) times.  A
+    # matching g = xi g~_+^(-1) chi^-m g_+ multiplies J by xi, which swaps them
+    basis = [chi(k) * EXP_IMAGE for k in range(m)]
+    for k, lk in enumerate(basis):
+        assert half_line_apply(chi(-m), lk).is_zero()
+        assert half_line_flip(chi(-m), lk).isclose(-basis[m - 1 - k], 1e-12)
+    eig = np.linalg.eigvalsh(-np.fliplr(np.eye(m)))
+    counts = (int(np.sum(eig > 0)), int(np.sum(eig < 0)))
+    assert counts == (m // 2, (m + 1) // 2)
+    assert counts == tuple(dim.value for dim in _split(Dim.exact(m), 1))
+    assert counts[::-1] == tuple(dim.value for dim in _split(Dim.exact(m), -1))
+
+
+def test_split_lemma_transports_to_every_matching_symbol(sweep_pairs):
+    # g = xi g~_+^(-1) chi^-m g_+ gives ker W(g) = W(g_+^(-1)) ker W(chi^-m)
+    # and J_g W(g_+^(-1)) = xi W(g_+^(-1)) J_(chi^-m) there; checked on the c,
+    # d and -d of the classify-sweep pairs with m <= 5 (above that the image
+    # arithmetic is off by 2e-4 on one symbol with m = 6)
+    seen = set()
+    for a_expr, b_expr in sweep_pairs:
+        sub = subordinated(MatchingPair(parse_symbol(a_expr), parse_symbol(b_expr)))
+        for g in (sub.c, sub.d, -sub.d):
+            g_plus, n, sign = matching_factorization(g)
+            if not -5 <= n < 0:
+                continue
+            seen.add((-n, sign))
+            inv = inverse(g_plus)
+            for k in range(-n):
+                v = half_line_apply(inv, chi(k) * EXP_IMAGE)
+                assert half_line_norm(half_line_apply(g, v)) <= 1e-9 * half_line_norm(v)
+                want = -sign * half_line_apply(inv, chi(-n - 1 - k) * EXP_IMAGE)
+                got = half_line_flip(g, v)
+                assert half_line_norm(got - want) <= 1e-9 * half_line_norm(want)
+    assert seen == {(m, s) for m in range(1, 6) for s in (1, -1)}
 
 
 def test_projection_requires_kernel_membership():
