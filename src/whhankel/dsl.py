@@ -19,9 +19,11 @@ zeros and poles, and powers multiply multiplicities.  A sum that is not
 linear is a list's core (`poly.rational_sum`): products with it cancel the
 poles they share (`poly.cancel`), and dividing by it or raising it to a
 power finds its roots (`_factored`, the one root search of the DSL).
-`rational_symbol` lowers coefficients the same way.  A list is expanded
-once, into a symbol that carries its zeros, and checked against its value.
-Every sum, linear or not, is zero by the one rule `poly.vanishes`.
+`rational_symbol` lowers coefficients the same way.  A list of equal
+degrees without a core becomes a symbol valued by it (`symbols._from_factors`),
+whose coefficients are derived and checked only when something reads them;
+any other list is expanded here and checked against its value.  Every sum,
+linear or not, is zero by the one rule `poly.vanishes`.
 """
 
 from __future__ import annotations
@@ -262,13 +264,11 @@ class Factors:
     core: tuple = (1.0,)
 
 
-#: the largest degree a factor list is expanded to: no power above degree 256
-#: passed the value check for roots of modulus 1e-6 to 2 (the expanded
-#: denominator overflows at a check point), so this only spares the expansion
+#: the largest degree of a lowered factor list, checked on the list: no power
+#: above degree 256 passed the value check for roots of modulus 1e-6 to 2
+#: (the expanded denominator overflows at a check point), so a longer list
+#: could never be read as coefficients
 MAX_DEGREE = 1024
-
-#: real points where an expanded factor list is checked against its factors
-_CHECK_T = np.array([0.3, 1.0, 5.0])
 
 
 def _of_sum(num, poles=()):
@@ -352,13 +352,13 @@ def _mul(x, y):
 
 
 def _expanded(f):
-    """The symbol of a lowered value: a symbol as it is, a factor list with
-    its products expanded once.
+    """The symbol of a lowered value: a symbol as it is; a factor list of
+    equal degrees without a core the symbol it values, whose coefficients
+    are derived and checked on first read; any other list expanded here.
 
-    Raises NotRepresentable unless the expanded coefficients give the
-    factors' values at _CHECK_T, within 1e-8 of the largest value, or of 1
-    if that is smaller: coefficients are pruned (poly.trim), and those of a
-    high power lose accuracy."""
+    The list is checked here: its degree (MAX_DEGREE) and the finiteness of
+    its lead, zeros and poles.  Expanded coefficients are checked against
+    the factors' values at `symbols._CHECK_T` (NotRepresentable)."""
     if isinstance(f, symbols.GSymbol):
         return f
     if f.lead == 0:
@@ -369,23 +369,16 @@ def _expanded(f):
         raise ImproperRational(deg, deg_den)
     if deg_den > MAX_DEGREE:
         raise NotRepresentable(f"a rational function of degree {deg_den} > {MAX_DEGREE}")
+    if not np.isfinite([f.lead, *(z for z, _ in f.zeros + f.poles)]).all():
+        raise NotRepresentable("a factor list with a lead, zero or pole that is not finite")
+    if deg == deg_den and len(f.core) == 1 and abs(f.lead) > poly.COEFF_PRUNE:
+        return symbols._from_factors(0.0, f.lead, f.zeros, f.poles)
     with np.errstate(all="ignore"):
-        if deg < deg_den or len(f.core) > 1 or abs(f.lead) <= poly.COEFF_PRUNE:
-            sym = symbols.pole_symbol(_numerator(f), f.poles)
-        else:
-            sym = symbols._from_factors(0.0, f.lead, f.zeros, f.poles)
-        want = f.lead * poly.pval(f.core, _CHECK_T)
-        for z, k in f.zeros:
-            want = want * (_CHECK_T - z) ** k
-        for p, m in f.poles:
-            want = want / (_CHECK_T - p) ** m
-        err = np.max(np.abs(sym.eval(_CHECK_T) - want))
-        scale = max(np.max(np.abs(want)), 1.0)
-    if not (err <= 1e-8 * scale and np.isfinite(scale)):
-        raise NotRepresentable(
-            f"a rational function of degree {deg_den}: its expanded coefficients "
-            f"are off by {err:.3g} at t in {_CHECK_T.tolist()}"
-        )
+        sym = symbols.pole_symbol(_numerator(f), f.poles)
+        want = f.lead * poly.pval(f.core, symbols._CHECK_T)
+    symbols._check_values(
+        sym.eval(symbols._CHECK_T), want * symbols._list_values(f.zeros, f.poles), deg_den
+    )
     return sym
 
 

@@ -80,10 +80,10 @@ def factorize(g: GSymbol) -> WHFactorization:
     """
     if g.is_zero():
         raise NotInvertible("zero symbol")
-    if not g.ap:
-        raise NotInvertible("symbol vanishes at infinity")
     form = g._exp_form
     if form is None:
+        if not g.ap:
+            raise NotInvertible("symbol vanishes at infinity")
         raise NotFactorizable(
             "not a single exponential sharing its shift with the rational "
             "part; no algorithm for genuinely almost-periodic symbols"

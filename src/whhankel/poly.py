@@ -154,15 +154,17 @@ def _union(pole_lists, combine):
     """Canonical (pole, multiplicity) pairs over pole_lists: poles that agree
     to rounding level take the first one's value, their multiplicities
     joined by combine."""
-    reps = []
+    reps = []  # [pole, multiplicity, its `_near` radius]
     for poles in pole_lists:
         for p, m in poles:
-            rep = next((r for r in reps if _near(p, r[0])), None)
-            if rep is None:
-                reps.append([complex(p), int(m)])
+            for rep in reps:
+                if abs(p - rep[0]) <= rep[2]:
+                    rep[1] = combine(rep[1], int(m))
+                    break
             else:
-                rep[1] = combine(rep[1], int(m))
-    return tuple(sorted(((p, m) for p, m in reps if m), key=pole_key))
+                p = complex(p)
+                reps.append([p, int(m), CANCEL_TOL * max(1.0, abs(p))])
+    return tuple(sorted(((p, m) for p, m, _ in reps if m), key=pole_key))
 
 
 def merge_poles(*pole_lists):

@@ -13,27 +13,36 @@ smallest class closed under products, reflection t -> -t, conjugation and
 factorization.  Pointwise it is the Fourier transform of a summable
 discrete-plus-L1 time kernel, which `time_kernel` recovers explicitly.
 
-A symbol is immutable, so its exact data is computed once and kept on the
-object, as ``cached_property`` keeps `RationalPart.den`: the form e^(i delta t)
-N/den (`_exp_rational_form`) with the zeros of N and the mirror products
-N(t)N(-t) and den(t)den(-t), and `winding_n`.
+A single exponential whose zeros construction knows is valued by its factor
+list `_Factors`, e^(i delta t) amp prod (t - z)^k / prod (t - p)^m with
+canonical (zero, multiplicity) and (pole, multiplicity) pairs of equal
+degree.  Such symbols come from the DSL's factor lists, `chi`, a product of
+two of them (`GSymbol.__mul__`: the lists merge and equal zero/pole pairs
+cancel, with no sum), a product with c e^(i delta t), `inverse` (zeros and
+poles swap), `tilde`, `conj` and negation, which map the lists, and the
+Wiener-Hopf factors of `factorization.factorize`.  Products, inverses, the
+involutions, matching (`_same_mirror_product`, `is_matching`), `isclose`,
+`winding_n`, `xi` and invertibility read the lists.  Their coefficients
+``ap`` and ``l0`` are derived once, on first read, by the symbol's recipe
+(`_expansion` for a list, or the exact map of the operand it came from),
+and every derivation is checked against the list at _CHECK_T
+(`_check_values`): NotRepresentable where the coefficients lose the value,
+as those of ``chi(60)`` do.  Whatever reads numbers derives: ``eval``,
+``==``, ``hash``, ``repr``, ``to_dict``, pickling, the half-line and
+time-kernel functions and the oracle's generators.
 
-The zeros of a single exponential's N are carried like its poles, as
-canonical (zero, multiplicity) pairs kept on the symbol (not part of its
-value), wherever construction knows them: the DSL's factor lists, `chi`, a
-product of two symbols that carry them (`GSymbol.__mul__`: the lists merge
-and equal zero/pole pairs cancel, with no sum), `inverse` (zeros and poles
-swap), `tilde`, `conj`, negation and a product with a constant, which map
-them, and the Wiener-Hopf factors of `factorization.factorize`.  A sum
-drops them; the zeros of its N are then found once, on demand, by
-`poly.root_clusters`.  Either way they are one list of pairs,
-`_ExpRational.zeros`, which every decision reads.
+Every other symbol is its coefficients, and decisions on it read them: a
+sum, whose zeros are found once, on demand, by `poly.root_clusters`, and a
+symbol built from coefficients.  Found zeros are not exact, and a text
+round trip that refinds them passes the coefficient identities more often
+than list matching (README, "Numerical notes").  Either way the zeros are
+one list of pairs, `_ExpRational.zeros`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -54,6 +63,9 @@ from .errors import (
 FREQ_TOL = 1e-12          # almost-periodic frequencies closer than this merge
 REAL_AXIS_TOL = 1e-9      # |Im root| below this counts as a real root
 NEAR_AXIS_TOL = 1e-2      # relative |Im root| below this may be a scattered multiple real root
+
+#: real points where derived coefficients are checked against their factors
+_CHECK_T = np.array([0.3, 1.0, 5.0])
 
 
 @dataclass(frozen=True)
@@ -91,9 +103,49 @@ class L0Term:
 
 
 @dataclass(frozen=True)
+class _Factors:
+    """e^(i delta t) amp prod (t - z)^k / prod (t - p)^m: canonical (zero,
+    multiplicity) and (pole, multiplicity) pairs of equal degree, the value
+    of a single exponential that carries its zeros."""
+
+    delta: float
+    amp: complex
+    zeros: tuple
+    poles: tuple
+
+
 class GSymbol:
-    ap: tuple
-    l0: tuple
+    """A symbol by its terms: ``ap``, a tuple of APTerm, and ``l0``, a tuple
+    of L0Term.  One valued by its factor list derives both on first read
+    (`_derive`).  Immutable; equality and hashing compare the terms."""
+
+    def __init__(self, ap, l0):
+        self.__dict__.update(ap=ap, l0=l0)
+
+    def __setattr__(self, name, _value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @cached_property
+    def ap(self):
+        return _derive(self)[0]
+
+    @cached_property
+    def l0(self):
+        return _derive(self)[1]
+
+    def __eq__(self, other):
+        if other.__class__ is not GSymbol:
+            return NotImplemented
+        return (self.ap, self.l0) == (other.ap, other.l0)
+
+    def __hash__(self):
+        return hash((self.ap, self.l0))
+
+    def __repr__(self):
+        return f"GSymbol(ap={self.ap!r}, l0={self.l0!r})"
 
     # -- arithmetic ------------------------------------------------------
 
@@ -107,32 +159,30 @@ class GSymbol:
     __radd__ = __add__
 
     def __neg__(self):
+        f = _factors(self)
         # u.coeff * -1 keeps the bits of make_symbol's product with -1
-        return _mapped(
+        return _symbol(f and replace(f, amp=f.amp * -1), lambda: _canonical(
             [(u.freq, u.coeff * -1) for u in self.ap],
             [(w.shift, -np.asarray(w.rational.num), w.rational.poles) for w in self.l0],
-            _carried(self), lambda z: z,
-        )
+        ))
 
     def __sub__(self, other):
         return self + (-_coerce(other))
 
     def __mul__(self, other):
         other = _coerce(other)
-        for g, k in ((self, other), (other, self)):
-            if not k.l0 and len(k.ap) == 1 and k.ap[0].freq == 0.0:
-                scaled = _scaled(g, k.ap[0].coeff)
+        fx, fy = _factors(self), _factors(other)
+        for g, k in ((self, fy), (other, fx)):
+            if k is not None and not k.poles:  # g times c e^(i delta t)
+                scaled = _scaled(g, k.amp, k.delta)
                 if scaled is not None:
                     return scaled
-        zx, zy = _carried(self), _carried(other)
-        known = zx is not None and zy is not None
-        if known and self.l0 and other.l0:
-            amp = self.ap[0].coeff * other.ap[0].coeff
-            if abs(amp) > COEFF_PRUNE:  # the lists merge, shared pairs cancel
-                zeros, poles = poly.merge_factors(
-                    (zx, zy), (self.l0[0].rational.poles, other.l0[0].rational.poles)
-                )
-                return _from_factors(self.ap[0].freq + other.ap[0].freq, amp, zeros, poles)
+        if fx is not None and fy is not None:
+            amp = fx.amp * fy.amp
+            if fx.poles and fy.poles and abs(amp) > COEFF_PRUNE:
+                # the lists merge, shared pairs cancel
+                zeros, poles = poly.merge_factors((fx.zeros, fy.zeros), (fx.poles, fy.poles))
+                return _from_factors(fx.delta + fy.delta, amp, zeros, poles)
         ap_terms = []
         l0_terms = []
         for u in self.ap:
@@ -157,17 +207,12 @@ class GSymbol:
                         poly.merge_poles(w1.rational.poles, w2.rational.poles),
                     )
                 )
-        out = make_symbol(ap_terms, l0_terms)
-        # a product with an exponential keeps make_symbol's bits and, while
-        # its rational part stays, the other factor's zeros
-        if known and len(out.l0) == len(self.l0) + len(other.l0):
-            _carrying(out, poly.merge_poles(zx, zy))
-        return out
+        return make_symbol(ap_terms, l0_terms)
 
     __rmul__ = __mul__
 
     def __reduce__(self):
-        # what is kept on the symbol is not part of its value
+        # the terms are the pickled value; a factor list is rebuilt by none
         return GSymbol, (self.ap, self.l0)
 
     @cached_property
@@ -181,26 +226,31 @@ class GSymbol:
     # -- structure -------------------------------------------------------
 
     def is_zero(self):
-        return not self.ap and not self.l0
+        return "_factors" not in self.__dict__ and not self.ap and not self.l0
 
     def eval(self, t):
         """Pointwise value; t may be a scalar or an ndarray."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=complex)
-        for u in self.ap:
-            out += u.coeff * np.exp(1j * u.freq * t)
-        for w in self.l0:
-            out += np.exp(1j * w.shift * t) * w.rational.eval(t)
+        out = _eval_terms(self.ap, self.l0, t)
         return out if out.shape else complex(out)
 
     def isclose(self, other, tol=1e-10):
         """Comparison of canonical forms, tolerant to rounding in coefficients.
 
-        Two single-exponential symbols e^(i delta t) N/D are equal when their
-        shifts agree and N_a D_b = N_b D_a coefficientwise (relative ``tol``);
-        other symbols compare their difference, sampled around every pole.
+        Two symbols valued by factor lists are equal when their shifts agree
+        within FREQ_TOL, their amplitudes within relative ``tol``, and their
+        lists cancel (`poly.merge_factors`).  Other single-exponential
+        symbols e^(i delta t) N/D are equal when their shifts agree and
+        N_a D_b = N_b D_a coefficientwise (relative ``tol``); other symbols
+        compare their difference, sampled around every pole.
         """
         other = _coerce(other)
+        la, lb = _factors(self), _factors(other)
+        if la is not None and lb is not None:
+            return (
+                abs(la.delta - lb.delta) <= FREQ_TOL
+                and _close(la.amp, lb.amp, tol)
+                and _cancels((la.zeros, lb.poles), (la.poles, lb.zeros))
+            )
         fa, fb = self._exp_form, other._exp_form
         if fa is not None and fb is not None:
             if abs(fa.delta - fb.delta) > FREQ_TOL:
@@ -261,52 +311,152 @@ def _coerce(x):
     raise TypeError(f"cannot interpret {x!r} as a symbol")
 
 
-def _carried(g):
-    """The zeros of a single exponential's N where construction knows them:
-    canonical (zero, multiplicity) pairs, () with no rational part, None
-    otherwise."""
-    if len(g.ap) != 1:
-        return None
-    return g.__dict__.get("_zeros", None if g.l0 else ())
+def _eval_terms(ap, l0, t):
+    """The value of the terms ap and l0 at the points t (an ndarray)."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape, dtype=complex)
+    for u in ap:
+        out += u.coeff * np.exp(1j * u.freq * t)
+    for w in l0:
+        out += np.exp(1j * w.shift * t) * w.rational.eval(t)
+    return out
 
 
-def _carrying(g, zeros):
-    """g with zeros (the pairs of its N, or None) kept on it, outside its
-    value, as ``cached_property`` keeps what is computed."""
-    if zeros is not None:
-        g.__dict__["_zeros"] = zeros
+# --- factor lists -------------------------------------------------------------
+
+def _factors(g):
+    """The factor list of g where g carries its zeros: its own value, or the
+    empty lists of one almost-periodic term c e^(i delta t); None otherwise."""
+    f = g.__dict__.get("_factors")
+    if f is None and len(g.ap) == 1 and not g.l0:
+        f = _Factors(g.ap[0].freq, g.ap[0].coeff, (), ())
+    return f
+
+
+def _symbol(factors, terms):
+    """The symbol valued by ``factors``, whose terms ``terms()`` derives on
+    first read; with no factors, the symbol of ``terms()`` now."""
+    if factors is None:
+        return GSymbol(*terms())
+    g = GSymbol.__new__(GSymbol)
+    g.__dict__.update(_factors=factors, _recipe=terms)
     return g
 
 
-def _scaled(g, c):
-    """c g for a constant c, term by term: no sum, so every pole and carried
-    zero of g stays, where make_symbol's cancel could drop a pole at which
-    the numerator is small (the bits are make_symbol's otherwise).  None when
-    make_symbol would prune a term."""
-    ap = [(u.freq, u.coeff * c) for u in g.ap]
-    l0 = [(w.shift, poly.pscale(w.rational.num, c), w.rational.poles) for w in g.l0]
-    cut = COEFF_PRUNE * max([1.0] + [abs(x) for _, x in ap])
-    if any(abs(x) <= cut for _, x in ap) or any(poly.is_zero(num) for _, num, _ in l0):
-        return None
-    return _mapped(ap, l0, _carried(g), lambda z: z)
+def _derive(g):
+    """(ap, l0) of a symbol valued by its factor list: its recipe's terms,
+    checked against the list (`_check_values`) and then kept on it.  A
+    failed check keeps the recipe, so every read raises again."""
+    d = g.__dict__
+    ap, l0 = d["_recipe"]()
+    f = d["_factors"]
+    _check_values(
+        _eval_terms(ap, l0, _CHECK_T),
+        f.amp * np.exp(1j * f.delta * _CHECK_T) * _list_values(f.zeros, f.poles),
+        sum(m for _, m in f.poles),
+    )
+    del d["_recipe"]
+    d["ap"], d["l0"] = ap, l0
+    return ap, l0
+
+
+def _list_values(zeros, poles):
+    """prod (t - z)^k / prod (t - p)^m at _CHECK_T."""
+    with np.errstate(all="ignore"):
+        out = np.ones(_CHECK_T.shape, dtype=complex)
+        for z, k in zeros:
+            out = out * (_CHECK_T - z) ** k
+        for p, m in poles:
+            out = out / (_CHECK_T - p) ** m
+    return out
+
+
+def _check_values(got, want, degree):
+    """NotRepresentable unless the coefficients' values ``got`` give the
+    factors' values ``want`` at _CHECK_T, within 1e-8 of the largest value,
+    or of 1 if that is smaller: coefficients are pruned (poly.trim), and
+    those of a high power lose accuracy."""
+    with np.errstate(all="ignore"):
+        err = np.max(np.abs(got - want))
+        scale = max(np.max(np.abs(want)), 1.0)
+    if not (err <= 1e-8 * scale and np.isfinite(scale)):
+        raise NotRepresentable(
+            f"a rational function of degree {degree}: its expanded coefficients "
+            f"are off by {err:.3g} at t in {_CHECK_T.tolist()}"
+        )
 
 
 def _from_factors(delta, amp, zeros, poles):
-    """The canonical symbol e^(i delta t) amp prod (t - z)^k / prod (t - p)^m
-    of equal degrees, carrying its zeros: num = amp (prod (t - z)^k - den),
-    so nothing is summed or cancelled."""
+    """The single exponential valued e^(i delta t) amp prod (t - z)^k /
+    prod (t - p)^m, of equal degrees; its coefficients are expanded on first
+    read (`_expansion`)."""
     for p, _ in poles:
         if abs(p.imag) <= REAL_AXIS_TOL:
             raise RealPoleError(p)
-    delta = float(delta) if abs(delta) > FREQ_TOL else 0.0
-    den = poly.from_poles(poles)
-    num = poly.pscale(poly.padd(poly.from_poles(zeros), -den), amp)
+    f = _Factors(_freq(delta), complex(amp), zeros, poles)
+    return _symbol(f, lambda: _expansion(f))
+
+
+def _expansion(f):
+    """The terms of the factor list f: num = amp (prod (t - z)^k - den), so
+    nothing is summed or cancelled."""
+    den = poly.from_poles(f.poles)
+    num = poly.pscale(poly.padd(poly.from_poles(f.zeros), -den), f.amp)
     l0 = ()
     if not poly.is_zero(num):
-        rat = RationalPart(tuple(num), poles)
+        rat = RationalPart(tuple(num), f.poles)
         rat.__dict__["den"] = tuple(den)
-        l0 = (L0Term(delta, rat),)
-    return _carrying(GSymbol((APTerm(delta, complex(amp)),), l0), zeros)
+        l0 = (L0Term(f.delta, rat),)
+    return (APTerm(f.delta, f.amp),), l0
+
+
+def _scaled(g, c, delta=0.0):
+    """c e^(i delta t) g, term by term: no sum, so every pole and carried
+    zero of g stays, where make_symbol's cancel could drop a pole at which
+    the numerator is small (the bits are make_symbol's otherwise).  None
+    when make_symbol would prune a term, and for delta != 0 when g carries
+    no zeros.  For |c| >= 1 no term of a symbol valued by its factor list
+    falls below the prune, so its terms are not read."""
+    f = _factors(g)
+    if delta and f is None:
+        return None
+    f = f and _Factors(_freq(f.delta + delta), f.amp * c, f.zeros, f.poles)
+
+    def terms():
+        return (
+            [(u.freq + delta, u.coeff * c) for u in g.ap],
+            [(w.shift + delta, poly.pscale(w.rational.num, c), w.rational.poles)
+             for w in g.l0],
+        )
+
+    if f is None or abs(c) < 1.0:
+        ap, l0 = terms()
+        cut = COEFF_PRUNE * max([1.0] + [abs(x) for _, x in ap])
+        if any(abs(x) <= cut for _, x in ap) or any(poly.is_zero(num) for _, num, _ in l0):
+            return None
+        return _symbol(f, lambda: _canonical(ap, l0))
+    return _symbol(f, lambda: _canonical(*terms()))
+
+
+def _freq(x):
+    """A frequency or shift as make_symbol keeps it: +0.0 within FREQ_TOL."""
+    return float(x) if abs(x) > FREQ_TOL else 0.0
+
+
+def _mapped_pairs(pairs, zmap):
+    """Canonical (zero, multiplicity) pairs of ``pairs`` under the map zmap."""
+    return tuple(sorted(((zmap(z), k) for z, k in pairs), key=poly.pole_key))
+
+
+def _close(x, y, tol):
+    """|x - y| within ``tol`` of the larger modulus."""
+    return abs(x - y) <= tol * max(abs(x), abs(y))
+
+
+def _cancels(zero_lists, pole_lists):
+    """Whether the zeros cancel against the poles (`poly.merge_factors`)."""
+    zeros, poles = poly.merge_factors(zero_lists, pole_lists)
+    return not zeros and not poles
 
 
 def _sup_scale(a):
@@ -423,56 +573,65 @@ def _reflect(p):
     return q
 
 
-def _mapped(ap_terms, l0_terms, zeros, zmap):
-    """The symbol of a canonical symbol's terms under an exact map: ``ap_terms``
+def _canonical(ap_terms, l0_terms):
+    """(ap, l0) of a canonical symbol's terms under an exact map: ``ap_terms``
     are its (freq, coeff) pairs and ``l0_terms`` its (shift, num, poles)
-    triples, each mapped on its own; its carried ``zeros`` (or None) map
-    by ``zmap``, as its poles do.
+    triples, each mapped on its own.
 
     A canonical symbol has nothing to merge, cancel or prune, so ordering the
-    terms and poles gives make_symbol's result, bit for bit: a zero frequency
-    or shift is +0.0, and each numerator gets the + 0.0 of make_symbol's sum,
-    which turns its -0.0 parts into +0.0."""
-    return _carrying(GSymbol(
-        ap=tuple(
-            APTerm(freq or 0.0, coeff)
+    terms and poles gives make_symbol's result, bit for bit: a frequency or
+    shift within FREQ_TOL of 0 is +0.0, and each numerator gets the + 0.0 of
+    make_symbol's sum, which turns its -0.0 parts into +0.0."""
+    return (
+        tuple(
+            APTerm(_freq(freq), coeff)
             for freq, coeff in sorted(ap_terms, key=lambda fc: fc[0])
         ),
-        l0=tuple(
-            L0Term(shift or 0.0, RationalPart(
+        tuple(
+            L0Term(_freq(shift), RationalPart(
                 tuple(num + 0.0), tuple(sorted(poles, key=poly.pole_key))
             ))
             for shift, num, poles in sorted(l0_terms, key=lambda t: t[0])
         ),
-    ), None if zeros is None else tuple(sorted(
-        ((zmap(z), k) for z, k in zeros), key=poly.pole_key
-    )))
+    )
 
 
 def tilde(a: GSymbol) -> GSymbol:
     """Reflection a(t) -> a(-t): each pole and zero z maps to -z."""
-    ap = [(-u.freq, u.coeff) for u in a.ap]
-    l0 = []
-    for w in a.l0:
-        poles = w.rational.poles
-        sign = (-1.0) ** sum(m for _, m in poles)
-        l0.append((-w.shift, _reflect(w.rational.num) * sign, [(-p, m) for p, m in poles]))
-    return _mapped(ap, l0, _carried(a), lambda z: -z)
+    f = _factors(a)
+
+    def terms():
+        l0 = []
+        for w in a.l0:
+            poles = w.rational.poles
+            sign = (-1.0) ** sum(m for _, m in poles)
+            l0.append((-w.shift, _reflect(w.rational.num) * sign, [(-p, m) for p, m in poles]))
+        return _canonical([(-u.freq, u.coeff) for u in a.ap], l0)
+
+    return _symbol(f and _Factors(
+        _freq(-f.delta), f.amp, _mapped_pairs(f.zeros, lambda z: -z),
+        _mapped_pairs(f.poles, lambda z: -z),
+    ), terms)
 
 
 def conj(a: GSymbol) -> GSymbol:
     """Complex conjugate on the real line: conj(a)(t) = conj(a(t)); each
     pole and zero z maps to conj(z)."""
-    ap = [(-u.freq, u.coeff.conjugate()) for u in a.ap]
-    l0 = [
-        (
-            -w.shift,
-            np.conj(np.asarray(w.rational.num, dtype=complex)),
-            [(p.conjugate(), m) for p, m in w.rational.poles],
-        )
-        for w in a.l0
-    ]
-    return _mapped(ap, l0, _carried(a), complex.conjugate)
+    f = _factors(a)
+    return _symbol(f and _Factors(
+        _freq(-f.delta), f.amp.conjugate(), _mapped_pairs(f.zeros, complex.conjugate),
+        _mapped_pairs(f.poles, complex.conjugate),
+    ), lambda: _canonical(
+        [(-u.freq, u.coeff.conjugate()) for u in a.ap],
+        [
+            (
+                -w.shift,
+                np.conj(np.asarray(w.rational.num, dtype=complex)),
+                [(p.conjugate(), m) for p, m in w.rational.poles],
+            )
+            for w in a.l0
+        ],
+    ))
 
 
 # --- time-domain kernel ------------------------------------------------------
@@ -683,14 +842,27 @@ def _sampled_invertible(a):
 @dataclass(frozen=True)
 class _ExpRational:
     """a = e^(i delta t) (amp + num/den) = e^(i delta t) N/den, with the
-    one list of the zeros of N that every decision reads."""
+    one list of the zeros of N that every decision reads.  A symbol that
+    carries its zeros gives N from them, and reads no coefficient; any other
+    symbol gives its numerator ``num``."""
 
     delta: float
     amp: complex
     poles: tuple   # (pole, multiplicity) pairs of den
-    den: np.ndarray
-    N: np.ndarray  # amp*den + num; deg N = deg den, den monic with no real root
     carried: tuple | None  # the zeros of N where construction knows them, else None
+    num: np.ndarray | None = None  # the rational part's numerator, with no carried zeros
+
+    @cached_property
+    def den(self):
+        """The monic denominator, with no real root."""
+        return poly.from_poles(self.poles)
+
+    @cached_property
+    def N(self):
+        """amp*den + num = amp prod (t - z)^k, of the degree of den."""
+        if self.carried is not None:
+            return poly.from_poles(self.carried, self.amp)
+        return poly.padd(poly.pscale(self.den, self.amp), self.num)
 
     @cached_property
     def zeros(self):
@@ -709,23 +881,22 @@ class _ExpRational:
 
 def _exp_rational_form(a):
     """The single-exponential form of ``a``: one AP term of nonzero amplitude
-    and at most one rational part sharing its shift; None otherwise."""
+    and at most one rational part sharing its shift; None otherwise.  A
+    symbol that carries its zeros gives it from its factor list."""
+    f = _factors(a)
+    if f is not None:
+        return None if abs(f.amp) <= COEFF_PRUNE else _ExpRational(
+            f.delta, f.amp, f.poles, f.zeros
+        )
     if len(a.ap) != 1 or abs(a.ap[0].coeff) <= COEFF_PRUNE:
         return None
     delta = a.ap[0].freq
-    amp = a.ap[0].coeff
     if any(abs(w.shift - delta) > FREQ_TOL for w in a.l0):
         return None
     if len(a.l0) > 1:
         return None  # canonical form merges equal shifts, so this is defensive
-    if a.l0:
-        rat = a.l0[0].rational
-        num, poles, den = np.asarray(rat.num), rat.poles, np.asarray(rat.den)
-    else:
-        num, poles, den = np.zeros(1, dtype=complex), (), np.ones(1, dtype=complex)
-    return _ExpRational(
-        delta, amp, poles, den, poly.padd(poly.pscale(den, amp), num), _carried(a)
-    )
+    rat = a.l0[0].rational
+    return _ExpRational(delta, a.ap[0].coeff, rat.poles, None, np.asarray(rat.num))
 
 
 def _real_zero(a, form):
@@ -777,11 +948,18 @@ def _poly_identity(p, q, tol):
 def _same_mirror_product(a, b):
     """a(t)a(-t) = b(t)b(-t), the one matching decision.
 
-    For two single exponentials it is the polynomial identity
-    N_a(t)N_a(-t) D_b(t)D_b(-t) = N_b(t)N_b(-t) D_a(t)D_a(-t) (the
-    exponentials cancel), within 1e-10 of the largest coefficient.  Other
-    symbols compare the two products, by `GSymbol.isclose` within 1e-12 and
-    then on 2001 samples of [-50, 50], within 1e-10."""
+    For two symbols that carry their zeros (`_factors`) the exponentials
+    cancel and g(t)g(-t) = amp^2 prod (t - z)(t + z) / prod (t - p)(t + p):
+    amp_a^2 = amp_b^2 within a relative 1e-10, and the lists of a a~ cancel
+    against those of b b~ (`_mirrors_cancel`).  For other single
+    exponentials it is the polynomial identity
+    N_a(t)N_a(-t) D_b(t)D_b(-t) = N_b(t)N_b(-t) D_a(t)D_a(-t), within 1e-10
+    of the largest coefficient.  Other symbols compare the two products, by
+    `GSymbol.isclose` within 1e-12 and then on 2001 samples of [-50, 50],
+    within 1e-10."""
+    la, lb = _factors(a), _factors(b)
+    if la is not None and lb is not None:
+        return _mirrors_cancel(la, lb)
     fa, fb = a._exp_form, b._exp_form
     if fa is not None and fb is not None:
         return _poly_identity(
@@ -797,6 +975,17 @@ def _same_mirror_product(a, b):
     return bool(np.max(np.abs(lhs.eval(t) - rhs.eval(t))) <= 1e-10)
 
 
+def _mirrors_cancel(fa, fb):
+    """a(t)a(-t) = b(t)b(-t) for the factor lists fa and fb of a and b."""
+    def mirrored(pairs):
+        return pairs, [(-z, k) for z, k in pairs]
+
+    return _close(fa.amp * fa.amp, fb.amp * fb.amp, 1e-10) and _cancels(
+        (*mirrored(fa.zeros), *mirrored(fb.poles)),
+        (*mirrored(fa.poles), *mirrored(fb.zeros)),
+    )
+
+
 def inverse(a: GSymbol) -> GSymbol:
     """Symbolic inverse where it stays in the representation.
 
@@ -805,10 +994,10 @@ def inverse(a: GSymbol) -> GSymbol:
     """
     if a.is_zero():
         raise NotInvertible("zero symbol")
-    if not a.ap:
-        raise NotInvertible("symbol vanishes at infinity (no almost-periodic part)")
     form = a._exp_form
     if form is None:
+        if not a.ap:
+            raise NotInvertible("symbol vanishes at infinity (no almost-periodic part)")
         try:
             ok = is_invertible(a)
         except Inconclusive:
@@ -831,10 +1020,11 @@ def nu(a: GSymbol):
     Exact when one coefficient dominates the rest; otherwise the mean slope of
     the unwrapped argument over two long windows, which must agree.
     """
+    f = _factors(a)
+    if f is not None:
+        return f.delta
     if not a.ap:
         raise NotInvertible("mean motion undefined: almost-periodic part vanishes")
-    if len(a.ap) == 1:
-        return a.ap[0].freq
     mags = [abs(u.coeff) for u in a.ap]
     j0 = int(np.argmax(mags))
     if mags[j0] > sum(m for j, m in enumerate(mags) if j != j0):
@@ -865,13 +1055,13 @@ def winding_n(a: GSymbol):
 
 
 def _winding_n(a):
-    if not a.ap:
-        raise NotInvertible("winding undefined: almost-periodic part vanishes")
     form = a._exp_form
     if form is not None:
         _require_no_real_zero(a, form)
         upper_zeros = sum(k for z, k in form.zeros if z.imag > REAL_AXIS_TOL)
         return upper_zeros - sum(m for p, m in form.poles if p.imag > 0)
+    if not a.ap:
+        raise NotInvertible("winding undefined: almost-periodic part vanishes")
     # numerical route: w(t) = a(t)/b(t) - 1 = b^(-1) k
     ap_only = GSymbol(a.ap, ())
 
@@ -905,12 +1095,33 @@ def _winding_n(a):
     return int(round(n))
 
 
+#: the factor list of the symbol 1
+_ONE = _Factors(0.0, 1.0, (), ())
+
+
 def is_matching(g: GSymbol) -> bool:
     """g(t) g(-t) = 1, decided by `_same_mirror_product` with b = 1."""
+    f = _factors(g)
+    if f is not None:
+        return _mirrors_cancel(f, _ONE)
     form = g._exp_form
     if form is not None:
         return _poly_identity(form.mirror_N, form.mirror_den, 1e-10)
     return _same_mirror_product(g, one())
+
+
+def _value_at_zero(g):
+    """g(0): amp prod (-z)^k / prod (-p)^m for a symbol that carries its
+    zeros, else from its coefficients."""
+    f = _factors(g)
+    if f is None:
+        return complex(g.eval(0.0))
+    val = f.amp
+    for z, k in f.zeros:
+        val *= (-z) ** k
+    for p, m in f.poles:
+        val /= (-p) ** m
+    return val
 
 
 def xi(g: GSymbol) -> int:
@@ -920,7 +1131,7 @@ def xi(g: GSymbol) -> int:
     if abs(nu(g)) > FREQ_TOL:
         raise NotMatching("xi requires zero mean motion")
     n = winding_n(g)
-    val = complex(g.eval(0.0)) * (-1) ** (n % 2)
+    val = _value_at_zero(g) * (-1) ** (n % 2)
     if abs(val - 1.0) < 1e-8:
         return 1
     if abs(val + 1.0) < 1e-8:

@@ -1,4 +1,5 @@
 import importlib.util
+import random
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,39 @@ def sweep_pairs():
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     return workloads.sweep_pairs(1)
+
+
+def _linear(z):
+    """'t-z' in the symbol language."""
+    re = f"{-z.real:+g}" if z.real else ""
+    return f"(t{re}{-z.imag:+g}i)"
+
+
+@pytest.fixture(scope="session")
+def general_pairs():
+    """400 matching pairs (a, b) drawn from random.Random(11), blind to
+    their outcomes: a has 1-2 factors ((t-z)/(t-p))^m, m in {1, 2, 3}, and
+    b = +-a prod (t+w)/(t-w) over 1-3 points w.  Real parts are uniform in
+    [-1.5, 1.5] and imaginary parts in [0.3, 3], both rounded to 2
+    decimals, each point in a random half-plane.  The draw order is this
+    fixture's own."""
+    rng = random.Random(11)
+
+    def point():
+        im = round(rng.uniform(0.3, 3.0), 2)
+        return complex(round(rng.uniform(-1.5, 1.5), 2), im if rng.random() < 0.5 else -im)
+
+    pairs = []
+    for _ in range(400):
+        factors = []
+        for _ in range(rng.randint(1, 2)):
+            m = rng.randint(1, 3)
+            factors.append(f"({_linear(point())}/{_linear(point())})^{m}")
+        a = "*".join(factors)
+        w = [point() for _ in range(rng.randint(1, 3))]
+        blaschke = "*".join(f"{_linear(-x)}/{_linear(x)}" for x in w)
+        pairs.append((a, f"{rng.choice(('', '-'))}({a})*{blaschke}"))
+    return pairs
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,13 @@ from whhankel import Grid, OracleConfig, oracle, symbols
 from whhankel.kernels import kappa_for_pair
 from whhankel.catalog import parse_catalog, shipped_catalog_path
 from whhankel.classify import Dim, _chi_reduced, _sign_flipped
-from whhankel.errors import NotInvertible, NotMatching, OutOfScope, WindingUnresolved
+from whhankel.errors import (
+    NotInvertible,
+    NotMatching,
+    NotRepresentable,
+    OutOfScope,
+    WindingUnresolved,
+)
 
 
 def _dims(report):
@@ -424,3 +430,35 @@ def test_derived_pairs_pass_the_matching_gate(a_n0):
         for derive in (_sign_flipped, _chi_reduced):
             with pytest.raises(NotMatching, match="^subordinated functions"):
                 derive(bad)
+
+
+def test_classification_derives_no_coefficients(monkeypatch, sweep_pairs):
+    # symbols that carry their zeros are decided on their factor lists: the
+    # matching gate, c, d, a~^(-1), matching, winding, xi and the family tag
+    # of every sweep and catalog pair read no coefficient
+    def no_terms(_g):
+        raise AssertionError("classification derived coefficients")
+
+    monkeypatch.setattr(symbols, "_derive", no_terms)
+    text = shipped_catalog_path().read_text(encoding="utf-8")
+    catalog = [(e.a_expr, e.b_expr) for e in parse_catalog(text) if e.b_expr]
+    for a_expr, b_expr in [*sweep_pairs, *catalog]:
+        classify(MatchingPair(parse_symbol(a_expr), parse_symbol(b_expr)))
+    for row in json.loads(SWEEP_REPORTS.read_text(encoding="utf-8")):
+        pair = MatchingPair(parse_symbol(row["a"]), parse_symbol(row["b"]))
+        got = json.dumps(classify(pair).to_dict(), sort_keys=True)
+        assert got == json.dumps(row["report"], sort_keys=True), row["a"]
+
+
+def test_high_powers_of_chi_classify_on_their_lists():
+    # chi(60) and chi^40 * chi^40 lose their value as coefficients, so
+    # reading those raises; the pair (chi^40, chi^40) classifies on its lists
+    a = parse_symbol("chi^40")
+    for g in (symbols.chi(60), a * a):
+        with pytest.raises(NotRepresentable):
+            g.eval(1.0)
+    report = classify(MatchingPair(a, a))
+    assert report.subordinated == {
+        "nu_c": 0.0, "nu_d": 0.0, "n_c": 0, "n_d": 80, "xi_c": 1, "xi_d": 1,
+    }
+    assert (report.plus.coker, report.minus.coker) == (Dim.exact(40), Dim.exact(40))

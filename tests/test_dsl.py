@@ -7,6 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from whhankel import GSymbol, chi, constant, exp_symbol, make_symbol, one, parse, parse_symbol
+from whhankel.classify import scalar_wh_classify
+from whhankel.oracle import Grid, verify_scalar
+from whhankel.symbols import winding_n
 from whhankel import dsl
 from whhankel.dsl import BinOp, Chi, EFunc, Lit, Neg, Pow, Var, format_symbol
 from whhankel.errors import (
@@ -148,9 +151,19 @@ def test_power_checked_against_the_base_value():
     t = np.array([-7.0, -1.0, -0.2, 0.3, 1.0, 2.5, 5.0, 40.0])
     a = parse_symbol("chi^40")
     assert np.max(np.abs(a.eval(t) - ((t - 1j) / (t + 1j)) ** 40)) < 1e-10
-    # the expanded coefficients lose the symbol: O(1) errors at k = 60, the
-    # zero symbol at k = 2000, overflow for a constant
-    for text in ("chi^60", "chi^2000", "chi^-60", "2^2000"):
+    # chi^60 is its factor list: its winding reads from the list, but its
+    # expanded coefficients lose the symbol (O(1) errors), so every reader
+    # of numbers raises
+    for text, n in (("chi^60", 60), ("chi^-60", -60)):
+        g = parse_symbol(text)
+        assert winding_n(g) == n
+        readers = (lambda: g.l0, lambda: g.eval(1.0), lambda: format_symbol(g),
+                   lambda: verify_scalar(scalar_wh_classify(g), g, Grid(T=2.0, h=0.5)))
+        for read in readers:
+            with pytest.raises(NotRepresentable):
+                read()
+    # a list past MAX_DEGREE and a non-finite amplitude are refused at parse
+    for text in ("chi^2000", "2^2000"):
         with pytest.raises(NotRepresentable):
             parse_symbol(text)
     # a pole of the base at a check point is skipped, not misread

@@ -21,7 +21,7 @@ from whhankel import (
 )
 from whhankel.dsl import format_symbol
 from whhankel.errors import NotFactorizable, NotInvertible, WrongSide
-from whhankel.symbols import _carried
+from whhankel.symbols import _factors
 
 
 def test_chi_is_its_own_middle_factor():
@@ -95,7 +95,7 @@ def test_constant_rescaling_keeps_every_pole():
     assert (n, sign) == (11, 1)
     for g in (g_plus, factorize(d).g_minus, g_plus * 3.0, 3.0 * g_plus):
         poles = g.l0[0].rational.poles
-        assert sum(k for _, k in _carried(g)) == sum(m for _, m in poles) == 10
+        assert sum(k for _, k in _factors(g).zeros) == sum(m for _, m in poles) == 10
     assert ((-0.2 - 0.89j), 2) in g_plus.l0[0].rational.poles
 
 
@@ -133,7 +133,7 @@ def test_factorize_and_inverse_read_one_zero_list():
     )))
     assert [k for _, k in inverse(r).l0[0].rational.poles] == [3, 2]
     f = factorize(r)
-    minus, plus = _carried(f.g_minus), _carried(f.g_plus)
+    minus, plus = _factors(f.g_minus).zeros, _factors(f.g_plus).zeros
     assert [k for _, k in minus] == [1, 2] and [k for _, k in plus] == [3]
     assert abs(minus[0][0] - 1j) == 0.0
     assert abs(minus[1][0] - (1 + 2j)) < 1e-12
@@ -189,3 +189,17 @@ def test_recipe_factors_are_invertible(a_nm1):
     rec = one_sided_inverse_recipe(factorize(a_nm1), "right")
     for f in rec.factors:
         inverse(f)  # must not raise
+
+
+def test_matching_factors_keep_every_pole_on_a_draw(general_pairs):
+    # g_+ of every c and d with a defined n carries as many zeros as its
+    # coefficients have poles: no rescaling drops a pole (sweep pair 41's d
+    # above is one such case, with |n| = 11)
+    for a_expr, b_expr in general_pairs:
+        sub = subordinated(MatchingPair(parse_symbol(a_expr), parse_symbol(b_expr)))
+        for g, n in ((sub.c, sub.n_c), (sub.d, sub.n_d)):
+            if n is None:
+                continue
+            g_plus = matching_factorization(g)[0]
+            poles = g_plus.l0[0].rational.poles if g_plus.l0 else ()
+            assert sum(k for _, k in _factors(g_plus).zeros) == sum(m for _, m in poles), a_expr

@@ -31,10 +31,16 @@ from whhankel import (
     xi,
     zero,
 )
-from whhankel.classify import MatchingPair, subordinated
-from whhankel.errors import Inconclusive, NotInvertible, NotMatching, NotRepresentable
+from whhankel.classify import MatchingPair, _family_tag, subordinated
+from whhankel.errors import (
+    Inconclusive,
+    NotInvertible,
+    NotMatching,
+    NotRepresentable,
+    XiNotUnimodular,
+)
 from whhankel.poly import format_poly
-from whhankel.symbols import L0Term, _reflect
+from whhankel.symbols import L0Term, _reflect, _same_mirror_product
 
 
 # --- arithmetic -------------------------------------------------------------
@@ -514,3 +520,40 @@ def test_mean_motion_numeric_fallback():
     assert abs(nu(flat)) < 1e-3
     carried = exp_symbol(1.0) * flat
     assert abs(nu(carried) - 1.0) < 1e-3
+
+
+# --- list and coefficient routes ------------------------------------------------------
+
+def _twin(g):
+    """g by its coefficients alone, which carry no zeros: the coefficient route."""
+    return GSymbol(g.ap, g.l0)
+
+
+def _outcome(decide, g):
+    try:
+        return decide(g)
+    except (NotInvertible, NotMatching, XiNotUnimodular) as err:
+        return type(err)
+
+
+def test_list_and_coefficient_routes_agree(sweep_pairs, general_pairs):
+    # a symbol that carries its zeros is decided on its factor lists, its
+    # coefficient twin by the identities on N and den: every decision the
+    # classifier reads agrees, on matching pairs and on two that miss
+    missed = [("chi", "2*chi"), ("(t-2i)/(t+1i)", "(t-2i)/(t+1.0000001i)")]
+    decisions = (winding_n, xi, is_invertible, _family_tag)
+    gates = 0
+    for a_expr, b_expr in [*sweep_pairs, *general_pairs, *missed]:
+        a, b = parse_symbol(a_expr), parse_symbol(b_expr)
+        gate = _same_mirror_product(a, b)
+        assert gate == _same_mirror_product(_twin(a), _twin(b)), (a_expr, b_expr)
+        if not gate:
+            continue
+        gates += 1
+        sub = subordinated(MatchingPair(a, b))
+        for g in (sub.c, sub.d, -sub.c, -sub.d):
+            assert is_matching(g) == is_matching(_twin(g)), (a_expr, b_expr)
+        for g in (a, b, sub.c, sub.d):
+            for decide in decisions:
+                assert _outcome(decide, g) == _outcome(decide, _twin(g)), (a_expr, decide)
+    assert gates == len(sweep_pairs) + len(general_pairs)
