@@ -19,20 +19,22 @@ formula of the adjoint pair (conj a, conj b~), whose subordinated pair
 (conj d, conj c) has indices (-n(d), -n(c), xi(d), xi(c)).  Kernels at
 n(c) = +1 go through the chi-reduction (c chi^(-2), d), cokernels at
 n(d) < 0 through the collapse and index-balance rules, and n(c) >= 2 is out
-of scope.
+of scope.  Each rule reads the pair's own xi(c): b -> -b negates c, d and
+both xi, which swaps the two reports, so no pair is classified as another.
 
 One branch is genuinely conditional: n(c) = +1 with dim ker W(d) = 1, where
-invertibility of the minus operator hinges on whether a transported kernel
-element kappa lies in the range of W(chi).  That membership is decided by an
-injected tester, kernels.kappa_for_pair, which computes kappa in closed form
-as a rational function and reads its inner product with e^(-t) from it; no
-grid is involved, and a residual in the band between its two tolerances
-raises Inconclusive instead of guessing.
+invertibility of side D (minus where xi(c) = 1, plus where xi(c) = -1)
+hinges on whether a transported kernel element kappa lies in the range of
+W(chi).  That membership is decided by an injected tester,
+kernels.kappa_for_pair, which computes kappa in closed form as a rational
+function and reads its inner product with e^(-t) from it; no grid is
+involved, and a residual in the band between its two tolerances raises
+Inconclusive instead of guessing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import symbols
 from .errors import (
@@ -47,6 +49,7 @@ from .errors import (
 from .symbols import GSymbol, conj, inverse, is_matching, tilde
 
 NU_TOL = 1e-9
+SIDES = ("plus", "minus")
 
 
 # --- dimensions -------------------------------------------------------------
@@ -117,7 +120,6 @@ class ClassificationReport:
     minus: SignReport
     index_check: dict | None
     subordinated: dict
-    notes: tuple = ()
 
     def to_dict(self):
         return {
@@ -125,7 +127,6 @@ class ClassificationReport:
             "minus": self.minus.to_dict(),
             "index_check": self.index_check,
             "subordinated": self.subordinated,
-            "notes": list(self.notes),
         }
 
 
@@ -185,7 +186,8 @@ def _indices(g):
 def _subordinated(c, d, at_inv):
     """SubordinatedPair of c, d and a~^(-1), indices attached, once c and d
     pass the matching gate."""
-    _require_matching(c, d)
+    if not (is_matching(c) and is_matching(d)):
+        raise NotMatching("subordinated functions fail g(t)g(-t) = 1")
     nu_c, n_c, xi_c = _indices(c)
     nu_d, n_d, xi_d = _indices(d)
     return SubordinatedPair(
@@ -194,27 +196,10 @@ def _subordinated(c, d, at_inv):
     )
 
 
-def _require_matching(c, d):
-    if not (is_matching(c) and is_matching(d)):
-        raise NotMatching("subordinated functions fail g(t)g(-t) = 1")
-
-
 def subordinated(pair: MatchingPair) -> SubordinatedPair:
     """c = b~ a~^(-1), d = b a~^(-1), with indices attached."""
     at_inv = inverse(tilde(pair.a))
     return _subordinated(tilde(pair.b) * at_inv, pair.b * at_inv, at_inv)
-
-
-def _sign_flipped(sub: SubordinatedPair) -> SubordinatedPair:
-    """The subordinated pair of (a, -b), derived from that of (a, b): c and d
-    change sign, and so does xi = (-1)^n g(0), while nu and n do not."""
-    c, d = -sub.c, -sub.d
-    _require_matching(c, d)
-    return replace(
-        sub, c=c, d=d,
-        xi_c=None if sub.xi_c is None else -sub.xi_c,
-        xi_d=None if sub.xi_d is None else -sub.xi_d,
-    )
 
 
 def _chi_reduced(sub: SubordinatedPair) -> SubordinatedPair:
@@ -339,23 +324,7 @@ def classify(pair: MatchingPair, kappa_tester=None) -> ClassificationReport:
             raise NotInvertible("a is not invertible; operators not semi-Fredholm")
     except Inconclusive:
         pass  # treat as invertible; downstream indices will object if not
-    return _classify(subordinated(pair), kappa_tester)
-
-
-def _classify(sub, kappa_tester) -> ClassificationReport:
-    """classify() of a pair whose subordinated pair is sub.  The sign flip
-    recurses with the subordinated pair of (a, -b), derived from sub."""
-    # reduce xi(c) = -1 by flipping the sign of b, which swaps +- reports
-    if sub.xi_c == -1:
-        flipped = _classify(_sign_flipped(sub), kappa_tester)
-        return ClassificationReport(
-            plus=flipped.minus,
-            minus=flipped.plus,
-            index_check=flipped.index_check,
-            subordinated=sub.summary(),
-            notes=("sign-flip: reduced xi(c) = -1 to +1 via b -> -b",),
-        )
-
+    sub = subordinated(pair)
     if abs(sub.nu_c) > NU_TOL:
         raise OutOfScope(f"nu(c) = {sub.nu_c:g} != 0 is outside the classified scope")
     if sub.n_c is None:
@@ -370,127 +339,89 @@ def _classify(sub, kappa_tester) -> ClassificationReport:
     d_report = scalar_wh_classify(sub.d)
     kd = d_report.ker
     n_c = sub.n_c
-
-    ker_plus = Dim.unknown()
-    ker_minus = Dim.unknown()
-    cert_plus = []
-    cert_minus = []
+    ker = dict.fromkeys(SIDES, Dim.unknown())
+    coker = dict.fromkeys(SIDES, Dim.unknown())
+    tag = _family_tag(sub.c)
+    cert = {side: [f"family:{tag}"] if tag else [] for side in SIDES}
     indices = f"(n_c={n_c}, n_d={sub.n_d}, xi_d={sub.xi_d})"
+
+    def both(rule):
+        for side in SIDES:
+            cert[side].append(rule)
+
+    # at n(c) = +1, side C is plus where xi(c) = 1 and minus where
+    # xi(c) = -1, and side D is the other one
+    c_side, d_side = SIDES if sub.xi_c == 1 else SIDES[::-1]
 
     if n_c <= 0:
         # W(c) is right-invertible: ker(+-) = phi+-(im P+-(d)) + P-+(ker W(c))
         pd_plus, pd_minus = _split(kd, sub.xi_d)
         pc_plus, pc_minus = _split(Dim.exact(-n_c), sub.xi_c)
-        ker_plus = pd_plus + pc_minus
-        ker_minus = pd_minus + pc_plus
-        cert_plus.append(f"kernel-decomposition{indices}")
-        cert_minus.append(f"kernel-decomposition{indices}")
-    else:
+        ker = {"plus": pd_plus + pc_minus, "minus": pd_minus + pc_plus}
+        both(f"kernel-decomposition{indices}")
+    elif kd == Dim.exact(0):
         # n_c = +1: reduce through W(chi); the reduced pair (a chi^-1, b chi)
         # has subordinated pair (c chi^-2, d) with index -1 and xi = xi(c)
-        if kd.kind == "exact" and kd.value == 0:
-            ker_plus = Dim.exact(0)
-            ker_minus = Dim.exact(0)
-            cert_plus.append("chi-reduction;kernel-trivial")
-            cert_minus.append("chi-reduction;kernel-trivial")
-        elif (
-            kd.kind == "exact"
-            and kd.value == 1
-            and sub.n_d == -1
-            and sub.xi_d == 1
-        ):
-            ker_plus = Dim.exact(0)
-            cert_plus.append("chi-reduction;kernel-avoids-range")
-            kappa_result = None if kappa_tester is None else kappa_tester(sub)
-            if kappa_result is not None:
-                inside = bool(kappa_result.in_image)
-                ker_minus = Dim.exact(1 if inside else 0)
-                cert_minus.append(
-                    "image-membership("
-                    f"in_image={inside}, residual={kappa_result.residual:.2e})"
-                )
-            else:
-                ker_minus = Dim.unknown()
-                cert_minus.append("image-membership(unresolved)")
-        elif (
-            kd.kind == "exact"
-            and kd.value == 1
-            and sub.n_d == -1
-            and sub.xi_d == -1
-        ):
-            # the minus side of the reduced pair sees no kernel at all
-            ker_minus = Dim.exact(0)
-            cert_minus.append("chi-reduction;kernel-trivial")
-            cert_plus.append("chi-reduction(kernel-split-unresolved)")
+        ker = dict.fromkeys(SIDES, Dim.exact(0))
+        both("chi-reduction;kernel-trivial")
+    elif kd == Dim.exact(1) and sub.n_d == -1 and sub.xi_d == sub.xi_c:
+        ker[c_side] = Dim.exact(0)
+        cert[c_side].append("chi-reduction;kernel-avoids-range")
+        kappa_result = None if kappa_tester is None else kappa_tester(sub)
+        if kappa_result is not None:
+            inside = bool(kappa_result.in_image)
+            ker[d_side] = Dim.exact(1 if inside else 0)
+            cert[d_side].append(
+                "image-membership("
+                f"in_image={inside}, residual={kappa_result.residual:.2e})"
+            )
         else:
-            cert_plus.append("chi-reduction(kernel-split-unresolved)")
-            cert_minus.append("chi-reduction(kernel-split-unresolved)")
+            cert[d_side].append("image-membership(unresolved)")
+    elif kd == Dim.exact(1) and sub.n_d == -1 and sub.xi_d == -sub.xi_c:
+        # side D of the reduced pair sees no kernel at all
+        ker[d_side] = Dim.exact(0)
+        cert[d_side].append("chi-reduction;kernel-trivial")
+        cert[c_side].append("chi-reduction(kernel-split-unresolved)")
+    else:
+        both("chi-reduction(kernel-split-unresolved)")
 
     # cokernels
-    coker_plus = Dim.unknown()
-    coker_minus = Dim.unknown()
     kd_nontrivial = kd.kind == "infinite" or (kd.kind == "exact" and kd.value >= 1)
     if kd_nontrivial and n_c <= 0:
-        coker_plus = Dim.exact(0)
-        coker_minus = Dim.exact(0)
-        cert_plus.append("cokernel-collapse")
-        cert_minus.append("cokernel-collapse")
-    elif kd_nontrivial and n_c == 1:
-        coker_plus = Dim.exact(0)
-        cert_plus.append("cokernel-collapse(chi-reduction)")
-        if ker_minus.kind == "exact" and ker_plus.kind == "exact" and ker_plus.value == 0:
-            # plus operator is invertible, so index(-) = ind W(c) + ind W(d)
-            rhs = -(n_c + sub.n_d) if sub.n_d is not None else None
-            if rhs is not None:
-                coker_minus = Dim.exact(ker_minus.value - rhs)
-                cert_minus.append("index-balance")
+        coker = dict.fromkeys(SIDES, Dim.exact(0))
+        both("cokernel-collapse")
+    elif kd_nontrivial:
+        coker[c_side] = Dim.exact(0)
+        cert[c_side].append("cokernel-collapse(chi-reduction)")
+        if ker[c_side] == Dim.exact(0) and ker[d_side].kind == "exact" \
+                and sub.n_d is not None:
+            # side C is invertible, so index(D) = ind W(c) + ind W(d)
+            coker[d_side] = Dim.exact(ker[d_side].value + n_c + sub.n_d)
+            cert[d_side].append("index-balance")
     elif kd == Dim.exact(0):
         # W(d) is left-invertible: the kernel formula of the adjoint pair,
         # whose W(conj d) is right-invertible, on the cokernels of W(c), W(d)
         pc_plus, pc_minus = _split(Dim.exact(max(n_c, 0)), sub.xi_c)
         pd_plus, pd_minus = _split(d_report.coker, sub.xi_d)
-        coker_plus = pc_plus + pd_minus
-        coker_minus = pc_minus + pd_plus
-        cert_plus.append(f"cokernel-decomposition{indices}")
-        cert_minus.append(f"cokernel-decomposition{indices}")
-
-    tag = _family_tag(sub.c)
-    if tag:
-        cert_plus.insert(0, f"family:{tag}")
-        cert_minus.insert(0, f"family:{tag}")
+        coker = {"plus": pc_plus + pd_minus, "minus": pc_minus + pd_plus}
+        both(f"cokernel-decomposition{indices}")
 
     index_check = None
     if sub.n_d is not None and abs(sub.nu_d) <= NU_TOL:
         rhs = -(n_c + sub.n_d)
         lhs = None
-        if all(
-            x.kind == "exact"
-            for x in (ker_plus, coker_plus, ker_minus, coker_minus)
-        ):
-            lhs = (ker_plus.value - coker_plus.value) + (
-                ker_minus.value - coker_minus.value
-            )
+        if all(x.kind == "exact" for x in (*ker.values(), *coker.values())):
+            lhs = sum(ker[side].value - coker[side].value for side in SIDES)
         index_check = {
             "lhs": lhs,
             "rhs": rhs,
             "consistent": (lhs == rhs) if lhs is not None else None,
         }
 
-    plus = SignReport(
-        ker=ker_plus,
-        coker=coker_plus,
-        status=_status(ker_plus, coker_plus),
-        certificate=";".join(cert_plus) or "none",
-    )
-    minus = SignReport(
-        ker=ker_minus,
-        coker=coker_minus,
-        status=_status(ker_minus, coker_minus),
-        certificate=";".join(cert_minus) or "none",
-    )
-    return ClassificationReport(
-        plus=plus,
-        minus=minus,
-        index_check=index_check,
-        subordinated=sub.summary(),
-    )
+    reports = {
+        side: SignReport(ker[side], coker[side], _status(ker[side], coker[side]),
+                         ";".join(cert[side]) or "none")
+        for side in SIDES
+    }
+    return ClassificationReport(**reports, index_check=index_check,
+                                subordinated=sub.summary())

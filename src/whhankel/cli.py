@@ -127,8 +127,6 @@ def _report_text(report):
         )
     if report.index_check:
         lines.append(f"index check: {report.index_check}")
-    for note in report.notes:
-        lines.append(f"note: {note}")
     return "\n".join(lines)
 
 

@@ -242,13 +242,17 @@ def kappa_for_pair(sub: SubordinatedPair) -> KappaResult:
 
     Reduces sub, the subordinated pair of (a, b), to (c chi^(-2), d), that of
     (a chi^(-1), b chi), and transports s = W(d_+^(-1)) e^(-t), which spans
-    ker W(d), to kappa = phi_-(s).  The range of W(chi) is the orthogonal
-    complement of e^(-t), so kappa lies in it exactly when
-    kappa^(i) = <kappa, e^(-t)> vanishes; the residual is
-    |<kappa, e^(-t)>| / (|kappa| |e^(-t)|) = sqrt(2) |kappa^(i)| / |kappa|.
+    ker W(d), to kappa = phi_D(s): phi_- where xi(c) = 1 and phi_+ where
+    xi(c) = -1, the side classify's tester decides.  The two are one test:
+    W(a) -+ H(-b) = W(a) +- H(b), and negating c and d negates W_r^(-1)(c)
+    and J Q W0(c) P, so phi_- of the pair with b -> -b is -phi_+ of this
+    one.  The range of W(chi) is the orthogonal complement of e^(-t), so
+    kappa lies in it exactly when kappa^(i) = <kappa, e^(-t)> vanishes; the
+    residual is |<kappa, e^(-t)>| / (|kappa| |e^(-t)|)
+    = sqrt(2) |kappa^(i)| / |kappa|.
     """
     red = _chi_reduced(sub)
-    kappa = phi_pm(red, _kernel_image(_plus_inverse(red.d)), "-")
+    kappa = phi_pm(red, _kernel_image(_plus_inverse(red.d)), "-" if sub.xi_c == 1 else "+")
     norm = symbols.half_line_norm(kappa)
     at_i = sum((w.rational.eval(1j) for w in kappa.l0), 0j)
     residual = float(math.sqrt(2.0) * abs(at_i) / norm) if norm else 0.0

@@ -1095,18 +1095,8 @@ def _winding_n(a):
     return int(round(n))
 
 
-#: the factor list of the symbol 1
-_ONE = _Factors(0.0, 1.0, (), ())
-
-
 def is_matching(g: GSymbol) -> bool:
-    """g(t) g(-t) = 1, decided by `_same_mirror_product` with b = 1."""
-    f = _factors(g)
-    if f is not None:
-        return _mirrors_cancel(f, _ONE)
-    form = g._exp_form
-    if form is not None:
-        return _poly_identity(form.mirror_N, form.mirror_den, 1e-10)
+    """g(t) g(-t) = 1: `_same_mirror_product` with b = 1."""
     return _same_mirror_product(g, one())
 
 

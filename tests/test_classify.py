@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from whhankel import (
 from whhankel import Grid, OracleConfig, oracle, symbols
 from whhankel.kernels import kappa_for_pair
 from whhankel.catalog import parse_catalog, shipped_catalog_path
-from whhankel.classify import Dim, _chi_reduced, _sign_flipped
+from whhankel.classify import Dim, _chi_reduced
 from whhankel.errors import (
     NotInvertible,
     NotMatching,
@@ -96,7 +97,7 @@ def test_clustered_general_pairs_classify(a, u, n_c, n_d):
 
 def test_classify_of_products_finds_no_roots(monkeypatch):
     # every symbol of a sweep pair is a product, so its zeros are carried:
-    # parse, subordination, indices and the sign flip
+    # parse, subordination and indices
     from whhankel import poly
 
     def no_roots(c):
@@ -232,7 +233,6 @@ def test_equal_pair_and_sign_flip(a_n0):
     r2 = classify(MatchingPair(a_n0, -a_n0))
     # b -> -b swaps the two sign reports verbatim
     assert r2.plus.ker == r1.minus.ker and r2.minus.ker == r1.plus.ker
-    assert any("sign-flip" in n for n in r2.notes)
 
 
 def test_sign_flip_property(a_nm1):
@@ -241,6 +241,45 @@ def test_sign_flip_property(a_nm1):
     assert flip.plus.ker == base.minus.ker
     assert flip.plus.coker == base.minus.coker
     assert flip.minus.ker == base.plus.ker
+
+
+#: c = b~ a~^(-1) of each family tag
+FAMILY_C = {"b=a*chi": chi(-1), "b=a*chi^-1": chi(1), "b=a": one(), "b=-a": constant(-1.0)}
+
+
+def _certificates_name_their_pair(report, sub):
+    for side in (report.plus, report.minus):
+        for rule in side.certificate.split(";"):
+            if rule.startswith("family:"):
+                assert sub.c.isclose(FAMILY_C[rule[len("family:"):]], 1e-10), rule
+        for xi_d in re.findall(r"xi_d=(-?\w+)", side.certificate):
+            assert xi_d == str(sub.xi_d), side.certificate
+
+
+def test_b_to_minus_b_swaps_the_reports_and_certificates_name_their_pair(
+    sweep_pairs, general_pairs
+):
+    # W(a) +- H(-b) = W(a) -+ H(b): (a, -b) gets the reports of (a, b) with
+    # the sides swapped, each classified on its own subordinated pair, so a
+    # family tag names that pair's c and xi_d= its own xi(d)
+    text = shipped_catalog_path().read_text(encoding="utf-8")
+    catalog = [(e.a_expr, e.b_expr) for e in parse_catalog(text) if e.b_expr]
+    for a_expr, b_expr in [*sweep_pairs, *general_pairs, *catalog]:
+        a, b = parse_symbol(a_expr), parse_symbol(b_expr)
+        pairs = (MatchingPair(a, b), MatchingPair(a, -b))
+        try:
+            r = classify(pairs[0], kappa_tester=kappa_for_pair)
+        except OutOfScope:
+            with pytest.raises(OutOfScope):
+                classify(pairs[1], kappa_tester=kappa_for_pair)
+            continue
+        flip = classify(pairs[1], kappa_tester=kappa_for_pair)
+        for mine, theirs in ((flip.plus, r.minus), (flip.minus, r.plus)):
+            assert (mine.ker, mine.coker, mine.status) == (
+                theirs.ker, theirs.coker, theirs.status), a_expr
+        assert flip.index_check == r.index_check, a_expr
+        for pair, report in zip(pairs, (r, flip)):
+            _certificates_name_their_pair(report, subordinated(pair))
 
 
 def test_adjoint_duality_swaps_dims(a_n0, a_n1):
@@ -290,7 +329,6 @@ def test_kernel_split_of_a_four_dimensional_ker_w_d():
     cert = "family:b=a;kernel-decomposition(n_c=0, n_d=-4, xi_d=1);cokernel-collapse"
     assert (r.plus.certificate, r.minus.certificate) == (cert, cert)
     assert r.index_check == {"lhs": 4, "rhs": 4, "consistent": True}
-    assert r.notes == ()
 
 
 def test_chi_reduction_with_both_sides_unresolved():
@@ -305,7 +343,6 @@ def test_chi_reduction_with_both_sides_unresolved():
     )
     assert r.minus.certificate == "family:b=a*chi^-1;chi-reduction(kernel-split-unresolved)"
     assert r.index_check == {"lhs": None, "rhs": 6, "consistent": None}
-    assert r.notes == ()
 
 
 def test_cokernels_where_the_adjoint_pair_has_n_c_minus_3():
@@ -318,7 +355,6 @@ def test_cokernels_where_the_adjoint_pair_has_n_c_minus_3():
             "cokernel-decomposition(n_c=1, n_d=3, xi_d=1)")
     assert (r.plus.certificate, r.minus.certificate) == (cert, cert)
     assert r.index_check == {"lhs": -4, "rhs": -4, "consistent": True}
-    assert r.notes == ()
 
 
 @pytest.mark.parametrize(
@@ -367,7 +403,7 @@ def test_report_json_schema(a_n0):
 
     r = classify(MatchingPair(a_n0, a_n0 * chi()))
     payload = json.loads(json.dumps(r.to_dict()))
-    assert set(payload) == {"plus", "minus", "index_check", "subordinated", "notes"}
+    assert set(payload) == {"plus", "minus", "index_check", "subordinated"}
     for side in ("plus", "minus"):
         assert set(payload[side]) == {"ker", "coker", "status", "certificate"}
 
@@ -406,17 +442,16 @@ def _catalog_pairs(*names):
 
 
 def test_derived_subordinated_pairs_match_recomputed_ones():
-    # classify's sign flip derives the subordinated pair of (a, -b), and the
-    # kappa tester that of (a chi^-1, b chi), from that of (a, b) instead of
-    # recomputing them; the two catalog entries are those whose
-    # classification reaches the tester.  The cokernel formula rests on the
-    # adjoint pair's indices being (-n(d), -n(c), xi(d), xi(c)).
+    # the kappa tester derives the subordinated pair of (a chi^-1, b chi)
+    # from that of (a, b) instead of recomputing it; the two catalog entries
+    # are those whose classification reaches the tester.  The cokernel
+    # formula rests on the adjoint pair's indices being
+    # (-n(d), -n(c), xi(d), xi(c)).
     tester_pairs = _catalog_pairs("pair_chi_inv_shift_n0", "hankel_chi_inverse")
     for pair in itertools.chain(_sweep_pairs(), tester_pairs):
         sub = subordinated(pair)
         reduced = MatchingPair(pair.a * chi(-1), pair.b * chi())
         assert _chi_reduced(sub) == subordinated(reduced)
-        assert _sign_flipped(sub) == subordinated(MatchingPair(pair.a, -pair.b))
         adj = subordinated(adjoint_pair(pair))
         assert (adj.n_c, adj.n_d, adj.xi_c, adj.xi_d) == (-sub.n_d, -sub.n_c, sub.xi_d, sub.xi_c)
 
@@ -427,9 +462,8 @@ def test_derived_pairs_pass_the_matching_gate(a_n0):
     sub = subordinated(MatchingPair(a_n0, a_n0 * chi()))
     for field in ("c", "d"):
         bad = dataclasses.replace(sub, **{field: getattr(sub, field) * constant(2.0)})
-        for derive in (_sign_flipped, _chi_reduced):
-            with pytest.raises(NotMatching, match="^subordinated functions"):
-                derive(bad)
+        with pytest.raises(NotMatching, match="^subordinated functions"):
+            _chi_reduced(bad)
 
 
 def test_classification_derives_no_coefficients(monkeypatch, sweep_pairs):

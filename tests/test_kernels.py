@@ -19,7 +19,7 @@ from whhankel import (
 )
 from whhankel import kernels, oracle, symbols
 from whhankel.catalog import parse_catalog, shipped_catalog_path
-from whhankel.classify import Dim, _chi_reduced, _sign_flipped, _split, classify, subordinated
+from whhankel.classify import Dim, _chi_reduced, _split, classify, subordinated
 from whhankel.errors import NoRightInverse, NotInKernel, OutOfScope, WrongIndex
 from whhankel.kernels import (
     EXP_IMAGE,
@@ -286,8 +286,8 @@ def test_kappa_tester_feeds_classifier(coarse_grid, fast_cfg, a_n0):
 def test_classify_builds_no_pair_and_factors_d_once_per_tester_call(
     coarse_grid, a_n0, monkeypatch
 ):
-    # the sign flip (b = -a chi^-1) and the tester derive their pairs from the
-    # subordinated pair, and the tester factors d once
+    # the tester derives the reduced pair from the subordinated pair, also
+    # for (a, -a chi^-1), whose xi(c) = -1, and factors d once
     from whhankel import factorization
 
     pairs = [MatchingPair(a_n0, a_n0 * chi(-1)), MatchingPair(a_n0, -(a_n0 * chi(-1)))]
@@ -414,15 +414,15 @@ def test_kappa_tester_reads_no_grid(monkeypatch):
 
 
 def test_kappa_lies_in_the_minus_kernel_of_the_reduced_pair():
-    # kappa = phi_-(s) of the reduced pair (a chi^-1, b chi), b signed as
-    # the tester receives it, lies exactly in ker(W(a chi^-1) - H(b chi));
-    # the dense operators annihilate it to second order
-    for name, sign in zip(TESTER_PAIRS, (1, -1)):
-        sub = _tester_sub(name)
+    # kappa = phi_-(s) of the reduced pair (a chi^-1, b chi) lies exactly in
+    # ker(W(a chi^-1) - H(b chi)); the dense operators annihilate it to
+    # second order
+    for name in TESTER_PAIRS:
+        pair = _catalog_pair(name)
+        sub = subordinated(pair)
         red = _chi_reduced(sub)
         kappa = phi_pm(red, _spanning_image(red.d), "-")
-        pair = _catalog_pair(name)
-        a, b = pair.a * chi(-1), sign * pair.b * chi()
+        a, b = pair.a * chi(-1), pair.b * chi()
         assert half_line_norm(_wh_hankel_apply(a, b, -1, kappa)) <= 1e-12 * half_line_norm(kappa)
         coarse, fine = _dense_residuals(a, b, -1, kappa)
         assert coarse < 5e-3 and 3.5 < coarse / fine < 4.5
@@ -431,11 +431,26 @@ def test_kappa_lies_in_the_minus_kernel_of_the_reduced_pair():
         assert residual == kappa_for_pair(sub).residual
 
 
-def _tester_sub(name):
-    """The subordinated pair classify hands the tester for a catalog pair:
-    hankel_chi_inverse reaches it through the sign flip."""
-    sub = subordinated(_catalog_pair(name))
-    return sub if sub.xi_c == 1 else _sign_flipped(sub)
+def test_tester_route_where_xi_c_is_minus_one(general_pairs):
+    # classify hands the tester 26 draw pairs with xi(c) = -1, for which it
+    # transports to phi_+; (a, -b) has xi(c) = 1 and takes phi_-, the same
+    # test, since phi_- of (a, -b) is -phi_+ of (a, b)
+    routed = []
+    for a_expr, b_expr in general_pairs:
+        pair = MatchingPair(parse_symbol(a_expr), parse_symbol(b_expr))
+        calls = []
+        try:
+            classify(pair, kappa_tester=calls.append)
+        except OutOfScope:
+            continue
+        if calls and calls[0].xi_c == -1:
+            routed.append(pair)
+    assert len(routed) == 26
+    for pair in routed:
+        mine = kappa_for_pair(subordinated(pair))
+        flipped = kappa_for_pair(subordinated(MatchingPair(pair.a, -pair.b)))
+        assert mine.in_image == flipped.in_image
+        assert abs(mine.residual - flipped.residual) <= 1e-12 * flipped.residual
 
 
 def test_half_line_operations_match_the_grid_to_second_order():
