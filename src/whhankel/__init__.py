@@ -19,13 +19,7 @@ from .classify import (
 )
 from .dsl import format_symbol, parse, parse_symbol, rational_symbol
 from .errors import WhhError
-from .factorization import (
-    OperatorRecipe,
-    WHFactorization,
-    factorize,
-    matching_factorization,
-    one_sided_inverse_recipe,
-)
+from .factorization import WHFactorization, factorize, matching_factorization
 from .kernels import (
     GridFunction,
     Workspace,

@@ -72,10 +72,6 @@ class NotFactorizable(OutOfScope):
     pass
 
 
-class WrongSide(OutOfScope):
-    pass
-
-
 class WrongIndex(OutOfScope):
     pass
 

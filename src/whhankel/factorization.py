@@ -24,7 +24,6 @@ from .errors import (
     NotInvertible,
     NotMatching,
     StructureViolation,
-    WrongSide,
 )
 from .symbols import GSymbol
 
@@ -60,23 +59,16 @@ class WHFactorization:
         }
 
 
-@dataclass(frozen=True)
-class OperatorRecipe:
-    """Ordered symbols denoting the operator composition W(f1) W(f2) ... W(fk)."""
-
-    factors: tuple
-
-
 def factorize(g: GSymbol) -> WHFactorization:
     """Split zeros and poles by half-plane; degree-balance with (t -+ i) factors.
 
     nu is the exponential frequency; n counts upper-half-plane zeros minus
-    upper-half-plane poles.  The poles are the symbol's own, the zeros are
-    the (zero, multiplicity) pairs of N = amp*den + num that every decision
-    reads (`symbols._ExpRational.zeros`: carried, or found once), and a zero
-    on the real axis (decided by `symbols._real_zero`, which may raise
-    Inconclusive) aborts: the half-plane assignment is the entire
-    correctness burden here.  Both factors carry their zeros.
+    upper-half-plane poles.  Zeros and poles are read off the factor list
+    that every decision on a single exponential reads (`GSymbol._exp_form`:
+    the symbol's own, or one with zeros found once), and a zero on the real
+    axis (decided by `symbols._real_zero`, which may raise Inconclusive)
+    aborts: the half-plane assignment is the entire correctness burden
+    here.  Both factors carry their zeros.
     """
     if g.is_zero():
         raise NotInvertible("zero symbol")
@@ -129,22 +121,3 @@ def matching_factorization(g: GSymbol):
         )
     return f.g_plus, f.n, sign
 
-
-def one_sided_inverse_recipe(f: WHFactorization, side: str) -> OperatorRecipe:
-    """[g_+^(-1), chi^(-n), g_-^(-1)]: a one-sided inverse of W(g) by half-line
-    operator calculus.  Right inverses need n <= 0, left inverses n >= 0."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    if abs(f.nu) > symbols.FREQ_TOL:
-        raise WrongSide("one-sided inverse recipes require zero mean motion")
-    if side == "right" and f.n > 0:
-        raise WrongSide(f"n = {f.n} > 0 admits no right inverse recipe")
-    if side == "left" and f.n < 0:
-        raise WrongSide(f"n = {f.n} < 0 admits no left inverse recipe")
-    factors = [
-        symbols.inverse(f.g_plus),
-        symbols.chi(-f.n),
-        symbols.inverse(f.g_minus),
-    ]
-    kept = tuple(x for x in factors if not x.isclose(symbols.one(), 1e-13))
-    return OperatorRecipe(factors=kept)

@@ -191,19 +191,17 @@ def _kernel_image(g_plus_inv):
     return symbols.half_line_apply(g_plus_inv, EXP_IMAGE)
 
 
-def _right_inverse_recipe(c: GSymbol):
-    """The factorization recipe [c_+^(-1), chi^(-n), c_-^(-1)] of W_r^(-1)(c)."""
-    f = factorization.factorize(c)
-    if f.n > 0 or abs(f.nu) > 1e-9:
-        raise NoRightInverse(f"W(c) with nu = {f.nu:g}, n = {f.n} is not right-invertible")
-    return factorization.one_sided_inverse_recipe(f, "right")
-
-
 def right_inverse_apply(c: GSymbol, f: GSymbol) -> GSymbol:
-    """W_r^(-1)(c) f for the half-line image f: the factors of the recipe of
-    c applied rightmost first."""
-    for g in reversed(_right_inverse_recipe(c).factors):
-        f = symbols.half_line_apply(g, f)
+    """W_r^(-1)(c) f = W(c_+^(-1)) W(chi^(-n)) W(c_-^(-1)) f for the
+    half-line image f, from the factors of c = c_- e^(i nu t) chi^n c_+; a
+    factor within 1e-13 of 1 is skipped.  NoRightInverse unless n <= 0 and
+    |nu| <= FREQ_TOL."""
+    fc = factorization.factorize(c)
+    if fc.n > 0 or abs(fc.nu) > symbols.FREQ_TOL:
+        raise NoRightInverse(f"W(c) with nu = {fc.nu:g}, n = {fc.n} is not right-invertible")
+    for g in (inverse(fc.g_minus), symbols.chi(-fc.n), inverse(fc.g_plus)):
+        if not g.isclose(symbols.one(), 1e-13):
+            f = symbols.half_line_apply(g, f)
     return f
 
 
@@ -214,7 +212,7 @@ def phi_pm(sub: SubordinatedPair, s: GSymbol, sign: str) -> GSymbol:
         2 phi_+-(s) = y -+ J Q W0(c) P y +- J Q W0(a~^(-1)) P s,
         y = W_r^(-1)(c) W(a~^(-1)) s.
 
-    s is checked to lie in ker W(d) before the recipe of c is built.
+    s is checked to lie in ker W(d) before c is factored.
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")

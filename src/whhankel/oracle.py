@@ -1,8 +1,8 @@
 """Brute-force numerical ground truth for half-line convolution operators.
 
 Dense discretizations of W(a), H(b), the whole-line W0(a) and the 2x2 block
-operator of a matching pair; SVD-based kernel/cokernel estimation; recipe
-application; verdict tables.
+operator of a matching pair; SVD-based kernel/cokernel estimation; verdict
+tables.
 
 Discretization: midpoint nodes t_i = (i + 1/2) h on [0, T].  The Toeplitz
 generator comes from the symbol itself through the conformal frequency map

@@ -35,8 +35,8 @@ Every other symbol is its coefficients, and decisions on it read them: a
 sum, whose zeros are found once, on demand, by `poly.root_clusters`, and a
 symbol built from coefficients.  Found zeros are not exact, and a text
 round trip that refinds them passes the coefficient identities more often
-than list matching (README, "Numerical notes").  Either way the zeros are
-one list of pairs, `_ExpRational.zeros`.
+than list matching (README, "Numerical notes").  Either way every decision
+on a single exponential reads one factor list, `GSymbol._exp_form`.
 """
 
 from __future__ import annotations
@@ -105,8 +105,9 @@ class L0Term:
 @dataclass(frozen=True)
 class _Factors:
     """e^(i delta t) amp prod (t - z)^k / prod (t - p)^m: canonical (zero,
-    multiplicity) and (pole, multiplicity) pairs of equal degree, the value
-    of a single exponential that carries its zeros."""
+    multiplicity) and (pole, multiplicity) pairs of equal degree: the value
+    of a single exponential that carries its zeros, and the form of any
+    single exponential that decisions read (`GSymbol._exp_form`)."""
 
     delta: float
     amp: complex
@@ -255,9 +256,8 @@ class GSymbol:
         if fa is not None and fb is not None:
             if abs(fa.delta - fb.delta) > FREQ_TOL:
                 return False
-            return _poly_identity(
-                poly.pmul(fa.N, fb.den), poly.pmul(fb.N, fa.den), tol
-            )
+            (na, da), (nb, db) = _n_den(self, fa), _n_den(other, fb)
+            return _poly_identity(poly.pmul(na, db), poly.pmul(nb, da), tol)
         diff = self - other
         if diff.is_zero():
             return True
@@ -415,8 +415,10 @@ def _scaled(g, c, delta=0.0):
     zero of g stays, where make_symbol's cancel could drop a pole at which
     the numerator is small (the bits are make_symbol's otherwise).  None
     when make_symbol would prune a term, and for delta != 0 when g carries
-    no zeros.  For |c| >= 1 no term of a symbol valued by its factor list
-    falls below the prune, so its terms are not read."""
+    no zeros.  A symbol valued by its factor list keeps it, and its terms
+    are not read, where no term can fall below the prune: for |c| >= 1, and
+    where the scaled amplitude and the numerator's t^(deg - 1) coefficient
+    amp (sum m p - sum k z) both exceed 2 COEFF_PRUNE."""
     f = _factors(g)
     if delta and f is None:
         return None
@@ -429,13 +431,15 @@ def _scaled(g, c, delta=0.0):
              for w in g.l0],
         )
 
-    if f is None or abs(c) < 1.0:
-        ap, l0 = terms()
-        cut = COEFF_PRUNE * max([1.0] + [abs(x) for _, x in ap])
-        if any(abs(x) <= cut for _, x in ap) or any(poly.is_zero(num) for _, num, _ in l0):
-            return None
-        return _symbol(f, lambda: _canonical(ap, l0))
-    return _symbol(f, lambda: _canonical(*terms()))
+    if f is not None:
+        lead = f.amp * (sum(m * p for p, m in f.poles) - sum(k * z for z, k in f.zeros))
+        if abs(c) >= 1.0 or min(abs(f.amp), abs(lead)) > 2 * COEFF_PRUNE:
+            return _symbol(f, lambda: _canonical(*terms()))
+    ap, l0 = terms()
+    cut = COEFF_PRUNE * max([1.0] + [abs(x) for _, x in ap])
+    if any(abs(x) <= cut for _, x in ap) or any(poly.is_zero(num) for _, num, _ in l0):
+        return None
+    return _symbol(f, lambda: _canonical(ap, l0))
 
 
 def _freq(x):
@@ -839,55 +843,15 @@ def _sampled_invertible(a):
     )
 
 
-@dataclass(frozen=True)
-class _ExpRational:
-    """a = e^(i delta t) (amp + num/den) = e^(i delta t) N/den, with the
-    one list of the zeros of N that every decision reads.  A symbol that
-    carries its zeros gives N from them, and reads no coefficient; any other
-    symbol gives its numerator ``num``."""
-
-    delta: float
-    amp: complex
-    poles: tuple   # (pole, multiplicity) pairs of den
-    carried: tuple | None  # the zeros of N where construction knows them, else None
-    num: np.ndarray | None = None  # the rational part's numerator, with no carried zeros
-
-    @cached_property
-    def den(self):
-        """The monic denominator, with no real root."""
-        return poly.from_poles(self.poles)
-
-    @cached_property
-    def N(self):
-        """amp*den + num = amp prod (t - z)^k, of the degree of den."""
-        if self.carried is not None:
-            return poly.from_poles(self.carried, self.amp)
-        return poly.padd(poly.pscale(self.den, self.amp), self.num)
-
-    @cached_property
-    def zeros(self):
-        """Canonical (zero, multiplicity) pairs of N: the carried ones, which
-        are exact, else `poly.root_clusters(N)`, found once and not exact."""
-        return poly.root_clusters(self.N) if self.carried is None else self.carried
-
-    @cached_property
-    def mirror_N(self):
-        return poly.pmul(self.N, _reflect(self.N))
-
-    @cached_property
-    def mirror_den(self):
-        return poly.pmul(self.den, _reflect(self.den))
-
-
 def _exp_rational_form(a):
-    """The single-exponential form of ``a``: one AP term of nonzero amplitude
-    and at most one rational part sharing its shift; None otherwise.  A
-    symbol that carries its zeros gives it from its factor list."""
+    """The factor list of the single exponential ``a``: one AP term of
+    nonzero amplitude and at most one rational part sharing its shift; None
+    otherwise.  A symbol that carries its zeros gives its own list; any other
+    gives the zeros of N = amp*den + num, found once by `poly.root_clusters`
+    and not exact."""
     f = _factors(a)
     if f is not None:
-        return None if abs(f.amp) <= COEFF_PRUNE else _ExpRational(
-            f.delta, f.amp, f.poles, f.zeros
-        )
+        return None if abs(f.amp) <= COEFF_PRUNE else f
     if len(a.ap) != 1 or abs(a.ap[0].coeff) <= COEFF_PRUNE:
         return None
     delta = a.ap[0].freq
@@ -895,8 +859,18 @@ def _exp_rational_form(a):
         return None
     if len(a.l0) > 1:
         return None  # canonical form merges equal shifts, so this is defensive
-    rat = a.l0[0].rational
-    return _ExpRational(delta, a.ap[0].coeff, rat.poles, None, np.asarray(rat.num))
+    f = _Factors(delta, a.ap[0].coeff, (), a.l0[0].rational.poles)
+    return replace(f, zeros=poly.root_clusters(_n_den(a, f)[0]))
+
+
+def _n_den(a, f):
+    """(N, den) of the single exponential a = e^(i delta t) N/den with factor
+    list f: N = amp prod (t - z)^k where a carries its zeros, else
+    amp*den + num."""
+    den = poly.from_poles(f.poles)
+    if _factors(a) is not None:
+        return poly.from_poles(f.zeros, f.amp), den
+    return poly.padd(poly.pscale(den, f.amp), np.asarray(a.l0[0].rational.num)), den
 
 
 def _real_zero(a, form):
@@ -904,13 +878,13 @@ def _real_zero(a, form):
     the real line.
 
     It reads ``form.zeros``.  A real zero lies within REAL_AXIS_TOL of the
-    axis, and a carried zero is exact.  No found zero near the axis means no
-    zero either.  But the companion-matrix roots of an m-fold real root
-    scatter off the axis like eps^(1/m), past any fixed tolerance and past
-    the fusing of `poly.root_clusters` once m is large, so found zeros that
-    may be such a scatter (`_scattered`) are settled by
+    axis, and a carried zero (`_factors`) is exact.  No found zero near the
+    axis means no zero either.  But the companion-matrix roots of an m-fold
+    real root scatter off the axis like eps^(1/m), past any fixed tolerance
+    and past the fusing of `poly.root_clusters` once m is large, so found
+    zeros that may be such a scatter (`_scattered`) are settled by
     `_sampled_invertible`, which may raise Inconclusive."""
-    if form.carried is None and _scattered(form.zeros):
+    if _factors(a) is None and _scattered(form.zeros):
         return not _sampled_invertible(a)
     return any(abs(z.imag) <= REAL_AXIS_TOL for z, _ in form.zeros)
 
@@ -962,11 +936,11 @@ def _same_mirror_product(a, b):
         return _mirrors_cancel(la, lb)
     fa, fb = a._exp_form, b._exp_form
     if fa is not None and fb is not None:
-        return _poly_identity(
-            poly.pmul(fa.mirror_N, fb.mirror_den),
-            poly.pmul(fb.mirror_N, fa.mirror_den),
-            1e-10,
-        )
+        def mirrored(g, f):  # N(t)N(-t) and den(t)den(-t)
+            return [poly.pmul(p, _reflect(p)) for p in _n_den(g, f)]
+
+        (na, da), (nb, db) = mirrored(a, fa), mirrored(b, fb)
+        return _poly_identity(poly.pmul(na, db), poly.pmul(nb, da), 1e-10)
     lhs = a * tilde(a)
     rhs = b * tilde(b)
     if lhs.isclose(rhs, 1e-12):

@@ -12,7 +12,6 @@ from whhankel import (
     is_plus,
     matching_factorization,
     one,
-    one_sided_inverse_recipe,
     parse_symbol,
     subordinated,
     tilde,
@@ -20,7 +19,7 @@ from whhankel import (
     xi,
 )
 from whhankel.dsl import format_symbol
-from whhankel.errors import NotFactorizable, NotInvertible, WrongSide
+from whhankel.errors import NotFactorizable, NotInvertible
 from whhankel.symbols import _factors
 
 
@@ -172,23 +171,6 @@ def test_matching_minus_factor_identity(expr):
     assert np.max(np.abs(f.g_minus.eval(t) - predicted.eval(t))) < 1e-10
     assert sign in (-1, 1)
     assert sign == xi(g)
-
-
-def test_one_sided_inverse_recipes():
-    right = one_sided_inverse_recipe(factorize(chi(-1)), "right")
-    assert len(right.factors) == 1 and right.factors[0].isclose(chi())
-    left = one_sided_inverse_recipe(factorize(chi()), "left")
-    assert len(left.factors) == 1 and left.factors[0].isclose(chi(-1))
-    with pytest.raises(WrongSide):
-        one_sided_inverse_recipe(factorize(chi()), "right")
-    with pytest.raises(WrongSide):
-        one_sided_inverse_recipe(factorize(chi(-1)), "left")
-
-
-def test_recipe_factors_are_invertible(a_nm1):
-    rec = one_sided_inverse_recipe(factorize(a_nm1), "right")
-    for f in rec.factors:
-        inverse(f)  # must not raise
 
 
 def test_matching_factors_keep_every_pole_on_a_draw(general_pairs):

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from whhankel import (
     OracleConfig,
     Workspace,
     chi,
+    exp_symbol,
     inverse,
     kernel_basis_scalar,
     make_kappa_tester,
@@ -355,6 +359,13 @@ def test_phi_pm_needs_right_invertible_c():
         right_inverse_apply(chi(), EXP_IMAGE)
 
 
+def test_right_inverse_never_drops_a_mean_motion():
+    # a mean motion above FREQ_TOL, however small, leaves W(c) without the
+    # right inverse of its factors: it is refused, not dropped
+    with pytest.raises(NoRightInverse, match="nu = 1e-10"):
+        right_inverse_apply(exp_symbol(1e-10) * chi(-1), EXP_IMAGE)
+
+
 def test_flip_apply_matches_whole_line_composition(ws, a_n0):
     from whhankel.oracle import w0_matrix
 
@@ -380,10 +391,10 @@ def test_phi_checks_its_input_before_inverting_c(a_n0, monkeypatch):
     with pytest.raises(NotInKernel, match=r"^phi input \(ker W\(d\)\)"):
         phi_pm(sub, off_image, "-")
 
-    def no_right_inverse(c):
+    def no_right_inverse(c, f):
         raise NoRightInverse("W(c) is not right-invertible")
 
-    monkeypatch.setattr(kernels, "_right_inverse_recipe", no_right_inverse)
+    monkeypatch.setattr(kernels, "right_inverse_apply", no_right_inverse)
     monkeypatch.setattr(kernels, "_kernel_image", lambda g_plus_inv: off_image)
     with pytest.raises(NotInKernel, match=r"^phi input \(ker W\(d\)\)"):
         kappa_for_pair(subordinated(MatchingPair(a_n0, a_n0 * chi(-1))))
@@ -500,3 +511,16 @@ def test_pairs_the_grid_gate_refused_classify_and_verify(a_expr, b_expr):
     assert cells == ["0"] * 4
     table = oracle.verify(report, pair, Grid(T=25.0, h=0.1), OracleConfig())
     assert [row.verdict for row in table.rows] == ["pass"] * 5
+
+
+def test_tester_residuals_are_pinned():
+    # every kappa_for_pair call of the sweep (seed 1) and the general draw,
+    # with its decision and residual as first recorded
+    path = Path(__file__).parent / "data" / "kappa_residuals.json"
+    rows = json.loads(path.read_text(encoding="utf-8"))
+    assert len(rows) == 58
+    for row in rows:
+        pair = MatchingPair(parse_symbol(row["a"]), parse_symbol(row["b"]))
+        got = kappa_for_pair(subordinated(pair))
+        assert got.in_image is row["in_image"]
+        assert abs(got.residual - row["residual"]) <= 1e-10 * row["residual"]

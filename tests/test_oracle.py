@@ -32,7 +32,6 @@ from whhankel.classify import Dim, SignReport, ClassificationReport
 from whhankel.errors import ShiftNotCommensurate
 from whhankel.kernels import (
     EXP_IMAGE,
-    _right_inverse_recipe,
     kernel_basis_scalar,
     right_inverse_apply,
 )
@@ -277,9 +276,8 @@ def test_apply_recipe_composite_symbol(a_nm1):
 
 
 def test_empty_recipe_is_identity():
-    # W(1) has the empty right-inverse recipe, which leaves its input as it is
-    assert _right_inverse_recipe(one()).factors == ()
-    assert right_inverse_apply(one(), IMAGE).isclose(IMAGE, 1e-15)
+    # every factor of W(1) is 1 and is skipped, so its input is returned
+    assert right_inverse_apply(one(), IMAGE) is IMAGE
 
 
 def test_verify_pass_and_corrupted_report(a_n0):

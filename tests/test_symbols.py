@@ -394,6 +394,22 @@ def test_product_keeps_zeros_only_with_its_rational_part():
     assert inverse(g).isclose(constant(1e13))
 
 
+def test_small_multiple_of_a_high_power_keeps_its_list(monkeypatch):
+    # 0.5 chi^60 can prune no term (amp 0.5, t^59 coefficient -60i), so the
+    # product keeps the scaled list and derives nothing; chi^60's own
+    # coefficients lose its value
+    from whhankel import symbols
+
+    def no_terms(_g):
+        raise AssertionError("the product derived coefficients")
+
+    g = parse_symbol("chi^60")
+    monkeypatch.setattr(symbols, "_derive", no_terms)
+    h = 0.5 * g
+    assert winding_n(h) == 60
+    assert not is_matching(h)
+
+
 def test_winding_error_is_raised_again():
     g = parse_symbol("(t-1)/(t+1i)")  # N vanishes at t = 1
     for _ in range(2):
